@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 affirmative/success, 1 negative decision, 2 usage or parse
-error, 3 budget exceeded.  Certificates for negative decisions go to stdout;
-diagnostics go to stderr.
+Exit codes: 0 affirmative/success, 1 negative decision, 2 usage, parse or
+precondition error, 3 budget exceeded.  Certificates for negative decisions
+go to stdout; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -17,20 +17,24 @@ from .errors import (
     CutnetsError,
     CycleError,
     DegreeError,
+    LabelSetMismatch,
     NotBinary,
+    NotThreeCuttable,
     NotTwoCuttable,
     ParseError,
     TooLarge,
     ValidationError,
 )
 
-_PARSE_ERRORS = (ParseError, ValidationError, DegreeError, CycleError, NotBinary)
+# Bad input or an unmet precondition: exit 2, never 1, which means "no".
+_INPUT_ERRORS = (ParseError, ValidationError, DegreeError, CycleError, NotBinary,
+                 LabelSetMismatch, NotThreeCuttable)
 
 
 def _guard(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    except _PARSE_ERRORS as exc:
+    except _INPUT_ERRORS as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     except (TooLarge, BudgetExceeded) as exc:

@@ -25,10 +25,13 @@ from .nets import (
     Edge,
     Split,
     UndirectedNet,
+    _component_of,
     canon_edge,
+    canonical_mask,
+    cut_edge_masks,
     eliminate_edge,
-    split_of_cut_edge,
-    splits_of,
+    label_bits,
+    split_of_mask,
 )
 
 
@@ -209,16 +212,44 @@ def _edge_order(tree: UndirectedNet) -> list[tuple[int, int]]:
 # --- conflicting splits -----------------------------------------------------------
 
 def conflicting_split(tree: UndirectedNet, net: UndirectedNet) -> tuple[Split, Split] | None:
-    """First (canonical order) incompatible pair of a network split and a tree split."""
+    """First (canonical order) incompatible pair of a network split and a tree split.
+
+    Fast path: when every network split mask is also a tree split mask there
+    is no conflict, because the splits of a tree are pairwise compatible.
+    Otherwise the splits are built from their masks and every network split
+    is checked against every tree split, both in canonical order.  On a
+    non-binary tree that scan can still find no conflict.
+    """
     if tree.labels() != net.labels():
         raise LabelSetMismatch(f"{sorted(tree.labels())} vs {sorted(net.labels())}")
-    net_splits = sorted((s for _, s in splits_of(net)), key=Split.sort_key)
-    tree_splits = sorted((s for _, s in splits_of(tree)), key=Split.sort_key)
-    for us in net_splits:
-        for ts in tree_splits:
-            if not us.is_compatible_with(ts):
+    net_masks = cut_edge_masks(net).values()
+    tree_masks = cut_edge_masks(tree).values()
+    tree_set = set(tree_masks)
+    if all(m in tree_set for m in net_masks):
+        return None
+    labels = sorted(net.labels())
+    full = (1 << len(labels)) - 1
+
+    def ordered(masks):
+        return sorted(((split_of_mask(m, labels), m) for m in masks),
+                      key=lambda pair: pair[0].sort_key())
+
+    tree_splits = ordered(tree_masks)
+    for us, um in ordered(net_masks):
+        for ts, tm in tree_splits:
+            # both masks hold bit 0, so the sides holding it always meet;
+            # incompatible when each of the other three intersections is nonempty
+            if um & ~tm and tm & ~um and um | tm != full:
                 return us, ts
     return None
+
+
+def _tree_masks(tree: UndirectedNet, net: UndirectedNet) -> dict[Edge, int]:
+    """The tree's split masks, comparable with the network's.
+
+    Empty when the label sets differ: then no tree split equals a network split.
+    """
+    return cut_edge_masks(tree) if tree.labels() == net.labels() else {}
 
 
 # --- branching ---------------------------------------------------------------------
@@ -235,15 +266,12 @@ def branch_on_cut_edge(tree: UndirectedNet, net: UndirectedNet, edge):
     leaves = net.leaves()
     if e[0] in leaves or e[1] in leaves:
         raise TrivialCutEdge(f"{e} is a trivial cut-edge")
-    split = split_of_cut_edge(net, e)
-    if split is None:
+    mask = cut_edge_masks(net).get(e)
+    if mask is None:
         raise AssertionError("a non-trivial cut-edge of a 3-cuttable network must induce a split")
-    tree_edge = None
-    for te, ts in splits_of(tree):
-        if ts == split:
-            tree_edge = te
-            break
+    tree_edge = min((te for te, m in _tree_masks(tree, net).items() if m == mask), default=None)
     if tree_edge is None:
+        split = split_of_mask(mask, sorted(net.labels()))
         raise NoMatchingTreeEdge(f"tree has no edge inducing {split}; instance has a conflicting split")
 
     existing = net.labels()
@@ -252,13 +280,13 @@ def branch_on_cut_edge(tree: UndirectedNet, net: UndirectedNet, edge):
         k += 1
     fresh = (f"x{k}", f"x{k + 1}")
 
-    side_u = _component_vertices(net, e[0], e)
+    side_u = _component_of(net.adjacency(), e[0], e)
     labels_u = frozenset(net.leaf_labels[v] for v in side_u if v in net.leaf_labels)
     sub_nets = [
         _halve(net, e, e[0], fresh[0]),
         _halve(net, e, e[1], fresh[1]),
     ]
-    t_side_0 = _component_vertices(tree, tree_edge[0], tree_edge)
+    t_side_0 = _component_of(tree.adjacency(), tree_edge[0], tree_edge)
     t_labels_0 = frozenset(tree.leaf_labels[v] for v in t_side_0 if v in tree.leaf_labels)
     if t_labels_0 == labels_u:
         sub_trees = [_halve(tree, tree_edge, tree_edge[0], fresh[0]),
@@ -269,21 +297,8 @@ def branch_on_cut_edge(tree: UndirectedNet, net: UndirectedNet, edge):
     return (sub_trees[0], sub_nets[0]), (sub_trees[1], sub_nets[1])
 
 
-def _component_vertices(net, start, severed):
-    seen = {start}
-    queue = [start]
-    while queue:
-        x = queue.pop()
-        for w in net.neighbors(x):
-            if canon_edge(x, w) == severed or w in seen:
-                continue
-            seen.add(w)
-            queue.append(w)
-    return seen
-
-
 def _halve(net, severed, keep_endpoint, fresh_label):
-    side = _component_vertices(net, keep_endpoint, severed)
+    side = _component_of(net.adjacency(), keep_endpoint, severed)
     nv = net.next_id
     edges = {e for e in net.edges if e[0] in side and e[1] in side and e != severed}
     edges.add(canon_edge(keep_endpoint, nv))
@@ -430,10 +445,11 @@ def apply_reduction(tree: UndirectedNet, net: UndirectedNet) -> RuleOutcome:
 def _rule2(tree, net):
     """Three consecutive leaf-hung vertices plus a fourth path vertex, with a
     matching pendant triple in the tree: eliminate the path's leading edge."""
-    tree_splits = {s for _, s in splits_of(tree)}
+    tree_masks = set(_tree_masks(tree, net).values())
+    bits = label_bits(net.labels())
+    full = (1 << len(bits)) - 1
     leaves = net.leaves()
     cuts = net.cut_edges()
-    all_labels = net.labels()
 
     def leaf_labels_at(v):
         return sorted(net.leaf_labels[w] for w in net.neighbors(v) if w in leaves)
@@ -466,12 +482,13 @@ def _rule2(tree, net):
                         for y in ys:
                             if y == x:
                                 continue
-                            if Split.of({x, y}, all_labels - {x, y}) not in tree_splits:
+                            xy = bits[x] | bits[y]
+                            if canonical_mask(xy, full) not in tree_masks:
                                 continue
                             for z in zs:
                                 if z in (x, y):
                                     continue
-                                if Split.of({x, y, z}, all_labels - {x, y, z}) not in tree_splits:
+                                if canonical_mask(xy | bits[z], full) not in tree_masks:
                                     continue
                                 e = canon_edge(v1, v2)
                                 return RuleOutcome(
@@ -585,6 +602,12 @@ def three_cuttable_tc(tree: UndirectedNet, net: UndirectedNet) -> tuple[bool, li
 
 
 def _solve(tree, net, trace):
+    """Decide one instance, appending its events to ``trace``.
+
+    A branch decides its first half before its second; the second halves
+    wait on an explicit stack, so depth is not bounded by the call stack.
+    """
+    pending = []
     while True:
         conflict = conflicting_split(tree, net)
         if conflict is not None:
@@ -595,15 +618,17 @@ def _solve(tree, net, trace):
             e = nontrivial[0]
             (t1, u1), (t2, u2) = branch_on_cut_edge(tree, net, e)
             trace.append(TraceEvent("BRANCH", f"{e[0]}-{e[1]}", trees=(t1, t2), nets=(u1, u2)))
-            if not _solve(t1, u1, trace):
-                return False
-            tree, net = t2, u2
+            pending.append((t2, u2))
+            tree, net = t1, u1
             continue
         outcome = apply_reduction(tree, net)
         case = f" {outcome.case}" if outcome.case else ""
         trace.append(TraceEvent("RULE", f"{outcome.rule_id}{case}", trees=(tree,), nets=(net,)))
         if outcome.verdict == "yes":
-            return True
+            if not pending:
+                return True
+            tree, net = pending.pop()
+            continue
         if outcome.verdict == "no":
             return False
         e = outcome.eliminated_edge

@@ -650,13 +650,74 @@ def split_of_cut_edge(net: UndirectedNet, edge) -> Split | None:
 
 
 def splits_of(net: UndirectedNet) -> list[tuple[Edge, Split]]:
-    """(cut-edge, split) pairs for every split-inducing cut-edge, canonically ordered."""
-    out = []
-    for e in sorted(net.cut_edges()):
-        s = split_of_cut_edge(net, e)
-        if s is not None:
-            out.append((e, s))
-    return out
+    """(cut-edge, split) pairs for every split-inducing cut-edge, canonically ordered.
+
+    Every split comes from the masks of one ``cut_edge_masks`` pass, with no
+    search per edge; ``split_of_cut_edge`` is the per-edge reference it
+    agrees with.
+    """
+    labels = sorted(net.labels())
+    masks = cut_edge_masks(net)
+    return [(e, split_of_mask(masks[e], labels)) for e in sorted(masks)]
+
+
+# A split is also an int bitmask over the sorted label set: bit i stands for
+# the i-th smallest label, and the canonical mask is the side holding bit 0,
+# which is ``Split.side_a``.
+
+def label_bits(labels) -> dict[str, int]:
+    """The mask bit of each label: bit i is the i-th smallest label."""
+    return {lab: 1 << i for i, lab in enumerate(sorted(labels))}
+
+
+def canonical_mask(mask: int, full: int) -> int:
+    """The side of the bipartition ``mask | full ^ mask`` that holds bit 0."""
+    return mask if mask & 1 else full ^ mask
+
+
+def split_of_mask(mask: int, labels) -> Split:
+    """The split of a canonical mask over ``labels``, given sorted."""
+    side_a = frozenset(lab for i, lab in enumerate(labels) if mask >> i & 1)
+    return Split(side_a, frozenset(labels) - side_a)
+
+
+def cut_edge_masks(net: UndirectedNet) -> dict[Edge, int]:
+    """Canonical mask of every split-inducing cut-edge, in one pass.
+
+    A BFS spanning forest gives each vertex the leaf mask of its subtree.
+    Every bridge lies in every spanning forest, so a cut-edge from a vertex
+    to its tree parent separates exactly that vertex's subtree from the
+    rest.  Cut-edges with a leafless side are skipped, as in
+    ``split_of_cut_edge``.  Leaf labels are assumed distinct.
+    """
+    cuts = net.cut_edges()
+    bits = label_bits(net.labels())
+    full = (1 << len(bits)) - 1
+    adj = net.adjacency()
+    parent: dict[VertexId, VertexId | None] = {}
+    masks = {}
+    for root in sorted(net.vertices):
+        if root in parent:
+            continue
+        parent[root] = None
+        order = [root]
+        for x in order:   # BFS: the loop also visits what it appends
+            for w in adj[x]:
+                if w not in parent:
+                    parent[w] = x
+                    order.append(w)
+        below = {v: bits[net.leaf_labels[v]] if v in net.leaf_labels else 0 for v in order}
+        for v in reversed(order[1:]):
+            below[parent[v]] |= below[v]
+        component = below[root]
+        for v in order[1:]:
+            e = canon_edge(parent[v], v)
+            if e not in cuts:
+                continue
+            side = below[v] if e[0] == v else component ^ below[v]   # e[0]'s side
+            if side and side != full:
+                masks[e] = canonical_mask(side, full)
+    return masks
 
 
 # -- paths and cycles -------------------------------------------------------------

@@ -1,3 +1,4 @@
+import pytest
 from click.testing import CliRunner
 
 from cutnets import CnfInstance
@@ -103,6 +104,22 @@ class TestContain:
         assert "displays: yes" in result.output
         oracle = CliRunner().invoke(cli, ["contain", tpath, npath, "--oracle"])
         assert oracle.exit_code == 0
+
+    @pytest.mark.parametrize("oracle", [[], ["--oracle"]])
+    def test_label_mismatch_exit_2(self, tmp_path, cycle4, oracle):
+        tpath = write(tmp_path / "t.nwk", "((a,b),(c,x));\n")
+        npath = write(tmp_path / "u.upn", serialize_upn(cycle4))
+        result = CliRunner().invoke(cli, ["contain", tpath, npath, *oracle])
+        assert result.exit_code == 2
+        assert "error: " in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    def test_not_three_cuttable_exit_2(self, tmp_path, theta3):
+        tpath = write(tmp_path / "t.nwk", "(a,b,c);\n")
+        npath = write(tmp_path / "u.upn", serialize_upn(theta3))
+        result = CliRunner().invoke(cli, ["contain", tpath, npath])
+        assert result.exit_code == 2
+        assert "error: network is not 3-cuttable" in result.output
 
 
 class TestSatCommands:

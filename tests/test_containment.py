@@ -1,3 +1,8 @@
+import inspect
+import json
+import sys
+from pathlib import Path
+
 import pytest
 
 from cutnets import (
@@ -25,12 +30,13 @@ from cutnets.containment import serialize_trace
 from cutnets.errors import (
     BudgetExceeded,
     LabelSetMismatch,
+    NoMatchingTreeEdge,
     NotSimple,
     TooFewLeaves,
     TrivialCutEdge,
 )
-from cutnets.formats import parse_newick_tree
-from cutnets.nets import all_simple_paths, canon_edge
+from cutnets.formats import parse_newick_tree, parse_upn
+from cutnets.nets import Split, all_simple_paths, canon_edge, split_of_cut_edge
 
 from conftest import build_simple_3cuttable
 
@@ -96,6 +102,27 @@ class TestVerifyEmbedding:
         assert bad
 
 
+def reference_conflicting_split(tree, net):
+    """conflicting_split by definition: per-edge splits, frozenset pairwise scan."""
+    def ordered(graph):
+        splits = (split_of_cut_edge(graph, e) for e in graph.cut_edges())
+        return sorted((s for s in splits if s is not None), key=Split.sort_key)
+
+    tree_splits = ordered(tree)
+    for us in ordered(net):
+        for ts in tree_splits:
+            if not us.is_compatible_with(ts):
+                return us, ts
+    return None
+
+
+def swap_labels(tree, a, b):
+    labels = dict(tree.leaf_labels)
+    va, vb = tree.vertex_of_label(a), tree.vertex_of_label(b)
+    labels[va], labels[vb] = b, a
+    return tree.replace(leaf_labels=labels)
+
+
 class TestConflictingSplit:
     def test_fig7_pair(self, conflicting_pair):
         tree, net = conflicting_pair
@@ -113,6 +140,34 @@ class TestConflictingSplit:
         tree = parse_newick_tree("((a,b),(c,d));")
         assert conflicting_split(tree, tree) is None
 
+    def test_matches_reference_on_seeded_pairs(self):
+        outcomes = set()
+        for seed in range(40):
+            leaves = (8, 16, 32, 64)[seed % 4]
+            net = random_q_cuttable(GenConfig(seed=900 + seed, leaf_count=leaves,
+                                              target_r=leaves // 8, target_q=3))
+            tree = sample_displayed_tree(net, seed)
+            nontrivial = sorted(net.cut_edges() - net.trivial_cut_edges())
+            candidates = [tree, random_tree(sorted(net.labels()), seed)]
+            if nontrivial:
+                split = split_of_cut_edge(net, nontrivial[seed % len(nontrivial)])
+                candidates.append(swap_labels(tree, min(split.side_a), min(split.side_b)))
+            for candidate in candidates:
+                got = conflicting_split(candidate, net)
+                assert got == reference_conflicting_split(candidate, net)
+                outcomes.add(got is None)
+        assert outcomes == {True, False}
+
+    def test_star_tree_has_no_conflict(self, conflicting_pair):
+        # a star's splits are all trivial, so the network's split abc|dfg is
+        # not among them, yet it is compatible with every one of them
+        _, net = conflicting_pair
+        labels = sorted(net.labels())
+        star = UndirectedNet.build([(0, i) for i in range(1, len(labels) + 1)],
+                                   {i: lab for i, lab in enumerate(labels, 1)})
+        assert conflicting_split(star, net) is None
+        assert reference_conflicting_split(star, net) is None
+
 
 class TestBranching:
     def test_leaf_counts_and_fresh_labels(self, conflicting_pair):
@@ -127,6 +182,11 @@ class TestBranching:
         assert fresh.isdisjoint(net.labels())
         for sub in (u1, u2, t1, t2):
             assert validate_unrooted(sub).ok
+
+    def test_conflicting_tree_has_no_matching_edge(self, conflicting_pair):
+        tree, net = conflicting_pair
+        with pytest.raises(NoMatchingTreeEdge, match=r"^tree has no edge inducing a,b,c\|d,f,g; "):
+            branch_on_cut_edge(tree, net, (4, 8))
 
     def test_trivial_cut_edge_rejected(self, conflicting_pair):
         _, net = conflicting_pair
@@ -262,6 +322,32 @@ class TestAlgorithm:
         text = serialize_trace(trace)
         assert text.startswith("TCTRACE/1\n")
         assert text.rstrip().endswith("YES")
+
+    def test_trace_matches_recorded_golden(self):
+        # Traces recorded with per-edge split searches, on seeded
+        # random_q_cuttable networks (|X| = 16..48) against a displayed tree,
+        # that tree with two leaves swapped across a cut-edge, a random tree,
+        # and the displayed tree with two leaves swapped that no network
+        # split separates: once decided by a split conflict after branching
+        # and reducing, once by a rule.
+        golden = json.loads((Path(__file__).parent / "data" / "tctrace_golden.json").read_text())
+        assert {row["trace"].rstrip().rsplit("\n", 1)[-1] for row in golden} == {"YES", "NO"}
+        for row in golden:
+            _, trace = three_cuttable_tc(parse_newick_tree(row["tree"]), parse_upn(row["net"]))
+            assert serialize_trace(trace) == row["trace"], row["name"]
+
+    def test_branch_nesting_does_not_recurse(self):
+        # this instance nests branches 48 deep; deciding it must not need
+        # call-stack room for them
+        net = random_q_cuttable(GenConfig(seed=3, leaf_count=200, target_r=25, target_q=3))
+        tree = sample_displayed_tree(net, 3)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 25)
+        try:
+            verdict, _ = three_cuttable_tc(tree, net)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert verdict is True
 
     def test_trace_length_bound(self):
         for seed in range(25):

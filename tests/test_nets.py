@@ -23,7 +23,7 @@ from cutnets.errors import (
     UnknownEdge,
     WouldCreateParallelEdge,
 )
-from cutnets.nets import RootedNet, Split, validate_rooted
+from cutnets.nets import RootedNet, Split, splits_of, validate_rooted
 
 
 def brute_force_bridges(net):
@@ -43,6 +43,12 @@ def brute_force_bridges(net):
         return len(seen) == len(net.vertices)
 
     return frozenset(e for e in net.edges if not connected(net.edges - {e}))
+
+
+def reference_splits(net):
+    """What splits_of must return, by one split_of_cut_edge search per cut-edge."""
+    pairs = [(e, split_of_cut_edge(net, e)) for e in sorted(net.cut_edges())]
+    return [(e, s) for e, s in pairs if s is not None]
 
 
 class TestValidation:
@@ -234,6 +240,27 @@ class TestSplitsAndNumbers:
         t = Split.of({"a", "b"}, {"c", "d"})
         assert not s.is_compatible_with(t)
         assert s.is_compatible_with(Split.of({"a"}, {"b", "c", "d"}))
+
+
+class TestSplitMasks:
+    @pytest.mark.parametrize("leaves,q", [(16, 2), (16, 3), (64, 2), (64, 3),
+                                          (256, 2), (256, 3), (1000, 2)])
+    def test_splits_of_matches_per_edge_reference(self, leaves, q):
+        net = random_q_cuttable(GenConfig(seed=leaves + q, leaf_count=leaves,
+                                          target_r=leaves // 8, target_q=q))
+        assert splits_of(net) == reference_splits(net)
+
+    def test_fixtures_match_per_edge_reference(self, k4_sub, cycle4, conflicting_pair):
+        # two stars: a cut-edge's side is measured from its first endpoint,
+        # and the other side also holds the other component's labels
+        stars = UndirectedNet.build(
+            [(1, 2), (1, 3), (1, 4), (5, 6), (5, 7), (5, 8)],
+            {2: "a", 3: "b", 4: "c", 6: "d", 7: "e", 8: "f"},
+        )
+        tree, net = conflicting_pair
+        for graph in (k4_sub, cycle4, tree, net, stars):
+            assert splits_of(graph) == reference_splits(graph)
+        assert splits_of(k4_sub) == []
 
 
 class TestIsomorphism:
