@@ -3,7 +3,6 @@
 from .nets import (
     Blob,
     Chain,
-    MixedGraph,
     RootedNet,
     Split,
     UndirectedNet,

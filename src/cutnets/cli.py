@@ -17,6 +17,8 @@ from .errors import (
     CutnetsError,
     CycleError,
     DegreeError,
+    InvalidN,
+    InvalidQ,
     LabelSetMismatch,
     NotBinary,
     NotThreeCuttable,
@@ -28,7 +30,7 @@ from .errors import (
 
 # Bad input or an unmet precondition: exit 2, never 1, which means "no".
 _INPUT_ERRORS = (ParseError, ValidationError, DegreeError, CycleError, NotBinary,
-                 LabelSetMismatch, NotThreeCuttable)
+                 LabelSetMismatch, NotThreeCuttable, InvalidQ, InvalidN)
 
 
 def _guard(fn, *args, **kwargs):
@@ -226,7 +228,7 @@ def gen_group():
 
 
 @gen_group.command("tree")
-@click.option("--leaves", type=int, required=True)
+@click.option("--leaves", type=click.IntRange(min=2), required=True)
 @click.option("--seed", type=int, default=0)
 @click.option("-o", "--output", type=click.Path(), default=None)
 def gen_tree(leaves, seed, output):
@@ -243,8 +245,12 @@ def gen_tree(leaves, seed, output):
 @click.option("--seed", type=int, default=0)
 @click.option("-o", "--output", type=click.Path(), default=None)
 def gen_net(leaves, target_r, target_q, seed, output):
-    net = generate.random_q_cuttable(
-        generate.GenConfig(seed=seed, leaf_count=leaves, target_r=target_r, target_q=target_q))
+    try:
+        config = generate.GenConfig(seed=seed, leaf_count=leaves,
+                                    target_r=target_r, target_q=target_q)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
+    net = generate.random_q_cuttable(config)
     _write(output, formats.serialize_upn(net))
     sys.exit(0)
 

@@ -26,6 +26,7 @@ from .nets import (
     Split,
     UndirectedNet,
     _component_of,
+    bfs_order,
     canon_edge,
     canonical_mask,
     cut_edge_masks,
@@ -192,21 +193,9 @@ def display_oracle(tree: UndirectedNet, net: UndirectedNet,
 
 def _edge_order(tree: UndirectedNet) -> list[tuple[int, int]]:
     """Tree edges BFS-ordered from the smallest leaf; first endpoint already mapped."""
-    start = tree.vertex_of_label(min(tree.labels()))
-    seen = {start}
-    out = []
-    queue = [start]
-    while queue:
-        x = queue.pop(0)
-        for w in tree.neighbors(x):
-            e = (x, w)
-            if (w, x) in out or (x, w) in out:
-                continue
-            out.append(e)
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return out
+    parent: dict[int, int | None] = {}
+    order = bfs_order(tree.adjacency(), [tree.vertex_of_label(min(tree.labels()))], parent)
+    return [(parent[v], v) for v in order[1:]]
 
 
 # --- conflicting splits -----------------------------------------------------------
@@ -280,25 +269,20 @@ def branch_on_cut_edge(tree: UndirectedNet, net: UndirectedNet, edge):
         k += 1
     fresh = (f"x{k}", f"x{k + 1}")
 
-    side_u = _component_of(net.adjacency(), e[0], e)
-    labels_u = frozenset(net.leaf_labels[v] for v in side_u if v in net.leaf_labels)
-    sub_nets = [
-        _halve(net, e, e[0], fresh[0]),
-        _halve(net, e, e[1], fresh[1]),
-    ]
-    t_side_0 = _component_of(tree.adjacency(), tree_edge[0], tree_edge)
-    t_labels_0 = frozenset(tree.leaf_labels[v] for v in t_side_0 if v in tree.leaf_labels)
-    if t_labels_0 == labels_u:
-        sub_trees = [_halve(tree, tree_edge, tree_edge[0], fresh[0]),
-                     _halve(tree, tree_edge, tree_edge[1], fresh[1])]
-    else:
-        sub_trees = [_halve(tree, tree_edge, tree_edge[1], fresh[0]),
-                     _halve(tree, tree_edge, tree_edge[0], fresh[1])]
+    sides = [_component_of(net.adjacency(), v, e) for v in e]
+    tree_sides = [_component_of(tree.adjacency(), v, tree_edge) for v in tree_edge]
+    sub_nets = [_halve(net, e, e[i], sides[i], fresh[i]) for i in (0, 1)]
+    # pair the tree halves with the network halves holding the same labels
+    labels_0 = {net.leaf_labels[v] for v in sides[0] if v in net.leaf_labels}
+    same = labels_0 == {tree.leaf_labels[v] for v in tree_sides[0] if v in tree.leaf_labels}
+    sub_trees = [_halve(tree, tree_edge, tree_edge[j], tree_sides[j], fresh[i])
+                 for i, j in enumerate((0, 1) if same else (1, 0))]
     return (sub_trees[0], sub_nets[0]), (sub_trees[1], sub_nets[1])
 
 
-def _halve(net, severed, keep_endpoint, fresh_label):
-    side = _component_of(net.adjacency(), keep_endpoint, severed)
+def _halve(net, severed, keep_endpoint, side, fresh_label):
+    """The ``side`` of the cut-edge ``severed`` at ``keep_endpoint``, with
+    a fresh leaf hung where the edge was."""
     nv = net.next_id
     edges = {e for e in net.edges if e[0] in side and e[1] in side and e != severed}
     edges.add(canon_edge(keep_endpoint, nv))
@@ -377,14 +361,11 @@ def find_pendant_structures(tree: UndirectedNet):
     leaves = tree.leaves()
     anchor_leaf = tree.vertex_of_label(min(tree.labels()))
     root = tree.neighbors(anchor_leaf)[0]
+    parent: dict[int, int | None] = {}
+    order = bfs_order(tree.adjacency(), [root], parent)
     depth = {root: 0}
-    queue = [root]
-    while queue:
-        x = queue.pop(0)
-        for w in tree.neighbors(x):
-            if w not in depth:
-                depth[w] = depth[x] + 1
-                queue.append(w)
+    for v in order[1:]:
+        depth[v] = depth[parent[v]] + 1
 
     def cherry_at(p):
         ls = sorted(tree.leaf_labels[w] for w in tree.neighbors(p) if w in leaves)
@@ -576,6 +557,12 @@ def _pick_off_path_edge(net, path, forbidden):
 
 @dataclass(frozen=True)
 class TraceEvent:
+    """One step of the decision procedure.
+
+    Only BRANCH (its two sub-networks) and ELIM (the tree, and the network
+    before and after) keep snapshots; the other kinds carry none.
+    """
+
     kind: str                      # SPLIT-CONFLICT | BRANCH | RULE | ELIM | YES | NO
     detail: str = ""
     trees: tuple = field(default=(), repr=False)
@@ -617,13 +604,13 @@ def _solve(tree, net, trace):
         if nontrivial:
             e = nontrivial[0]
             (t1, u1), (t2, u2) = branch_on_cut_edge(tree, net, e)
-            trace.append(TraceEvent("BRANCH", f"{e[0]}-{e[1]}", trees=(t1, t2), nets=(u1, u2)))
+            trace.append(TraceEvent("BRANCH", f"{e[0]}-{e[1]}", nets=(u1, u2)))
             pending.append((t2, u2))
             tree, net = t1, u1
             continue
         outcome = apply_reduction(tree, net)
         case = f" {outcome.case}" if outcome.case else ""
-        trace.append(TraceEvent("RULE", f"{outcome.rule_id}{case}", trees=(tree,), nets=(net,)))
+        trace.append(TraceEvent("RULE", f"{outcome.rule_id}{case}"))
         if outcome.verdict == "yes":
             if not pending:
                 return True

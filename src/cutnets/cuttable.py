@@ -12,7 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidQ
-from .nets import UndirectedNet, VertexId, canon_edge, simple_cycles
+from .nets import (
+    UndirectedNet,
+    UnionFind,
+    VertexId,
+    _canon_cycle,
+    canon_edge,
+    simple_cycles,
+    tree_path,
+)
 
 
 @dataclass(frozen=True)
@@ -120,20 +128,8 @@ def _cycle_has_q_chain(cycle, cut_incident, q) -> bool:
 
 
 def _is_forest(vertices, edges) -> bool:
-    parent = {v: v for v in vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+    sets = UnionFind(vertices)
+    return all(sets.union(u, v) for u, v in edges)
 
 
 def _find_cycle_avoiding(net: UndirectedNet, doomed):
@@ -153,29 +149,12 @@ def _find_cycle_avoiding(net: UndirectedNet, doomed):
                 if w == pv:
                     continue
                 if w in parent:
-                    # non-tree edge: walk both endpoints up to their meeting point
-                    return _close_cycle(parent, v, w)
+                    # non-tree edge: the tree path between its ends closes a cycle
+                    return tuple(tree_path(parent, v, w))
                 parent[w] = v
                 seen.add(w)
                 stack.append((w, v))
     return None
-
-
-def _close_cycle(parent, v, w):
-    anc_v = []
-    x = v
-    while x is not None:
-        anc_v.append(x)
-        x = parent[x]
-    anc_set = set(anc_v)
-    path_w = []
-    x = w
-    while x not in anc_set:
-        path_w.append(x)
-        x = parent[x]
-    meet = x
-    path_v = anc_v[:anc_v.index(meet)]
-    return tuple(path_v + [meet] + list(reversed(path_w)))
 
 
 def _make_chordless(net: UndirectedNet, cycle, doomed):
@@ -208,8 +187,4 @@ def _make_chordless(net: UndirectedNet, cycle, doomed):
                 cycle = side_a if len(side_a) <= len(side_b) else side_b
                 changed = True
                 break
-    i = cycle.index(min(cycle))
-    cycle = cycle[i:] + cycle[:i]
-    if len(cycle) > 2 and cycle[-1] < cycle[1]:
-        cycle = [cycle[0]] + cycle[1:][::-1]
-    return tuple(cycle)
+    return _canon_cycle(cycle)

@@ -17,7 +17,6 @@ class GenConfig:
     leaf_count: int
     target_r: int = 0
     target_q: int = 1
-    target_level: int | None = None   # informational; level never exceeds target_r
 
     def __post_init__(self):
         if self.leaf_count < 2:

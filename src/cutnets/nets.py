@@ -257,7 +257,7 @@ class UndirectedNet:
             seen = set()
             out = []
             for v in sorted(self.vertices):
-                if v in seen:
+                if v in seen or not adj[v]:   # a vertex with only cut-edges is in no blob
                     continue
                 comp = _component_of(adj, v)
                 seen |= comp
@@ -438,28 +438,25 @@ class RootedNet:
         if self.is_acyclic():
             return None
         succ, _ = self._maps()
-        color = {}
-        stack = []
-
-        def dfs(v):
-            color[v] = 1
-            stack.append(v)
-            for w in succ[v]:
-                if color.get(w, 0) == 1:
-                    return stack[stack.index(w):]
-                if w not in color:
-                    found = dfs(w)
-                    if found:
-                        return found
-            stack.pop()
-            color[v] = 2
-            return None
-
-        for v in sorted(self.vertices):
-            if v not in color:
-                found = dfs(v)
-                if found:
-                    return tuple(found)
+        color = {}   # 1 while on the DFS path, 2 once finished
+        for start in sorted(self.vertices):
+            if start in color:
+                continue
+            color[start] = 1
+            path = [start]
+            pending = [iter(succ[start])]   # the unvisited children of each path vertex
+            while pending:
+                for w in pending[-1]:
+                    if color.get(w) == 1:
+                        return tuple(path[path.index(w):])
+                    if w not in color:
+                        color[w] = 1
+                        path.append(w)
+                        pending.append(iter(succ[w]))
+                        break
+                else:
+                    color[path.pop()] = 2
+                    pending.pop()
         raise AssertionError("cycle detection disagreed with topological sort")
 
     def replace(self, *, vertices=None, arcs=None, root=None, leaf_labels=None, next_id=None) -> "RootedNet":
@@ -474,21 +471,6 @@ class RootedNet:
     def __repr__(self) -> str:
         return (f"RootedNet(|V|={len(self.vertices)}, |A|={len(self.arcs)}, "
                 f"r={self.reticulation_number()}, X={sorted(self.leaf_labels.values())})")
-
-
-@dataclass(frozen=True)
-class MixedGraph:
-    """Partially oriented graph: disjoint sets of edges and arcs."""
-
-    vertices: frozenset[VertexId]
-    edges: frozenset[Edge]
-    arcs: frozenset[Arc]
-    root: VertexId | None = None
-
-    def __post_init__(self):
-        overlap = {canon_edge(*a) for a in self.arcs} & self.edges
-        if overlap:
-            raise ValueError(f"vertex pairs both edge and arc: {sorted(overlap)}")
 
 
 # -- validation ----------------------------------------------------------------
@@ -699,13 +681,7 @@ def cut_edge_masks(net: UndirectedNet) -> dict[Edge, int]:
     for root in sorted(net.vertices):
         if root in parent:
             continue
-        parent[root] = None
-        order = [root]
-        for x in order:   # BFS: the loop also visits what it appends
-            for w in adj[x]:
-                if w not in parent:
-                    parent[w] = x
-                    order.append(w)
+        order = bfs_order(adj, [root], parent)
         below = {v: bits[net.leaf_labels[v]] if v in net.leaf_labels else 0 for v in order}
         for v in reversed(order[1:]):
             below[parent[v]] |= below[v]
@@ -758,48 +734,19 @@ def simple_cycles(net: UndirectedNet, max_combinations=100_000) -> list[tuple[Ve
     missed or duplicated.
     """
     adj = net.adjacency()
-    parent: dict[VertexId, tuple[VertexId, Edge] | None] = {}
-    tree_edges = set()
+    parent: dict[VertexId, VertexId | None] = {}
     for root in sorted(net.vertices):
-        if root in parent:
-            continue
-        parent[root] = None
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            for w in adj[x]:
-                if w not in parent:
-                    parent[w] = (x, canon_edge(x, w))
-                    tree_edges.add(canon_edge(x, w))
-                    queue.append(w)
+        if root not in parent:
+            bfs_order(adj, [root], parent)
+    tree_edges = {canon_edge(p, v) for v, p in parent.items() if p is not None}
     chords = sorted(e for e in net.edges if e not in tree_edges and e[0] != e[1])
     r = len(chords)
     if r and (1 << r) - 1 > max_combinations:
         raise TooLarge(f"cycle space has 2^{r}-1 members, budget {max_combinations}")
-
-    def tree_path_edges(a, b):
-        seen_a = {a: None}
-        x = a
-        while parent[x] is not None:
-            p, e = parent[x]
-            seen_a[p] = e
-            x = p
-        path_b = []
-        x = b
-        while x not in seen_a:
-            p, e = parent[x]
-            path_b.append(e)
-            x = p
-        meet = x
-        edges = set(path_b)
-        x = a
-        while x != meet:
-            p, e = parent[x]
-            edges.add(e)
-            x = p
-        return frozenset(edges)
-
-    fundamental = [tree_path_edges(u, v) | {canon_edge(u, v)} for u, v in chords]
+    fundamental = []
+    for u, v in chords:
+        path = tree_path(parent, u, v)
+        fundamental.append({canon_edge(a, b) for a, b in zip(path, path[1:])} | {(u, v)})
     cycles = []
     for mask in range(1, 1 << r):
         edges: set[Edge] = set()
@@ -947,17 +894,10 @@ def rooted_isomorphic(a: RootedNet, b: RootedNet) -> bool:
 # -- internals ----------------------------------------------------------------------
 
 def _component_of(adj, start, forbidden_edge=None):
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        for w in adj[x]:
-            if forbidden_edge and canon_edge(x, w) == forbidden_edge:
-                continue
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen
+    """The vertices of the component of ``start``.  A ``forbidden_edge``, a
+    cut-edge at ``start``, is not crossed: the search never enters its far end."""
+    parent = {} if forbidden_edge is None else {v: None for v in forbidden_edge if v != start}
+    return set(bfs_order(adj, [start], parent))
 
 
 def _walk_path(adj, first, second, count):
@@ -976,26 +916,69 @@ def _walk_path(adj, first, second, count):
 
 def _bfs_internal_order(net: UndirectedNet):
     """Internal vertices ordered so each has a previously seen neighbor."""
-    seen = set(net.leaves())
-    order = []
-    queue = deque(sorted(seen))
-    while queue:
-        v = queue.popleft()
-        for w in net.neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-                queue.append(w)
+    adj = net.adjacency()
+    leaves = sorted(net.leaves())
+    parent = {}
+    order = bfs_order(adj, leaves, parent)[len(leaves):]
     for v in sorted(net.vertices):
-        if v not in seen:
-            seen.add(v)
-            order.append(v)
-            queue.append(v)
-            while queue:
-                x = queue.popleft()
-                for w in net.neighbors(x):
-                    if w not in seen:
-                        seen.add(w)
-                        order.append(w)
-                        queue.append(w)
+        if v not in parent:
+            order += bfs_order(adj, [v], parent)
     return order
+
+
+def bfs_order(adj, sources, parent):
+    """Breadth-first visit order from ``sources``, all at distance zero.
+
+    ``parent`` maps every visited vertex to the one it was reached from
+    (sources map to None) and is filled in place; vertices already in it
+    are not entered, so one dict shared across calls grows a spanning forest.
+    """
+    order = list(sources)
+    for s in order:
+        parent[s] = None
+    for x in order:   # the loop also visits what it appends
+        for w in adj[x]:
+            if w not in parent:
+                parent[w] = x
+                order.append(w)
+    return order
+
+
+def tree_path(parent, a, b) -> list:
+    """The vertices of the path from ``a`` to ``b`` in a forest of parent
+    pointers (roots map to None); ``a`` and ``b`` must share a tree."""
+    up_a = [a]
+    while parent[up_a[-1]] is not None:
+        up_a.append(parent[up_a[-1]])
+    index_on_a = {x: i for i, x in enumerate(up_a)}
+    up_b = [b]
+    while up_b[-1] not in index_on_a:
+        up_b.append(parent[up_b[-1]])
+    return up_a[:index_on_a[up_b[-1]]] + up_b[::-1]
+
+
+class UnionFind:
+    """Disjoint sets with path halving; a union keeps the smaller root."""
+
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def add(self, x) -> None:
+        self.parent[x] = x
+
+    def find(self, x):
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a, b) -> bool:
+        """Merge the sets of ``a`` and ``b``; False when they were one set."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if rb < ra:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        return True

@@ -29,9 +29,11 @@ from .nets import (
     Edge,
     RootedNet,
     UndirectedNet,
+    UnionFind,
+    _component_of,
+    bfs_order,
     canon_edge,
     delete_vertex,
-    subdivide,
     suppress,
     validate_rooted,
 )
@@ -147,27 +149,13 @@ def choose_s_prime(net: UndirectedNet, chain_edges=None) -> frozenset[Edge]:
     if not is_q_cuttable(net, 2):
         raise NotTwoCuttable("input is not 2-cuttable")
     s_edges = chain_edge_set(net) if chain_edges is None else frozenset(chain_edges)
-    parent = {v: v for v in net.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b) -> bool:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-        return True
-
+    sets = UnionFind(net.vertices)
     for u, v in sorted(net.edges - s_edges):
-        if not union(u, v):
+        if not sets.union(u, v):
             raise AssertionError("non-chain edges contain a cycle; input is not 2-cuttable")
     s_prime = set()
     for u, v in sorted(s_edges):
-        if not union(u, v):
+        if not sets.union(u, v):
             s_prime.add((u, v))
     if len(s_prime) != net.reticulation_number():
         raise AssertionError("spanning-tree completion dropped the wrong number of edges")
@@ -207,16 +195,8 @@ def tree_child_orient_2cuttable(net: UndirectedNet) -> RootedNet:
     tree_adj[root_edge[0]].append(rho)
     tree_adj[root_edge[1]].append(rho)
 
-    parent_of = {rho: None}
-    queue = deque([rho])
-    order = [rho]
-    while queue:
-        x = queue.popleft()
-        for w in sorted(tree_adj[x]):
-            if w not in parent_of:
-                parent_of[w] = x
-                order.append(w)
-                queue.append(w)
+    parent_of = {}
+    order = bfs_order({v: sorted(ns) for v, ns in tree_adj.items()}, [rho], parent_of)
     if len(parent_of) != len(net.vertices) + 1:
         raise AssertionError("spanning tree does not reach every vertex")
     arcs = {(parent_of[v], v) for v in order if parent_of[v] is not None}
@@ -284,7 +264,7 @@ def _orient_blob_leftovers(net, blob, s_prime, entry):
     for start in local:
         if start in seen:
             continue
-        component = _component_edges(neighbors_of, start)
+        component = sorted(_component_of(neighbors_of, start))
         seen |= set(component)
         is_cycle = all(degree[e] == 2 for e in component)
         if is_cycle:
@@ -329,18 +309,6 @@ def _orient_blob_leftovers(net, blob, s_prime, entry):
             if canon_edge(path[i], path[i + 1]) in s_prime:
                 arcs.add((path[i], path[i + 1]))
     return arcs
-
-
-def _component_edges(neighbors_of, start):
-    comp = {start}
-    queue = deque([start])
-    while queue:
-        e = queue.popleft()
-        for f in neighbors_of[e]:
-            if f not in comp:
-                comp.add(f)
-                queue.append(f)
-    return sorted(comp)
 
 
 # --- exhaustive orientation search --------------------------------------------------
@@ -427,30 +395,8 @@ def _edges_from(net, root_edge):
 def _accepts(net, root_edge, choice):
     rho = net.next_id
     arcs = set(choice.values()) | {(rho, root_edge[0]), (rho, root_edge[1])}
-    succ = {v: [] for v in net.vertices | {rho}}
-    indeg = {v: 0 for v in net.vertices | {rho}}
-    for a, b in arcs:
-        succ[a].append(b)
-        indeg[b] += 1
-    queue = deque(v for v in succ if indeg[v] == 0)
-    visited = 0
-    while queue:
-        x = queue.popleft()
-        visited += 1
-        for w in succ[x]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    if visited != len(succ):
-        return False
-    retics = {v for v in net.vertices if sum(1 for a, b in arcs if b == v) == 2}
-    for a, b in arcs:
-        if a in retics and b in retics:
-            return False
-    for v, children in succ.items():
-        if children and all(c in retics for c in children):
-            return False
-    return True
+    rooted = RootedNet(net.vertices | {rho}, arcs, rho, net.leaf_labels, next_id=rho + 1)
+    return rooted.is_acyclic() and is_tree_child(rooted)
 
 
 # --- cherry picking -------------------------------------------------------------------

@@ -26,7 +26,14 @@ from .errors import (
     TooLarge,
     UnsatisfiedAssignment,
 )
-from .nets import RootedNet, UndirectedNet, ValidationReport, canon_edge, validate_rooted
+from .nets import (
+    RootedNet,
+    UndirectedNet,
+    UnionFind,
+    ValidationReport,
+    canon_edge,
+    validate_rooted,
+)
 
 Assignment = dict[int, bool]
 
@@ -231,34 +238,25 @@ def parse_gmap(text: str) -> GadgetMap:
 
 # --- the reduction ------------------------------------------------------------------
 
-class _Builder:
-    """Mutable scratch graph with union-find identification, frozen at the end."""
+class _Builder(UnionFind):
+    """Mutable scratch graph, frozen at the end.
+
+    Vertices are identified by union; the smaller id survives, so the ids of
+    the frozen network do not depend on the order of identifications.
+    """
 
     def __init__(self):
+        super().__init__(())
         self._next = 1
         self.edges: list[tuple[int, int]] = []
         self.labels: dict[int, str] = {}
-        self._parent: dict[int, int] = {}
 
     def fresh(self, count: int = 1):
         ids = tuple(range(self._next, self._next + count))
         self._next += count
         for i in ids:
-            self._parent[i] = i
+            self.add(i)
         return ids if count > 1 else ids[0]
-
-    def find(self, a: int) -> int:
-        while self._parent[a] != a:
-            self._parent[a] = self._parent[self._parent[a]]
-            a = self._parent[a]
-        return a
-
-    def identify(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        lo, hi = min(ra, rb), max(ra, rb)
-        self._parent[hi] = lo
 
     def edge(self, a: int, b: int) -> None:
         self.edges.append((a, b))
@@ -320,7 +318,7 @@ def build_u_phi(cnf: CnfInstance) -> tuple[UndirectedNet, GadgetMap]:
     path = {k: builder.fresh() for k in range(1, nr - 1)}
     for k, v in path.items():
         named[f"p{k}"] = v
-    builder.identify(root_gadget["t"], path[1])
+    builder.union(root_gadget["t"], path[1])
     lr = builder.leaf("lr")
     lrp = builder.leaf("lrp")
     named["lr"] = lr
@@ -328,8 +326,8 @@ def build_u_phi(cnf: CnfInstance) -> tuple[UndirectedNet, GadgetMap]:
     builder.edge(root_gadget["s"], lr)
     builder.edge(root_gadget["s"], lrp)
     for k in range(1, nr - 1):
-        builder.identify(ring[k]["s"], path[k])
-    builder.identify(ring[nr - 1]["s"], path[nr - 2])
+        builder.union(ring[k]["s"], path[k])
+    builder.union(ring[nr - 1]["s"], path[nr - 2])
     for k in range(1, nr - 2):
         builder.edge(path[k], path[k + 1])
 
@@ -346,7 +344,7 @@ def build_u_phi(cnf: CnfInstance) -> tuple[UndirectedNet, GadgetMap]:
             gadget = _instantiate(builder, "connection", f"C{j}_{k}", records)
             builder.edge(lit, gadget["t"])
             builder.edge(gadget["t"], ell)
-            builder.identify(gadget["s"], z)
+            builder.union(gadget["s"], z)
 
     # variable gadgets
     var_gadgets: dict[tuple[int, int], dict[str, int]] = {}
@@ -367,11 +365,11 @@ def build_u_phi(cnf: CnfInstance) -> tuple[UndirectedNet, GadgetMap]:
     pos, neg = cnf.occurrences()
     for i in range(1, n + 1):
         for h in (1, 2):
-            builder.identify(r_vertex[(i, h)], ring[2 * (i - 1) + h]["t"])
+            builder.union(r_vertex[(i, h)], ring[2 * (i - 1) + h]["t"])
         for h, (j, k) in zip((1, 2), pos[i]):
-            builder.identify(var_gadgets[(i, h)]["s"], lit_vertex[(j, k)])
+            builder.union(var_gadgets[(i, h)]["s"], lit_vertex[(j, k)])
         for h, (j, k) in zip((1, 2), neg[i]):
-            builder.identify(var_gadgets[(i, h)]["t"], lit_vertex[(j, k)])
+            builder.union(var_gadgets[(i, h)]["t"], lit_vertex[(j, k)])
 
     net = builder.freeze()
     gadgets = tuple(

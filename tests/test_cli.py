@@ -49,6 +49,12 @@ class TestRecognize:
         result = CliRunner().invoke(cli, ["recognize", "--q", "1", path])
         assert result.exit_code == 2
 
+    def test_invalid_q_exit_2(self, tmp_path, cycle4):
+        path = write(tmp_path / "c4.upn", serialize_upn(cycle4))
+        result = CliRunner().invoke(cli, ["recognize", "--q", "0", path])
+        assert result.exit_code == 2
+        assert "q must be an integer >= 1" in result.output
+
 
 class TestStatsAndOrient:
     def test_stats_fields(self, tmp_path, cycle4):
@@ -186,6 +192,18 @@ class TestGen:
         result = CliRunner().invoke(cli, ["gen", "cnf", "--vars", "6", "--seed", "1"])
         assert result.exit_code == 0
         assert result.output.startswith("p cnf 6 8")
+
+    @pytest.mark.parametrize("args", [
+        ["cnf", "--vars", "4"],
+        ["net", "--leaves", "2", "--r", "1"],
+        ["net", "--leaves", "5", "--q", "0"],
+        ["net", "--leaves", "5", "--r", "-1"],
+        ["tree", "--leaves", "1"],
+    ], ids=["cnf-vars", "net-leaves", "net-q", "net-r", "tree-leaves"])
+    def test_bad_generator_argument_exit_2(self, args):
+        result = CliRunner().invoke(cli, ["gen", *args])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
 
     def test_unknown_flag_rejected(self):
         result = CliRunner().invoke(cli, ["gen", "cnf", "--vars", "6", "--bogus", "1"])

@@ -336,6 +336,15 @@ class TestAlgorithm:
             _, trace = three_cuttable_tc(parse_newick_tree(row["tree"]), parse_upn(row["net"]))
             assert serialize_trace(trace) == row["trace"], row["name"]
 
+    def test_only_branch_and_elim_events_keep_snapshots(self):
+        row = json.loads((Path(__file__).parent / "data" / "tctrace_golden.json").read_text())[0]
+        _, trace = three_cuttable_tc(parse_newick_tree(row["tree"]), parse_upn(row["net"]))
+        kinds = {ev.kind for ev in trace}
+        assert {"BRANCH", "RULE", "ELIM"} <= kinds
+        for ev in trace:
+            shapes = {"BRANCH": (0, 2), "ELIM": (1, 2)}.get(ev.kind, (0, 0))
+            assert (len(ev.trees), len(ev.nets)) == shapes, ev.kind
+
     def test_branch_nesting_does_not_recurse(self):
         # this instance nests branches 48 deep; deciding it must not need
         # call-stack room for them

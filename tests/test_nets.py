@@ -286,15 +286,6 @@ class TestIsomorphism:
             labeled_isomorphic(two_leaf, cycle4)
 
 
-class TestMixedGraph:
-    def test_edge_arc_overlap_rejected(self):
-        from cutnets import MixedGraph
-
-        MixedGraph(frozenset({1, 2, 3}), frozenset({(1, 2)}), frozenset({(2, 3)}), root=1)
-        with pytest.raises(ValueError):
-            MixedGraph(frozenset({1, 2}), frozenset({(1, 2)}), frozenset({(2, 1)}))
-
-
 class TestRootedValidation:
     def test_rooted_cherry(self):
         net = RootedNet.build([(1, 2), (1, 3)], 1, {2: "a", 3: "b"})
@@ -305,6 +296,16 @@ class TestRootedValidation:
             [(1, 2), (1, 3), (2, 4), (4, 5), (5, 2), (5, 6), (4, 7)],
             1, {3: "a", 6: "b", 7: "c"})
         assert any("cycle" in v for v in validate_rooted(net).violations)
+
+    def test_directed_cycle_is_the_first_found_by_dfs(self):
+        net = RootedNet.build([(1, 2), (2, 3), (3, 4), (4, 2), (3, 5), (5, 3)], 1, {})
+        assert net.find_directed_cycle() == (2, 3, 4)
+
+    def test_long_directed_cycle_does_not_recurse(self):
+        n = 3000
+        net = RootedNet.build([(i, i % n + 1) for i in range(1, n + 1)], 1, {})
+        assert net.find_directed_cycle() == tuple(range(1, n + 1))
+        assert any("directed cycle" in v for v in validate_rooted(net).violations)
 
     def test_bad_degree_reported(self):
         net = RootedNet.build([(1, 2), (1, 3), (1, 4)], 1, {2: "a", 3: "b", 4: "c"})
