@@ -22,6 +22,7 @@ from .errors import (
     LabelSetMismatch,
     NotBinary,
     NotThreeCuttable,
+    NotTwoBalanced,
     NotTwoCuttable,
     ParseError,
     TooLarge,
@@ -30,7 +31,7 @@ from .errors import (
 
 # Bad input or an unmet precondition: exit 2, never 1, which means "no".
 _INPUT_ERRORS = (ParseError, ValidationError, DegreeError, CycleError, NotBinary,
-                 LabelSetMismatch, NotThreeCuttable, InvalidQ, InvalidN)
+                 LabelSetMismatch, NotThreeCuttable, InvalidQ, InvalidN, NotTwoBalanced)
 
 
 def _guard(fn, *args, **kwargs):
@@ -188,12 +189,12 @@ def sat_orient(cnf_file, assignment, output, gmap_file):
         click.echo("error: assignment must be a T/F string, one letter per variable", err=True)
         sys.exit(2)
     beta = {i + 1: ch == "T" for i, ch in enumerate(assignment)}
+    _, gmap = _guard(sat.build_u_phi, cnf)   # exit 2 on a formula that is not 2-balanced
     try:
         rooted = sat.build_n_phi(cnf, beta)
     except CutnetsError as exc:
         click.echo(f"no orientation produced: {exc}")
         sys.exit(1)
-    _, gmap = sat.build_u_phi(cnf)
     _write(output, formats.serialize_enewick(rooted) + "\n")
     _write(gmap_file, sat.serialize_gmap(gmap))
     sys.exit(0)

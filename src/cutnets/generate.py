@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .cuttable import is_q_cuttable
 from .errors import InvalidN, WouldCreateParallelEdge
-from .nets import UndirectedNet, canon_edge, eliminate_edge, subdivide
+from .nets import UndirectedNet, _WorkGraph, canon_edge
 from .sat import CnfInstance, validate_2balanced
 
 
@@ -33,48 +33,50 @@ class GenConfig:
 
 def random_tree(labels, seed: int) -> UndirectedNet:
     """Random binary tree by sequential leaf attachment; deterministic per seed."""
+    return _tree_graph(labels, seed).freeze()
+
+
+def _tree_graph(labels, seed: int) -> _WorkGraph:
     labels = sorted(labels)
     if len(labels) < 2:
         raise ValueError("need at least 2 labels")
+    if len(set(labels)) < len(labels):
+        raise ValueError("labels must be distinct")
     rng = random.Random(seed)
-    net = UndirectedNet({1, 2}, {(1, 2)}, {1: labels[0], 2: labels[1]})
+    g = _WorkGraph({1: {2}, 2: {1}}, [(1, 2)], {1: labels[0], 2: labels[1]}, 3)
     for label in labels[2:]:
-        edge = rng.choice(net.sorted_edges())
-        net, mid = subdivide(net, edge)
-        leaf = net.next_id
-        net = net.replace(
-            vertices=net.vertices | {leaf},
-            edges=net.edges | {canon_edge(mid, leaf)},
-            leaf_labels={**net.leaf_labels, leaf: label},
-            next_id=leaf + 1,
-        )
-    return net
+        g.add_leaf(g.subdivide(rng.choice(g.edges)), label)
+    return g
 
 
 def make_q_cuttable(net: UndirectedNet, q: int, seed: int = 0) -> UndirectedNet:
     """Insert leaf-decorated q-vertex paths into witness cycles until the
     recognizer accepts.  Insertions never create cycles, so this terminates;
-    fresh leaves use the reserved ``aug_`` prefix."""
-    counter = 1 + sum(1 for lab in net.labels() if lab.startswith("aug_"))
+    fresh leaves use the reserved ``aug_`` prefix, numbered above every
+    ``aug_<k>`` label already present."""
+    return _augment(_WorkGraph.of(net), q, net)
+
+
+def _augment(g: _WorkGraph, q: int, net: UndirectedNet | None = None) -> UndirectedNet:
+    """``make_q_cuttable`` on a working graph; ``net`` is its frozen copy,
+    if the caller has one."""
+    taken = [int(lab[4:]) for lab in g.labels.values()
+             if lab.startswith("aug_") and lab[4:].isdecimal()]
+    counter = max(taken, default=0) + 1
     while True:
+        if net is None:
+            net = g.freeze()
         report = is_q_cuttable(net, q)
         if report.is_cuttable:
             return net
         cycle = report.witness_cycle
-        edges = sorted(canon_edge(cycle[i], cycle[(i + 1) % len(cycle)])
-                       for i in range(len(cycle)))
-        attach, far = edges[0]
+        attach, far = min(canon_edge(cycle[i], cycle[(i + 1) % len(cycle)])
+                          for i in range(len(cycle)))
         for _ in range(q):
-            net, mid = subdivide(net, canon_edge(attach, far))
-            leaf = net.next_id
-            net = net.replace(
-                vertices=net.vertices | {leaf},
-                edges=net.edges | {canon_edge(mid, leaf)},
-                leaf_labels={**net.leaf_labels, leaf: f"aug_{counter}"},
-                next_id=leaf + 1,
-            )
+            attach = g.subdivide((attach, far))
+            g.add_leaf(attach, f"aug_{counter}")
             counter += 1
-            attach = mid
+        net = None
 
 
 def random_q_cuttable(config: GenConfig) -> UndirectedNet:
@@ -82,32 +84,36 @@ def random_q_cuttable(config: GenConfig) -> UndirectedNet:
     the target cuttability holds; reticulation number equals target_r."""
     labels = [f"t{i}" for i in range(1, config.leaf_count + 1)]
     rng = random.Random(config.seed)
-    net = random_tree(labels, rng.randrange(2**32))
+    g = _tree_graph(labels, rng.randrange(2**32))
     for _ in range(config.target_r):
-        e1, e2 = rng.sample(net.sorted_edges(), 2)
-        net, m1 = subdivide(net, e1)
-        net, m2 = subdivide(net, e2)
-        net = net.replace(edges=net.edges | {canon_edge(m1, m2)})
-    return make_q_cuttable(net, config.target_q, rng.randrange(2**32))
+        e1, e2 = rng.sample(g.edges, 2)
+        m1 = g.subdivide(e1)
+        m2 = g.subdivide(e2)
+        g.add_edge(m1, m2)
+    return _augment(g, config.target_q)
 
 
 def sample_displayed_tree(net: UndirectedNet, seed: int) -> UndirectedNet:
     """Eliminate random non-cut edges down to a tree; the result is displayed
     by the input since every elimination preserves display upward."""
+    if net.reticulation_number() == 0:
+        return net
     rng = random.Random(seed)
-    while net.reticulation_number() > 0:
-        candidates = sorted(net.edges - net.cut_edges())
+    g = _WorkGraph.of(net)
+    while g.reticulation_number() > 0:
+        cuts = g.bridges()
+        candidates = [e for e in g.edges if e not in cuts]   # sorted, as g.edges is
         rng.shuffle(candidates)
         for e in candidates:
             try:
-                net = eliminate_edge(net, e)
+                g.eliminate(e)
                 break
             except WouldCreateParallelEdge:
                 continue
         else:
             raise WouldCreateParallelEdge("every non-cut edge elimination would "
                                           "create a parallel edge")
-    return net
+    return g.freeze()
 
 
 def random_2balanced_cnf(n: int, seed: int) -> CnfInstance:

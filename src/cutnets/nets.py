@@ -1,13 +1,16 @@
 """Graph model for binary phylogenetic networks, unrooted and rooted.
 
-Everything here is immutable after construction: operations return new
-networks and never touch their input.  Vertex ids are allocated by a
+Everything public here is immutable after construction: operations return
+new networks and never touch their input.  Vertex ids are allocated by a
 monotone per-network counter and never reused, so a chain of reductions
-can always be traced back through stable ids.
+can always be traced back through stable ids.  Long chains of edits run on
+the private mutable ``_WorkGraph`` instead, which keeps the same counter
+and freezes to an ``UndirectedNet`` once, where the result leaves its caller.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 
@@ -145,6 +148,23 @@ class UndirectedNet:
         self._chain_list = None
         self._by_label = None
 
+    @classmethod
+    def _trusted(cls, vertices, edges, leaf_labels, next_id) -> "UndirectedNet":
+        """A network from parts its caller vouches for, with no check and no copy.
+
+        ``vertices`` and ``edges`` are frozensets, every edge is canonical
+        and joins two of the vertices, every labelled vertex is one of them,
+        ``next_id`` is above every vertex, and nothing mutates the parts
+        afterwards.
+        """
+        net = object.__new__(cls)
+        net.vertices = vertices
+        net.edges = edges
+        net.leaf_labels = leaf_labels
+        net.next_id = next_id
+        net._adj = net._cuts = net._blob_list = net._chain_list = net._by_label = None
+        return net
+
     @staticmethod
     def build(edges, leaf_labels, extra_vertices=()) -> "UndirectedNet":
         vertices = set(extra_vertices) | set(leaf_labels)
@@ -200,42 +220,9 @@ class UndirectedNet:
     # -- bridges, blobs, chains -----------------------------------------------
 
     def cut_edges(self) -> frozenset[Edge]:
-        """All bridges, via an iterative lowpoint DFS."""
+        """All bridges."""
         if self._cuts is None:
-            adj = self.adjacency()
-            index = {}
-            low = {}
-            bridges = set()
-            counter = 0
-            for root in self.vertices:
-                if root in index:
-                    continue
-                stack = [(root, None, iter(adj[root]))]
-                index[root] = low[root] = counter
-                counter += 1
-                while stack:
-                    v, parent_edge, it = stack[-1]
-                    advanced = False
-                    for w in it:
-                        e = canon_edge(v, w)
-                        if e == parent_edge or w == v:
-                            continue
-                        if w in index:
-                            low[v] = min(low[v], index[w])
-                        else:
-                            index[w] = low[w] = counter
-                            counter += 1
-                            stack.append((w, e, iter(adj[w])))
-                            advanced = True
-                            break
-                    if not advanced:
-                        stack.pop()
-                        if stack:
-                            p = stack[-1][0]
-                            low[p] = min(low[p], low[v])
-                            if low[v] > index[p]:
-                                bridges.add(canon_edge(p, v))
-            self._cuts = frozenset(bridges)
+            self._cuts = frozenset(bridges(self.adjacency()))
         return self._cuts
 
     def trivial_cut_edges(self) -> frozenset[Edge]:
@@ -566,7 +553,7 @@ def subdivide(net, edge):
         raise UnknownEdge(f"no edge {e}")
     v = net.next_id
     edges = (net.edges - {e}) | {canon_edge(e[0], v), canon_edge(v, e[1])}
-    return net.replace(vertices=net.vertices | {v}, edges=edges, next_id=v + 1), v
+    return UndirectedNet._trusted(net.vertices | {v}, edges, net.leaf_labels, v + 1), v
 
 
 def suppress(net, vertex):
@@ -588,15 +575,17 @@ def suppress(net, vertex):
     a, b = net.neighbors(vertex)
     if net.has_edge(a, b):
         raise WouldCreateParallelEdge(f"edge {canon_edge(a, b)} already exists")
-    edges = {e for e in net.edges if vertex not in e} | {canon_edge(a, b)}
-    return net.replace(vertices=net.vertices - {vertex}, edges=edges)
+    if vertex in net.leaf_labels:
+        raise ValueError(f"label on undeclared vertex {vertex}")
+    edges = frozenset(e for e in net.edges if vertex not in e) | {canon_edge(a, b)}
+    return UndirectedNet._trusted(net.vertices - {vertex}, edges, net.leaf_labels, net.next_id)
 
 
 def delete_vertex(net: UndirectedNet, vertex) -> UndirectedNet:
     """Drop a vertex with its incident edges (and label, if any)."""
-    edges = {e for e in net.edges if vertex not in e}
+    edges = frozenset(e for e in net.edges if vertex not in e)
     labels = {v: lab for v, lab in net.leaf_labels.items() if v != vertex}
-    return net.replace(vertices=net.vertices - {vertex}, edges=edges, leaf_labels=labels)
+    return UndirectedNet._trusted(net.vertices - {vertex}, edges, labels, net.next_id)
 
 
 def eliminate_edge(net: UndirectedNet, edge) -> UndirectedNet:
@@ -609,7 +598,7 @@ def eliminate_edge(net: UndirectedNet, edge) -> UndirectedNet:
     leaves = net.leaves()
     if e[0] in leaves or e[1] in leaves:
         raise EndpointIsLeaf(f"{e} touches a leaf")
-    out = net.replace(edges=net.edges - {e})
+    out = UndirectedNet._trusted(net.vertices, net.edges - {e}, net.leaf_labels, net.next_id)
     out = suppress(out, e[0])
     out = suppress(out, e[1])
     return out
@@ -889,6 +878,143 @@ def rooted_isomorphic(a: RootedNet, b: RootedNet) -> bool:
         return False
 
     return assign(0)
+
+
+# -- bridges and the working graph ----------------------------------------------------
+
+def bridges(adj) -> set[Edge]:
+    """Every bridge of a simple graph, via an iterative lowpoint DFS.
+
+    ``adj`` maps each vertex to an iterable of its neighbours; edges come
+    back canonical (Tarjan, *IPL* 2(6), 1974).
+    """
+    index: dict[VertexId, int] = {}
+    low: dict[VertexId, int] = {}
+    out = set()
+    for root in adj:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack = [(root, None, iter(adj[root]))]
+        while stack:
+            v, p, it = stack[-1]
+            for w in it:
+                if w == p or w == v:
+                    continue
+                if w in index:
+                    if index[w] < low[v]:
+                        low[v] = index[w]
+                else:
+                    index[w] = low[w] = len(index)
+                    stack.append((w, v, iter(adj[w])))
+                    break
+            else:
+                stack.pop()
+                if stack:
+                    if low[v] < low[p]:
+                        low[p] = low[v]
+                    if low[v] > index[p]:
+                        out.add((p, v) if p < v else (v, p))
+    return out
+
+
+class _WorkGraph:
+    """A mutable simple graph for a chain of edits, frozen once at the end.
+
+    Each edit changes the graph in place where the functions above would
+    build a whole new ``UndirectedNet``.  Fresh vertices come from the same
+    monotone ``next_id``, so the frozen result has exactly the ids, edges and
+    labels that the same edits through ``subdivide`` and ``eliminate_edge``
+    give.  ``edges`` is kept sorted, the order of ``sorted_edges()``, so
+    seeded draws from it match draws from the immutable network.
+    """
+
+    __slots__ = ("adj", "edges", "labels", "next_id")
+
+    def __init__(self, adj, edges, labels, next_id):
+        self.adj: dict[VertexId, set[VertexId]] = adj
+        self.edges: list[Edge] = edges   # sorted; read it, edit only through the methods
+        self.labels: dict[VertexId, str] = labels
+        self.next_id = next_id
+
+    @classmethod
+    def of(cls, net: UndirectedNet) -> "_WorkGraph":
+        return cls({v: set(ns) for v, ns in net.adjacency().items()},
+                   sorted(net.edges), dict(net.leaf_labels), net.next_id)
+
+    def reticulation_number(self) -> int:
+        return len(self.edges) - (len(self.adj) - 1)
+
+    def add_edge(self, u: VertexId, v: VertexId) -> None:
+        insort(self.edges, canon_edge(u, v))
+        self.adj[u].add(v)
+        self.adj[v].add(u)
+
+    def _remove_edge(self, u: VertexId, v: VertexId) -> None:
+        del self.edges[bisect_left(self.edges, canon_edge(u, v))]
+        self.adj[u].remove(v)
+        self.adj[v].remove(u)
+
+    def _fresh(self) -> VertexId:
+        v = self.next_id
+        self.next_id += 1
+        self.adj[v] = set()
+        return v
+
+    def subdivide(self, edge) -> VertexId:
+        """``subdivide`` in place; returns the new vertex."""
+        u, w = canon_edge(*edge)
+        if w not in self.adj.get(u, ()):
+            raise UnknownEdge(f"no edge {(u, w)}")
+        self._remove_edge(u, w)
+        v = self._fresh()
+        self.add_edge(u, v)
+        self.add_edge(v, w)
+        return v
+
+    def add_leaf(self, v: VertexId, label: str) -> VertexId:
+        """Hang a fresh leaf labelled ``label`` off ``v``; returns the leaf."""
+        leaf = self._fresh()
+        self.add_edge(v, leaf)
+        self.labels[leaf] = label
+        return leaf
+
+    def eliminate(self, edge) -> None:
+        """``eliminate_edge`` in place, for an edge that is not a cut-edge.
+
+        Both suppressions are checked before anything changes, so a raise
+        leaves the graph as it was.  The second end is checked against the
+        graph after the first suppression: if both ends would join the same
+        pair, the second join would duplicate the first.
+        """
+        x, y = canon_edge(*edge)
+        adj = self.adj
+        if y not in adj.get(x, ()):
+            raise UnknownEdge(f"no edge {(x, y)}")
+        if x in self.labels or y in self.labels:
+            raise EndpointIsLeaf(f"{(x, y)} touches a leaf")
+        joins = []
+        for end, other in ((x, y), (y, x)):
+            if len(adj[end]) != 3:
+                raise NotDegreeTwo(f"vertex {end} has degree {len(adj[end]) - 1}")
+            a, b = sorted(n for n in adj[end] if n != other)
+            if b in adj[a] or (a, b) in joins:
+                raise WouldCreateParallelEdge(f"edge {(a, b)} already exists")
+            joins.append((a, b))
+        self._remove_edge(x, y)
+        for end in (x, y):
+            for n in list(adj[end]):
+                self._remove_edge(end, n)
+            del adj[end]
+        for a, b in joins:
+            self.add_edge(a, b)
+
+    def bridges(self) -> set[Edge]:
+        return bridges(self.adj)
+
+    def freeze(self) -> UndirectedNet:
+        return UndirectedNet._trusted(frozenset(self.adj), frozenset(self.edges),
+                                      dict(self.labels), self.next_id)
 
 
 # -- internals ----------------------------------------------------------------------

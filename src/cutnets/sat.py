@@ -280,7 +280,7 @@ class _Builder(UnionFind):
             resolved.add(ra)
             resolved.add(rb)
         labels = {self.find(v): lab for v, lab in self.labels.items()}
-        return UndirectedNet(resolved, edges, labels, next_id=self._next)
+        return UndirectedNet._trusted(frozenset(resolved), frozenset(edges), labels, self._next)
 
 
 def _instantiate(builder: _Builder, kind: str, name: str, records: list) -> dict[str, int]:

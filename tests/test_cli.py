@@ -165,6 +165,19 @@ class TestSatCommands:
                                           "--gmap", str(tmp_path / "x.gmap")])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("command", [
+        ["sat", "reduce"],
+        ["sat", "orient", "--assignment", "TTT"],
+    ], ids=["reduce", "orient"])
+    def test_unbalanced_formula_exit_2(self, tmp_path, command):
+        cnf_path = write(tmp_path / "u.cnf", "p cnf 3 1\n1 2 3 0\n")
+        result = CliRunner().invoke(cli, command + [cnf_path, "-o", str(tmp_path / "x.out"),
+                                                    "--gmap", str(tmp_path / "x.gmap")])
+        assert result.exit_code == 2
+        assert "error: " in result.output
+        assert "occurs positively 1 times, expected 2" in result.output
+        assert "no orientation produced" not in result.output
+
     def test_bad_assignment_string_exit_2(self, tmp_path):
         cnf_path = write(tmp_path / "phi.cnf", serialize_dimacs_cnf(PHI))
         result = CliRunner().invoke(cli, ["sat", "orient", cnf_path, "--assignment", "TX",

@@ -29,6 +29,10 @@ class TestRandomTree:
         b = random_tree([f"t{i}" for i in range(8)], 99)
         assert serialize_upn(a) == serialize_upn(b)
 
+    def test_repeated_labels_rejected(self):
+        with pytest.raises(ValueError, match="labels must be distinct"):
+            random_tree(["a", "a", "b"], 1)
+
     def test_valid_with_r_zero(self):
         for seed in range(10):
             tree = random_tree([f"t{i}" for i in range(2 + seed)], seed)
@@ -47,6 +51,17 @@ class TestMakeQCuttable:
         assert validate_unrooted(out).ok
         assert out.level() == theta3.level()
         assert all(lab.startswith("aug_") for lab in out.labels() - theta3.labels())
+
+    def test_fresh_labels_skip_taken_aug_labels(self):
+        # aug_2 is taken but aug_1 is not: counting the aug_ labels would
+        # start the fresh ones at aug_2 again
+        net = random_q_cuttable(GenConfig(seed=3, leaf_count=16, target_r=3, target_q=1))
+        v = net.vertex_of_label("t1")
+        net = net.replace(leaf_labels={**net.leaf_labels, v: "aug_2"})
+        out = make_q_cuttable(net, 4)
+        assert len(out.leaf_labels) > len(net.leaf_labels)
+        assert validate_unrooted(out).ok
+        assert is_q_cuttable(out, 4).is_cuttable
 
     def test_leaf_growth_multiple_of_q(self, theta3):
         for q in (1, 2, 3):
@@ -79,6 +94,18 @@ class TestRandomQCuttable:
     def test_two_leaf_reticulate_rejected(self):
         with pytest.raises(ValueError):
             GenConfig(seed=0, leaf_count=2, target_r=1)
+
+
+class TestLargeInstance:
+    def test_1024_leaves_and_a_displayed_tree(self):
+        net = random_q_cuttable(GenConfig(seed=1, leaf_count=1024, target_r=128, target_q=3))
+        tree = sample_displayed_tree(net, 1)
+        assert validate_unrooted(net).ok
+        assert is_q_cuttable_via_chain_deletion(net, 3)
+        assert net.reticulation_number() == 128
+        assert tree.reticulation_number() == 0
+        assert tree.is_connected()
+        assert tree.labels() == net.labels()
 
 
 class TestSampleDisplayedTree:

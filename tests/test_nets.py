@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from cutnets import (
 )
 from cutnets.cuttable import is_q_cuttable
 from cutnets.errors import (
+    CutnetsError,
     EndpointIsLeaf,
     IsCutEdge,
     LabelSetMismatch,
@@ -23,7 +26,8 @@ from cutnets.errors import (
     UnknownEdge,
     WouldCreateParallelEdge,
 )
-from cutnets.nets import RootedNet, Split, splits_of, validate_rooted
+from cutnets.formats import serialize_upn
+from cutnets.nets import RootedNet, Split, _WorkGraph, bridges, splits_of, validate_rooted
 
 
 def brute_force_bridges(net):
@@ -310,3 +314,107 @@ class TestRootedValidation:
     def test_bad_degree_reported(self):
         net = RootedNet.build([(1, 2), (1, 3), (1, 4)], 1, {2: "a", 3: "b", 4: "c"})
         assert any("out-degree 3" in v for v in validate_rooted(net).violations)
+
+
+def differential_nets():
+    """20 seeded networks: ten small dense ones at q = 1, where some
+    eliminations would create a parallel edge, and ten of 4-16 leaves."""
+    configs = [GenConfig(seed=900 + s, leaf_count=3 + s % 4, target_r=2 + s % 5, target_q=1)
+               for s in range(10)]
+    configs += [GenConfig(seed=920 + s, leaf_count=4 + s % 5 * 3, target_r=1 + s % 4,
+                          target_q=1 + s % 3) for s in range(10)]
+    return [random_q_cuttable(cfg) for cfg in configs]
+
+
+def frozen_text(net):
+    return serialize_upn(net) + f"next_id {net.next_id}\n"
+
+
+def work_state(g):
+    return ({v: set(ns) for v, ns in g.adj.items()}, list(g.edges), dict(g.labels), g.next_id)
+
+
+class TestWorkGraph:
+    """``_WorkGraph`` edits in place what ``subdivide`` and ``eliminate_edge``
+    rebuild; the frozen result must be the same network."""
+
+    def eliminate_both(self, net, e) -> str:
+        """Eliminate ``e`` both ways, check they agree, name the outcome."""
+        g = _WorkGraph.of(net)
+        before = work_state(g)
+        try:
+            want = frozen_text(eliminate_edge(net, e))
+        except CutnetsError as exc:
+            with pytest.raises(type(exc)) as got:
+                g.eliminate(e)
+            assert str(got.value) == str(exc)
+            assert work_state(g) == before
+            return type(exc).__name__
+        g.eliminate(e)
+        assert frozen_text(g.freeze()) == want
+        return "ok"
+
+    def test_eliminate_matches_eliminate_edge(self):
+        outcomes = Counter()
+        for net in differential_nets():
+            for e in sorted(net.edges - net.cut_edges()):
+                outcomes[self.eliminate_both(net, e)] += 1
+        assert outcomes["ok"] and outcomes["WouldCreateParallelEdge"]
+        assert set(outcomes) == {"ok", "WouldCreateParallelEdge"}
+
+    def test_eliminate_matches_on_invalid_containers(self):
+        degree_four = UndirectedNet.build(
+            [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3), (2, 5), (4, 6), (1, 7)],
+            {5: "a", 6: "b", 7: "c"})
+        labelled_inner = UndirectedNet.build([(1, 2), (2, 3), (3, 1), (1, 4), (2, 5), (3, 6)],
+                                             {3: "x", 4: "a", 5: "b", 6: "c"})
+        outcomes = Counter()
+        for net in (degree_four, labelled_inner):
+            for e in sorted(net.edges - net.cut_edges()):
+                outcomes[self.eliminate_both(net, e)] += 1
+        assert {"NotDegreeTwo", "WouldCreateParallelEdge", "EndpointIsLeaf"} <= set(outcomes)
+
+    def test_eliminate_refuses_joining_one_pair_twice(self):
+        # 1 and 2 share both other neighbours: each suppression alone is fine,
+        # but the second would add the edge (3, 4) the first one added
+        net = UndirectedNet.build([(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 6)],
+                                  {5: "a", 6: "b"})
+        assert self.eliminate_both(net, (1, 2)) == "WouldCreateParallelEdge"
+
+    def test_subdivide_and_add_leaf_match_immutable_edits(self):
+        for net in differential_nets()[:5]:
+            for e in net.sorted_edges():
+                g = _WorkGraph.of(net)
+                mid = g.subdivide(e)
+                leaf = g.add_leaf(mid, "new")
+                want, want_mid = subdivide(net, e)
+                want = want.replace(vertices=want.vertices | {leaf},
+                                    edges=want.edges | {(want_mid, leaf)},
+                                    leaf_labels={**want.leaf_labels, leaf: "new"},
+                                    next_id=leaf + 1)
+                assert (mid, leaf) == (want_mid, want_mid + 1)
+                assert frozen_text(g.freeze()) == frozen_text(want)
+                assert g.edges == want.sorted_edges()
+
+    def test_freeze_is_a_snapshot(self, theta3):
+        g = _WorkGraph.of(theta3)
+        frozen = g.freeze()
+        g.add_leaf(g.subdivide(g.edges[0]), "late")
+        assert frozen_text(frozen) == frozen_text(theta3)
+
+    def test_bridges_match_cut_edges_and_brute_force(self):
+        for net in differential_nets():
+            want = brute_force_bridges(net)
+            assert bridges(net.adjacency()) == want
+            assert net.cut_edges() == want
+            g = _WorkGraph.of(net)
+            assert g.bridges() == want
+            # and after in-place edits, against the frozen copy
+            g.add_leaf(g.subdivide(g.edges[0]), "new")
+            for e in sorted(set(g.edges) - g.bridges()):
+                try:
+                    g.eliminate(e)
+                    break
+                except WouldCreateParallelEdge:
+                    continue
+            assert g.bridges() == brute_force_bridges(g.freeze())
