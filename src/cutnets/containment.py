@@ -33,6 +33,7 @@ from .nets import (
     eliminate_edge,
     label_bits,
     split_of_mask,
+    tree_path,
 )
 
 
@@ -306,22 +307,9 @@ def entangled_path(net: UndirectedNet, u: int, v: int) -> tuple[int, ...] | None
         if u in e or v in e:
             continue
         doomed.update(e)
-    parent = {u: None}
-    queue = [u]
-    while queue:
-        x = queue.pop(0)
-        if x == v:
-            path = []
-            while x is not None:
-                path.append(x)
-                x = parent[x]
-            return tuple(reversed(path))
-        for w in net.neighbors(x):
-            if w in doomed or w in parent:
-                continue
-            parent[w] = x
-            queue.append(w)
-    return None
+    parent = dict.fromkeys(doomed)   # never entered
+    bfs_order(net.adjacency(), [u], parent)
+    return tuple(tree_path(parent, u, v)) if v in parent else None
 
 
 def is_entangled(net: UndirectedNet, path) -> bool:

@@ -49,7 +49,7 @@ def _tree_graph(labels, seed: int) -> _WorkGraph:
     return g
 
 
-def make_q_cuttable(net: UndirectedNet, q: int, seed: int = 0) -> UndirectedNet:
+def make_q_cuttable(net: UndirectedNet, q: int) -> UndirectedNet:
     """Insert leaf-decorated q-vertex paths into witness cycles until the
     recognizer accepts.  Insertions never create cycles, so this terminates;
     fresh leaves use the reserved ``aug_`` prefix, numbered above every

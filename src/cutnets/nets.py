@@ -3,9 +3,12 @@
 Everything public here is immutable after construction: operations return
 new networks and never touch their input.  Vertex ids are allocated by a
 monotone per-network counter and never reused, so a chain of reductions
-can always be traced back through stable ids.  Long chains of edits run on
-the private mutable ``_WorkGraph`` instead, which keeps the same counter
-and freezes to an ``UndirectedNet`` once, where the result leaves its caller.
+can always be traced back through stable ids.  Each undirected edit is
+implemented once, on the private mutable ``_WorkGraph``, which keeps the
+same counter: the public ``subdivide``, ``suppress`` and ``eliminate_edge``
+make one edit on a working graph of their input and freeze it, and longer
+chains of edits share one working graph and freeze once, where the result
+leaves its caller.
 """
 
 from __future__ import annotations
@@ -71,10 +74,6 @@ class Split:
     @property
     def labels(self) -> frozenset[str]:
         return self.side_a | self.side_b
-
-    @property
-    def is_trivial(self) -> bool:
-        return len(self.side_a) == 1 or len(self.side_b) == 1
 
     def is_compatible_with(self, other: "Split") -> bool:
         # Compatible iff one of the four pairwise side intersections is empty.
@@ -392,10 +391,6 @@ class RootedNet:
     def reticulations(self) -> frozenset[VertexId]:
         return frozenset(v for v in self.vertices if self.in_degree(v) >= 2)
 
-    def tree_vertices(self) -> frozenset[VertexId]:
-        return frozenset(v for v in self.vertices
-                         if self.in_degree(v) == 1 and self.out_degree(v) == 2)
-
     def reticulation_number(self) -> int:
         return len(self.reticulations())
 
@@ -548,12 +543,9 @@ def subdivide(net, edge):
         v = net.next_id
         arcs = (net.arcs - {(u, w)}) | {(u, v), (v, w)}
         return net.replace(vertices=net.vertices | {v}, arcs=arcs, next_id=v + 1), v
-    e = canon_edge(*edge)
-    if e not in net.edges:
-        raise UnknownEdge(f"no edge {e}")
-    v = net.next_id
-    edges = (net.edges - {e}) | {canon_edge(e[0], v), canon_edge(v, e[1])}
-    return UndirectedNet._trusted(net.vertices | {v}, edges, net.leaf_labels, v + 1), v
+    g = _WorkGraph.of(net)
+    v = g.subdivide(edge)
+    return g.freeze(), v
 
 
 def suppress(net, vertex):
@@ -570,38 +562,19 @@ def suppress(net, vertex):
             raise WouldCreateParallelEdge(f"suppressing {vertex} would create a self-arc at {p}")
         arcs = {a for a in net.arcs if vertex not in a} | {(p, c)}
         return net.replace(vertices=net.vertices - {vertex}, arcs=arcs)
-    if net.degree(vertex) != 2:
-        raise NotDegreeTwo(f"vertex {vertex} has degree {net.degree(vertex)}")
-    a, b = net.neighbors(vertex)
-    if net.has_edge(a, b):
-        raise WouldCreateParallelEdge(f"edge {canon_edge(a, b)} already exists")
-    if vertex in net.leaf_labels:
-        raise ValueError(f"label on undeclared vertex {vertex}")
-    edges = frozenset(e for e in net.edges if vertex not in e) | {canon_edge(a, b)}
-    return UndirectedNet._trusted(net.vertices - {vertex}, edges, net.leaf_labels, net.next_id)
-
-
-def delete_vertex(net: UndirectedNet, vertex) -> UndirectedNet:
-    """Drop a vertex with its incident edges (and label, if any)."""
-    edges = frozenset(e for e in net.edges if vertex not in e)
-    labels = {v: lab for v, lab in net.leaf_labels.items() if v != vertex}
-    return UndirectedNet._trusted(net.vertices - {vertex}, edges, labels, net.next_id)
+    g = _WorkGraph.of(net)
+    g.suppress(vertex)
+    return g.freeze()
 
 
 def eliminate_edge(net: UndirectedNet, edge) -> UndirectedNet:
     """Delete a non-cut edge and suppress the two degree-2 endpoints."""
     e = canon_edge(*edge)
-    if e not in net.edges:
-        raise UnknownEdge(f"no edge {e}")
-    if e in net.cut_edges():
+    if e in net.edges and e in net.cut_edges():
         raise IsCutEdge(f"{e} is a cut-edge")
-    leaves = net.leaves()
-    if e[0] in leaves or e[1] in leaves:
-        raise EndpointIsLeaf(f"{e} touches a leaf")
-    out = UndirectedNet._trusted(net.vertices, net.edges - {e}, net.leaf_labels, net.next_id)
-    out = suppress(out, e[0])
-    out = suppress(out, e[1])
-    return out
+    g = _WorkGraph.of(net)
+    g.eliminate(e)
+    return g.freeze()
 
 
 # -- splits ----------------------------------------------------------------------
@@ -921,12 +894,14 @@ def bridges(adj) -> set[Edge]:
 class _WorkGraph:
     """A mutable simple graph for a chain of edits, frozen once at the end.
 
-    Each edit changes the graph in place where the functions above would
-    build a whole new ``UndirectedNet``.  Fresh vertices come from the same
-    monotone ``next_id``, so the frozen result has exactly the ids, edges and
-    labels that the same edits through ``subdivide`` and ``eliminate_edge``
-    give.  ``edges`` is kept sorted, the order of ``sorted_edges()``, so
-    seeded draws from it match draws from the immutable network.
+    It holds the one implementation of each undirected edit: the public
+    ``subdivide``, ``suppress`` and ``eliminate_edge`` thaw their network
+    into a working graph, make one edit and freeze it, and longer chains of
+    edits run on one working graph and freeze once.  Fresh vertices come
+    from the network's monotone ``next_id``.  ``edges`` is kept sorted, the
+    order of ``sorted_edges()``, so seeded draws from it match draws from
+    the frozen network.  ``subdivide``, ``suppress`` and ``eliminate`` check
+    everything before they change the graph, so a raise leaves it as it was.
     """
 
     __slots__ = ("adj", "edges", "labels", "next_id")
@@ -950,10 +925,10 @@ class _WorkGraph:
         self.adj[u].add(v)
         self.adj[v].add(u)
 
-    def _remove_edge(self, u: VertexId, v: VertexId) -> None:
-        del self.edges[bisect_left(self.edges, canon_edge(u, v))]
-        self.adj[u].remove(v)
+    def remove_edge(self, u: VertexId, v: VertexId) -> None:
+        self.adj[u].remove(v)   # a KeyError for a non-edge, before any change
         self.adj[v].remove(u)
+        del self.edges[bisect_left(self.edges, canon_edge(u, v))]
 
     def _fresh(self) -> VertexId:
         v = self.next_id
@@ -961,12 +936,32 @@ class _WorkGraph:
         self.adj[v] = set()
         return v
 
+    def _delete(self, v: VertexId) -> None:
+        for n in list(self.adj[v]):
+            self.remove_edge(v, n)
+        del self.adj[v]
+
+    def _join(self, v: VertexId, gone=None, joined=()) -> Edge:
+        """The pair of neighbours that suppressing ``v`` joins, once the
+        neighbour ``gone`` is cut off and the pairs in ``joined`` are joined;
+        raises if ``v`` then has degree other than 2 or the pair is an edge."""
+        ns = [n for n in self.adj[v] if n != gone]
+        if len(ns) != 2:
+            raise NotDegreeTwo(f"vertex {v} has degree {len(ns)}")
+        a, b = sorted(ns)
+        if b in self.adj[a] or (a, b) in joined:
+            raise WouldCreateParallelEdge(f"edge {(a, b)} already exists")
+        return a, b
+
     def subdivide(self, edge) -> VertexId:
-        """``subdivide`` in place; returns the new vertex."""
+        """Replace an edge by two through a fresh vertex; returns the vertex."""
         u, w = canon_edge(*edge)
         if w not in self.adj.get(u, ()):
             raise UnknownEdge(f"no edge {(u, w)}")
-        self._remove_edge(u, w)
+        if u == w:
+            raise WouldCreateParallelEdge(f"subdividing the self-loop at {u} would "
+                                          f"create a parallel edge")
+        self.remove_edge(u, w)
         v = self._fresh()
         self.add_edge(u, v)
         self.add_edge(v, w)
@@ -979,35 +974,38 @@ class _WorkGraph:
         self.labels[leaf] = label
         return leaf
 
-    def eliminate(self, edge) -> None:
-        """``eliminate_edge`` in place, for an edge that is not a cut-edge.
+    def delete_leaf(self, v: VertexId) -> None:
+        """Drop the leaf ``v`` with its edge and its label."""
+        del self.labels[v]
+        self._delete(v)
 
-        Both suppressions are checked before anything changes, so a raise
-        leaves the graph as it was.  The second end is checked against the
-        graph after the first suppression: if both ends would join the same
-        pair, the second join would duplicate the first.
+    def suppress(self, v: VertexId) -> None:
+        """Delete the unlabelled degree-2 vertex ``v`` and join its neighbours."""
+        a, b = self._join(v)
+        if v in self.labels:
+            raise ValueError(f"label on undeclared vertex {v}")
+        self._delete(v)
+        self.add_edge(a, b)
+
+    def eliminate(self, edge) -> None:
+        """Delete an edge and suppress both its ends.
+
+        The cut-edge check is left to the caller.  Both suppressions are
+        checked before anything changes; the second is checked as if the
+        first were done, so both ends may not join the same pair.
         """
         x, y = canon_edge(*edge)
-        adj = self.adj
-        if y not in adj.get(x, ()):
+        if y not in self.adj.get(x, ()):
             raise UnknownEdge(f"no edge {(x, y)}")
         if x in self.labels or y in self.labels:
             raise EndpointIsLeaf(f"{(x, y)} touches a leaf")
-        joins = []
-        for end, other in ((x, y), (y, x)):
-            if len(adj[end]) != 3:
-                raise NotDegreeTwo(f"vertex {end} has degree {len(adj[end]) - 1}")
-            a, b = sorted(n for n in adj[end] if n != other)
-            if b in adj[a] or (a, b) in joins:
-                raise WouldCreateParallelEdge(f"edge {(a, b)} already exists")
-            joins.append((a, b))
-        self._remove_edge(x, y)
-        for end in (x, y):
-            for n in list(adj[end]):
-                self._remove_edge(end, n)
-            del adj[end]
-        for a, b in joins:
-            self.add_edge(a, b)
+        first = self._join(x, gone=y)
+        second = self._join(y, gone=x, joined=(first,))
+        self.remove_edge(x, y)
+        self._delete(x)
+        self._delete(y)
+        self.add_edge(*first)
+        self.add_edge(*second)
 
     def bridges(self) -> set[Edge]:
         return bridges(self.adj)

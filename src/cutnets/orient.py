@@ -10,7 +10,6 @@ and a cherry-picking searcher act as its oracles.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .cuttable import is_q_cuttable
@@ -31,9 +30,9 @@ from .nets import (
     UndirectedNet,
     UnionFind,
     _component_of,
+    _WorkGraph,
     bfs_order,
     canon_edge,
-    delete_vertex,
     suppress,
     validate_rooted,
 )
@@ -174,9 +173,7 @@ def choose_s_prime(net: UndirectedNet, chain_edges=None) -> frozenset[Edge]:
 
 def tree_child_orient_2cuttable(net: UndirectedNet) -> RootedNet:
     """Constructive tree-child orientation of a 2-cuttable network."""
-    if not is_q_cuttable(net, 2):
-        raise NotTwoCuttable("input is not 2-cuttable")
-    s_prime = choose_s_prime(net)
+    s_prime = choose_s_prime(net)   # raises NotTwoCuttable first
     tree_edges = net.edges - s_prime
     root_edge = min(net.cut_edges()) if net.cut_edges() else None
     if root_edge is None:
@@ -374,21 +371,15 @@ def _search_orientation(net, root_edge):
 
 def _edges_from(net, root_edge):
     """Non-root edges ordered so vertices complete early (BFS from the root edge)."""
-    seen = set(root_edge)
+    adj = net.adjacency()
     out = []
-    queue = deque(sorted(root_edge))
-    emitted = set()
-    while queue:
-        x = queue.popleft()
-        for w in net.neighbors(x):
+    emitted = {root_edge}
+    for x in bfs_order(adj, sorted(root_edge), {}):
+        for w in adj[x]:
             e = canon_edge(x, w)
-            if e == root_edge or e in emitted:
-                continue
-            emitted.add(e)
-            out.append(e)
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
+            if e not in emitted:
+                emitted.add(e)
+                out.append(e)
     return out
 
 
@@ -416,17 +407,23 @@ def reduce_pair(net: UndirectedNet, pair) -> UndirectedNet:
         return net.replace(vertices={y}, edges=frozenset(), leaf_labels={y: y_lab})
     (u,) = net.neighbors(x)
     (v,) = net.neighbors(y)
-    if u == v:
-        if len(net.leaf_labels) < 3:
-            raise NotReducible("cherry reduction on a two-leaf reticulate network "
-                               "would not yield a network")
-        return suppress(delete_vertex(net, x), u)
+    if u == v and len(net.leaf_labels) < 3:
+        raise NotReducible("cherry reduction on a two-leaf reticulate network "
+                           "would not yield a network")
     central = canon_edge(u, v)
-    if central in net.edges and central not in net.cut_edges():
-        out = net.replace(edges=net.edges - {central})
-        out = suppress(out, u)
-        return suppress(out, v)
-    raise NotReducible(f"({x_lab},{y_lab}) is neither a cherry nor a reticulated cherry")
+    g = _WorkGraph.of(net)
+    if u == v:
+        g.delete_leaf(x)
+        g.suppress(u)
+    elif central in net.edges and central not in net.cut_edges():
+        # u first, then v, each with suppress's errors, where eliminate_edge
+        # would check both ends first and refuse a labelled one
+        g.remove_edge(u, v)
+        g.suppress(u)
+        g.suppress(v)
+    else:
+        raise NotReducible(f"({x_lab},{y_lab}) is neither a cherry nor a reticulated cherry")
+    return g.freeze()
 
 
 def reducible_pairs(net: UndirectedNet) -> list[tuple[str, str]]:

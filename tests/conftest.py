@@ -88,4 +88,4 @@ def build_simple_3cuttable(seed: int) -> UndirectedNet:
         net, m1 = subdivide(net, e1)
         net, m2 = subdivide(net, e2)
         net = net.replace(edges=net.edges | {canon_edge(m1, m2)})
-    return make_q_cuttable(net, 3, seed)
+    return make_q_cuttable(net, 3)

@@ -43,10 +43,10 @@ class TestRandomTree:
 class TestMakeQCuttable:
     def test_tree_unchanged(self):
         tree = random_tree(["a", "b", "c", "d"], 1)
-        assert make_q_cuttable(tree, 3, 0) is tree
+        assert make_q_cuttable(tree, 3) is tree
 
     def test_theta_becomes_3cuttable(self, theta3):
-        out = make_q_cuttable(theta3, 3, 0)
+        out = make_q_cuttable(theta3, 3)
         assert is_q_cuttable(out, 3).is_cuttable
         assert validate_unrooted(out).ok
         assert out.level() == theta3.level()
@@ -65,7 +65,7 @@ class TestMakeQCuttable:
 
     def test_leaf_growth_multiple_of_q(self, theta3):
         for q in (1, 2, 3):
-            out = make_q_cuttable(theta3, q, 0)
+            out = make_q_cuttable(theta3, q)
             assert (len(out.leaf_labels) - len(theta3.leaf_labels)) % q == 0
 
 

@@ -1,11 +1,13 @@
 """Static checks on the package source that need no linter."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cutnets"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cutnets"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -33,3 +35,29 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def traced_names() -> list[str]:
+    """The ``module.function`` names the bench tracer wraps, read from the
+    ``LAYERS`` literal in ``perfbench/tracing.py`` without running it."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and \
+                any(isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets):
+            layers = ast.literal_eval(node.value)
+            return [f"{module}.{name}" for module, names in layers.items() for name in names]
+    raise AssertionError("perfbench/tracing.py has no LAYERS")
+
+
+def test_traced_names_resolve():
+    names = traced_names()
+    assert "nets.eliminate_edge" in names
+    missing = []
+    for name in names:
+        module, *path = name.split(".")
+        target = importlib.import_module(f"cutnets.{module}")
+        for part in path:
+            target = getattr(target, part, None)
+        if not callable(target):
+            missing.append(name)
+    assert missing == []

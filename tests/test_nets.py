@@ -27,7 +27,15 @@ from cutnets.errors import (
     WouldCreateParallelEdge,
 )
 from cutnets.formats import serialize_upn
-from cutnets.nets import RootedNet, Split, _WorkGraph, bridges, splits_of, validate_rooted
+from cutnets.nets import (
+    RootedNet,
+    Split,
+    _WorkGraph,
+    bridges,
+    canon_edge,
+    splits_of,
+    validate_rooted,
+)
 
 
 def brute_force_bridges(net):
@@ -53,6 +61,43 @@ def reference_splits(net):
     """What splits_of must return, by one split_of_cut_edge search per cut-edge."""
     pairs = [(e, split_of_cut_edge(net, e)) for e in sorted(net.cut_edges())]
     return [(e, s) for e, s in pairs if s is not None]
+
+
+def reference_subdivide(net, edge):
+    """``subdivide`` as frozenset arithmetic on an undirected network."""
+    e = canon_edge(*edge)
+    if e not in net.edges:
+        raise UnknownEdge(f"no edge {e}")
+    v = net.next_id
+    edges = (net.edges - {e}) | {canon_edge(e[0], v), canon_edge(v, e[1])}
+    return UndirectedNet(net.vertices | {v}, edges, net.leaf_labels, v + 1), v
+
+
+def reference_suppress(net, vertex):
+    """``suppress`` as frozenset arithmetic on an undirected network."""
+    if net.degree(vertex) != 2:
+        raise NotDegreeTwo(f"vertex {vertex} has degree {net.degree(vertex)}")
+    a, b = net.neighbors(vertex)
+    if net.has_edge(a, b):
+        raise WouldCreateParallelEdge(f"edge {canon_edge(a, b)} already exists")
+    if vertex in net.leaf_labels:
+        raise ValueError(f"label on undeclared vertex {vertex}")
+    edges = frozenset(e for e in net.edges if vertex not in e) | {canon_edge(a, b)}
+    return UndirectedNet(net.vertices - {vertex}, edges, net.leaf_labels, net.next_id)
+
+
+def reference_eliminate_edge(net, edge):
+    """``eliminate_edge`` as an edge deletion and two ``reference_suppress`` calls."""
+    e = canon_edge(*edge)
+    if e not in net.edges:
+        raise UnknownEdge(f"no edge {e}")
+    if e in net.cut_edges():
+        raise IsCutEdge(f"{e} is a cut-edge")
+    leaves = net.leaves()
+    if e[0] in leaves or e[1] in leaves:
+        raise EndpointIsLeaf(f"{e} touches a leaf")
+    out = UndirectedNet(net.vertices, net.edges - {e}, net.leaf_labels, net.next_id)
+    return reference_suppress(reference_suppress(out, e[0]), e[1])
 
 
 class TestValidation:
@@ -94,6 +139,28 @@ class TestSurgery:
         back = suppress(net, mid)
         assert back.edges == cycle4.edges
         assert labeled_isomorphic(back, cycle4)
+
+    def test_subdivide_self_loop_rejected(self):
+        net = UndirectedNet({1, 2, 3, 4}, {(1, 1), (1, 2), (2, 3), (2, 4)}, {3: "a", 4: "b"})
+        with pytest.raises(WouldCreateParallelEdge, match="self-loop at 1"):
+            subdivide(net, (1, 1))
+
+    def test_suppress_arc(self):
+        rooted = RootedNet.build([(1, 2), (2, 3), (1, 4)], 1, {3: "a", 4: "b"})
+        out = suppress(rooted, 2)
+        assert (out.vertices, out.arcs) == ({1, 3, 4}, {(1, 3), (1, 4)})
+        assert (out.root, out.leaf_labels, out.next_id) == (1, {3: "a", 4: "b"}, 5)
+        with pytest.raises(NotDegreeTwo, match=r"^vertex 1 has degrees \(in=0, out=2\)$"):
+            suppress(rooted, 1)
+
+    def test_suppress_arc_refuses_parallel_and_self_arcs(self):
+        parallel = RootedNet.build([(1, 2), (2, 3), (1, 3)], 1, {3: "a"})
+        with pytest.raises(WouldCreateParallelEdge, match=r"^arc \(1,3\) already exists$"):
+            suppress(parallel, 2)
+        loop = RootedNet.build([(0, 1), (1, 2), (2, 1)], 0, {})
+        with pytest.raises(WouldCreateParallelEdge,
+                           match="^suppressing 2 would create a self-arc at 1$"):
+            suppress(loop, 2)
 
     def test_suppress_degree_three_rejected(self, cycle4):
         with pytest.raises(NotDegreeTwo):
@@ -334,25 +401,58 @@ def work_state(g):
     return ({v: set(ns) for v, ns in g.adj.items()}, list(g.edges), dict(g.labels), g.next_id)
 
 
+def outcome(call) -> tuple[str, str]:
+    """(kind, text) of one call: the result network, or what it raised."""
+    try:
+        out = call()
+    except (CutnetsError, ValueError) as exc:
+        return type(exc).__name__, f"{type(exc).__name__}: {exc}"
+    if isinstance(out, tuple):   # subdivide's (network, new vertex)
+        out, vertex = out
+        return "ok", frozen_text(out) + f"vertex {vertex}\n"
+    return "ok", frozen_text(out)
+
+
+def in_place(net, edit, arg):
+    """Run ``edit(g, arg)`` on a working graph of ``net`` and freeze it; a
+    raise must leave the graph as it was."""
+    g = _WorkGraph.of(net)
+    before = work_state(g)
+    try:
+        vertex = edit(g, arg)
+    except Exception:
+        assert work_state(g) == before
+        raise
+    return g.freeze() if vertex is None else (g.freeze(), vertex)
+
+
+def triangle():
+    """Vertex 3 has degree 2, but its neighbours are adjacent."""
+    return UndirectedNet.build([(1, 2), (1, 3), (2, 3), (1, 4), (2, 5)], {4: "a", 5: "b"})
+
+
+def degree_two():
+    """A pentagon with leaves on three vertices; of the two degree-2
+    vertices, 4 carries a label and 5 does not."""
+    return UndirectedNet.build([(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 6), (2, 7), (3, 8)],
+                               {4: "x", 6: "a", 7: "b", 8: "c"})
+
+
 class TestWorkGraph:
-    """``_WorkGraph`` edits in place what ``subdivide`` and ``eliminate_edge``
-    rebuild; the frozen result must be the same network."""
+    """Each undirected edit has one implementation, on ``_WorkGraph``.  The
+    in-place edit and the public function built on it must give what the
+    frozenset reference gives: the same network and ``next_id``, or the
+    same exception and message."""
+
+    def agree(self, net, arg, reference, public, edit) -> str:
+        """Check the three ways of one edit agree; name the outcome."""
+        kind, want = outcome(lambda: reference(net, arg))
+        assert outcome(lambda: public(net, arg)) == (kind, want)
+        assert outcome(lambda: in_place(net, edit, arg)) == (kind, want)
+        return kind
 
     def eliminate_both(self, net, e) -> str:
-        """Eliminate ``e`` both ways, check they agree, name the outcome."""
-        g = _WorkGraph.of(net)
-        before = work_state(g)
-        try:
-            want = frozen_text(eliminate_edge(net, e))
-        except CutnetsError as exc:
-            with pytest.raises(type(exc)) as got:
-                g.eliminate(e)
-            assert str(got.value) == str(exc)
-            assert work_state(g) == before
-            return type(exc).__name__
-        g.eliminate(e)
-        assert frozen_text(g.freeze()) == want
-        return "ok"
+        return self.agree(net, e, reference_eliminate_edge, eliminate_edge, _WorkGraph.eliminate)
 
     def test_eliminate_matches_eliminate_edge(self):
         outcomes = Counter()
@@ -381,13 +481,26 @@ class TestWorkGraph:
                                   {5: "a", 6: "b"})
         assert self.eliminate_both(net, (1, 2)) == "WouldCreateParallelEdge"
 
+    def test_suppress_matches_reference(self):
+        nets = [triangle(), degree_two()]
+        for net in differential_nets()[:5]:   # each with one fresh degree-2 vertex
+            nets.append(reference_subdivide(net, net.sorted_edges()[0])[0])
+        outcomes = Counter()
+        for net in nets:
+            for v in sorted(net.vertices):
+                outcomes[self.agree(net, v, reference_suppress, suppress,
+                                    _WorkGraph.suppress)] += 1
+        assert set(outcomes) == {"ok", "NotDegreeTwo", "WouldCreateParallelEdge", "ValueError"}
+
     def test_subdivide_and_add_leaf_match_immutable_edits(self):
         for net in differential_nets()[:5]:
             for e in net.sorted_edges():
+                assert self.agree(net, e, reference_subdivide, subdivide,
+                                  _WorkGraph.subdivide) == "ok"
                 g = _WorkGraph.of(net)
                 mid = g.subdivide(e)
                 leaf = g.add_leaf(mid, "new")
-                want, want_mid = subdivide(net, e)
+                want, want_mid = reference_subdivide(net, e)
                 want = want.replace(vertices=want.vertices | {leaf},
                                     edges=want.edges | {(want_mid, leaf)},
                                     leaf_labels={**want.leaf_labels, leaf: "new"},
@@ -395,6 +508,24 @@ class TestWorkGraph:
                 assert (mid, leaf) == (want_mid, want_mid + 1)
                 assert frozen_text(g.freeze()) == frozen_text(want)
                 assert g.edges == want.sorted_edges()
+        net = differential_nets()[0]
+        assert self.agree(net, (1, net.next_id), reference_subdivide, subdivide,
+                          _WorkGraph.subdivide) == "UnknownEdge"
+
+    def test_delete_leaf_drops_the_leaf_its_edge_and_label(self, cycle4):
+        g = _WorkGraph.of(cycle4)
+        g.delete_leaf(5)
+        want = UndirectedNet(cycle4.vertices - {5}, cycle4.edges - {(1, 5)},
+                             {v: lab for v, lab in cycle4.leaf_labels.items() if v != 5},
+                             cycle4.next_id)
+        assert frozen_text(g.freeze()) == frozen_text(want)
+
+    def test_remove_edge_of_a_non_edge_changes_nothing(self, theta3):
+        g = _WorkGraph.of(theta3)
+        before = work_state(g)
+        with pytest.raises(KeyError):
+            g.remove_edge(3, 4)
+        assert work_state(g) == before
 
     def test_freeze_is_a_snapshot(self, theta3):
         g = _WorkGraph.of(theta3)
