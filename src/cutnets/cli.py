@@ -17,11 +17,13 @@ from .errors import (
     CutnetsError,
     CycleError,
     DegreeError,
+    InconsistentGadgetState,
     InvalidN,
     InvalidQ,
     LabelSetMismatch,
     NotBinary,
     NotThreeCuttable,
+    NotTreeChild,
     NotTwoBalanced,
     NotTwoCuttable,
     ParseError,
@@ -31,7 +33,8 @@ from .errors import (
 
 # Bad input or an unmet precondition: exit 2, never 1, which means "no".
 _INPUT_ERRORS = (ParseError, ValidationError, DegreeError, CycleError, NotBinary,
-                 LabelSetMismatch, NotThreeCuttable, InvalidQ, InvalidN, NotTwoBalanced)
+                 LabelSetMismatch, NotThreeCuttable, InvalidQ, InvalidN, NotTwoBalanced,
+                 NotTreeChild, InconsistentGadgetState)
 
 
 def _guard(fn, *args, **kwargs):
@@ -209,11 +212,13 @@ def sat_extract(rooted_file, gmap_file, cnf_file):
     rooted = _guard(formats.parse_enewick, _read(rooted_file))
     gmap = _guard(sat.parse_gmap, _read(gmap_file))
     cnf = _guard(formats.parse_dimacs_cnf, _read(cnf_file))
-    try:
-        beta = sat.extract_assignment(rooted, gmap)
-    except CutnetsError as exc:
-        click.echo(f"extraction failed: {exc}")
-        sys.exit(1)
+    if cnf.n != gmap.variable_count:
+        click.echo(f"error: the formula has {cnf.n} variables but the gadget map "
+                   f"has {gmap.variable_count}", err=True)
+        sys.exit(2)
+    # a failed extraction means the input was no tree-child orientation of
+    # the recorded network: bad input, not a negative decision
+    beta = _guard(sat.extract_assignment, rooted, gmap)
     text = "".join("T" if beta[i] else "F" for i in range(1, cnf.n + 1))
     click.echo(f"assignment: {text}")
     if sat.assignment_satisfies(cnf, beta):

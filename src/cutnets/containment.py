@@ -10,6 +10,7 @@ scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .cuttable import is_q_cuttable
 from .errors import (
@@ -26,13 +27,12 @@ from .nets import (
     Split,
     UndirectedNet,
     _component_of,
+    _cut_edge_masks,
     bfs_order,
     canon_edge,
     canonical_mask,
-    cut_edge_masks,
     eliminate_edge,
     label_bits,
-    split_of_mask,
     tree_path,
 )
 
@@ -199,6 +199,43 @@ def _edge_order(tree: UndirectedNet) -> list[tuple[int, int]]:
     return [(parent[v], v) for v in order[1:]]
 
 
+# --- instances -------------------------------------------------------------------
+
+class _Instance(NamedTuple):
+    """A tree and a network on the same labels, with their split masks.
+
+    ``bits`` gives each label its mask bit and ``full`` is the union of
+    them; both mask dicts map every split-inducing cut-edge to its mask,
+    canonical at the lowest bit of ``full``.  Each instance carries its own
+    ``bits`` because fresh labels are named per instance: ``x2`` can close
+    a half waiting on the stack and, with another bit, a half of its sibling.
+    """
+
+    tree: UndirectedNet
+    net: UndirectedNet
+    tree_masks: dict[Edge, int]
+    net_masks: dict[Edge, int]
+    bits: dict[str, int]
+    full: int
+
+
+def _fresh_instance(tree: UndirectedNet, net: UndirectedNet) -> _Instance:
+    """The instance numbered on its own: bit i is the i-th smallest label.
+
+    The tree gets no masks when the label sets differ: then no tree split
+    equals a network split.
+    """
+    bits = label_bits(net.labels())
+    full = (1 << len(bits)) - 1
+    tree_masks = _cut_edge_masks(tree, bits, full) if tree.labels() == net.labels() else {}
+    return _Instance(tree, net, tree_masks, _cut_edge_masks(net, bits, full), bits, full)
+
+
+def _split(mask: int, bits: dict[str, int]) -> Split:
+    side_a = {lab for lab, bit in bits.items() if mask & bit}
+    return Split.of(side_a, bits.keys() - side_a)
+
+
 # --- conflicting splits -----------------------------------------------------------
 
 def conflicting_split(tree: UndirectedNet, net: UndirectedNet) -> tuple[Split, Split] | None:
@@ -212,34 +249,35 @@ def conflicting_split(tree: UndirectedNet, net: UndirectedNet) -> tuple[Split, S
     """
     if tree.labels() != net.labels():
         raise LabelSetMismatch(f"{sorted(tree.labels())} vs {sorted(net.labels())}")
-    net_masks = cut_edge_masks(net).values()
-    tree_masks = cut_edge_masks(tree).values()
-    tree_set = set(tree_masks)
-    if all(m in tree_set for m in net_masks):
+    inst = _fresh_instance(tree, net)
+    return _first_conflict(inst, inst.net_masks.values())
+
+
+def _first_conflict(inst: _Instance, net_masks) -> tuple[Split, Split] | None:
+    """``conflicting_split`` over the network masks ``net_masks`` only.
+
+    A network mask that is also a tree mask is compatible with every tree
+    split, so only the others are scanned.
+    """
+    tree_set = set(inst.tree_masks.values())
+    foreign = [m for m in net_masks if m not in tree_set]
+    if not foreign:
         return None
-    labels = sorted(net.labels())
-    full = (1 << len(labels)) - 1
 
     def ordered(masks):
-        return sorted(((split_of_mask(m, labels), m) for m in masks),
+        return sorted(((_split(m, inst.bits), m) for m in masks),
                       key=lambda pair: pair[0].sort_key())
 
-    tree_splits = ordered(tree_masks)
-    for us, um in ordered(net_masks):
+    full = inst.full
+    tree_splits = ordered(tree_set)
+    for us, um in ordered(foreign):
         for ts, tm in tree_splits:
-            # both masks hold bit 0, so the sides holding it always meet;
-            # incompatible when each of the other three intersections is nonempty
+            # both masks hold the lowest bit of full, so the sides holding it
+            # always meet; incompatible when each of the other three
+            # intersections is nonempty
             if um & ~tm and tm & ~um and um | tm != full:
                 return us, ts
     return None
-
-
-def _tree_masks(tree: UndirectedNet, net: UndirectedNet) -> dict[Edge, int]:
-    """The tree's split masks, comparable with the network's.
-
-    Empty when the label sets differ: then no tree split equals a network split.
-    """
-    return cut_edge_masks(tree) if tree.labels() == net.labels() else {}
 
 
 # --- branching ---------------------------------------------------------------------
@@ -256,13 +294,27 @@ def branch_on_cut_edge(tree: UndirectedNet, net: UndirectedNet, edge):
     leaves = net.leaves()
     if e[0] in leaves or e[1] in leaves:
         raise TrivialCutEdge(f"{e} is a trivial cut-edge")
-    mask = cut_edge_masks(net).get(e)
+    inst = _fresh_instance(tree, net)
+    first, second = _branch(inst, e, 1 << len(inst.bits))
+    return (first.tree, first.net), (second.tree, second.net)
+
+
+def _branch(inst: _Instance, e: Edge, fresh_bit: int) -> tuple[_Instance, _Instance]:
+    """``branch_on_cut_edge`` at the non-trivial cut-edge ``e``, carrying state.
+
+    The fresh labels take the bits ``fresh_bit`` and ``fresh_bit << 1``.  A
+    cycle never crosses the severed bridge, so a half's cut-edges are the
+    parent's on that side plus the new pendant edge, and its masks are the
+    parent's restricted to that side.
+    """
+    tree, net, bits = inst.tree, inst.net, inst.bits
+    mask = inst.net_masks.get(e)
     if mask is None:
         raise AssertionError("a non-trivial cut-edge of a 3-cuttable network must induce a split")
-    tree_edge = min((te for te, m in _tree_masks(tree, net).items() if m == mask), default=None)
+    tree_edge = min((te for te, m in inst.tree_masks.items() if m == mask), default=None)
     if tree_edge is None:
-        split = split_of_mask(mask, sorted(net.labels()))
-        raise NoMatchingTreeEdge(f"tree has no edge inducing {split}; instance has a conflicting split")
+        raise NoMatchingTreeEdge(f"tree has no edge inducing {_split(mask, bits)}; "
+                                 "instance has a conflicting split")
 
     existing = net.labels()
     k = 1
@@ -272,24 +324,59 @@ def branch_on_cut_edge(tree: UndirectedNet, net: UndirectedNet, edge):
 
     sides = [_component_of(net.adjacency(), v, e) for v in e]
     tree_sides = [_component_of(tree.adjacency(), v, tree_edge) for v in tree_edge]
-    sub_nets = [_halve(net, e, e[i], sides[i], fresh[i]) for i in (0, 1)]
+
+    def label_mask(graph, side):
+        out = 0
+        for v, lab in graph.leaf_labels.items():
+            if v in side:
+                out |= bits[lab]
+        return out
+
+    side_bits = [label_mask(net, side) for side in sides]
     # pair the tree halves with the network halves holding the same labels
-    labels_0 = {net.leaf_labels[v] for v in sides[0] if v in net.leaf_labels}
-    same = labels_0 == {tree.leaf_labels[v] for v in tree_sides[0] if v in tree.leaf_labels}
-    sub_trees = [_halve(tree, tree_edge, tree_edge[j], tree_sides[j], fresh[i])
-                 for i, j in enumerate((0, 1) if same else (1, 0))]
-    return (sub_trees[0], sub_nets[0]), (sub_trees[1], sub_nets[1])
+    order = (0, 1) if label_mask(tree, tree_sides[0]) == side_bits[0] else (1, 0)
+    halves = []
+    for i, j in enumerate(order):
+        bit = fresh_bit << i
+        half_bits = {lab: b for lab, b in bits.items() if b & side_bits[i]}
+        half_bits[fresh[i]] = bit
+        full = side_bits[i] | bit
+        sub_tree, tree_masks = _halve(tree, inst.tree_masks, tree_edge, tree_sides[j],
+                                      fresh[i], side_bits[i], full)
+        sub_net, net_masks = _halve(net, inst.net_masks, e, sides[i],
+                                    fresh[i], side_bits[i], full)
+        halves.append(_Instance(sub_tree, sub_net, tree_masks, net_masks, half_bits, full))
+    return halves[0], halves[1]
 
 
-def _halve(net, severed, keep_endpoint, side, fresh_label):
-    """The ``side`` of the cut-edge ``severed`` at ``keep_endpoint``, with
-    a fresh leaf hung where the edge was."""
-    nv = net.next_id
-    edges = {e for e in net.edges if e[0] in side and e[1] in side and e != severed}
-    edges.add(canon_edge(keep_endpoint, nv))
-    labels = {v: lab for v, lab in net.leaf_labels.items() if v in side}
+def _halve(graph, masks, severed, side, fresh_label, side_bits, full):
+    """The ``side`` of the cut-edge ``severed``, with a fresh leaf hung where
+    the edge was, and its masks.
+
+    ``side_bits`` are the side's labels and ``full`` adds the fresh label's
+    bit.  Each cut-edge on the side keeps the side of its split away from
+    ``severed``, which lies within ``side_bits``; only the other side gains
+    the fresh label.
+    """
+    keep = severed[0] if severed[0] in side else severed[1]
+    nv = graph.next_id
+    pendant = (keep, nv)
+
+    def inside(edges):
+        out = {e for e in edges if e[0] in side and e[1] in side}
+        out.add(pendant)
+        return frozenset(out)
+
+    labels = {v: lab for v, lab in graph.leaf_labels.items() if v in side}
     labels[nv] = fresh_label
-    return UndirectedNet(side | {nv}, edges, labels, next_id=nv + 1)
+    half = UndirectedNet._trusted(frozenset(side) | {nv}, inside(graph.edges), labels,
+                                  nv + 1, cuts=inside(graph.cut_edges()))
+    half_masks = {pendant: canonical_mask(full ^ side_bits, full)}
+    for e, m in masks.items():
+        if e[0] in side and e[1] in side:
+            away = m if m & side_bits == m else side_bits & ~m
+            half_masks[e] = canonical_mask(away, full)
+    return half, half_masks
 
 
 # --- entangled paths ----------------------------------------------------------------
@@ -396,13 +483,19 @@ class RuleOutcome:
 
 def apply_reduction(tree: UndirectedNet, net: UndirectedNet) -> RuleOutcome:
     """Try the rules in order on a simple instance; exactly one applies."""
+    return _reduce(_fresh_instance(tree, net))
+
+
+def _reduce(inst: _Instance) -> RuleOutcome:
+    """``apply_reduction`` on an instance with its masks."""
+    tree, net = inst.tree, inst.net
     if not net.is_simple_network():
         raise NotSimple("network has a non-trivial cut-edge")
     if not is_q_cuttable(net, 3):
         raise NotThreeCuttable("network is not 3-cuttable")
     if len(net.leaf_labels) <= 3:
         return RuleOutcome("yes", 1, certificate="at most three leaves")
-    outcome = _rule2(tree, net)
+    outcome = _rule2(inst)
     if outcome is not None:
         return outcome
     structure = find_pendant_structures(tree)
@@ -411,12 +504,11 @@ def apply_reduction(tree: UndirectedNet, net: UndirectedNet) -> RuleOutcome:
     return _rule4(tree, net, structure)
 
 
-def _rule2(tree, net):
+def _rule2(inst: _Instance):
     """Three consecutive leaf-hung vertices plus a fourth path vertex, with a
     matching pendant triple in the tree: eliminate the path's leading edge."""
-    tree_masks = set(_tree_masks(tree, net).values())
-    bits = label_bits(net.labels())
-    full = (1 << len(bits)) - 1
+    net, bits, full = inst.net, inst.bits, inst.full
+    tree_masks = set(inst.tree_masks.values())
     leaves = net.leaves()
     cuts = net.cut_edges()
 
@@ -581,32 +673,50 @@ def _solve(tree, net, trace):
 
     A branch decides its first half before its second; the second halves
     wait on an explicit stack, so depth is not bounded by the call stack.
+
+    Mask bits are numbered once for the whole run: the input's labels get
+    ``label_bits`` and each fresh label the next unused bit, so a half's
+    cut-edges and masks are its parent's restricted to its side, with no
+    new bridge search or renumbering.  Split conflicts are looked for once
+    on the input and then only among the splits an elimination creates.
+    A half needs no check: its splits match its parent's on that side one
+    to one, and a pair of them is compatible exactly when the parent's pair
+    is.  An elimination keeps every old split, so the first conflict in
+    canonical order can only be a new one.
     """
+    inst = _fresh_instance(tree, net)
+    conflict = _first_conflict(inst, inst.net_masks.values())
+    fresh_bit = 1 << len(inst.bits)
     pending = []
     while True:
-        conflict = conflicting_split(tree, net)
         if conflict is not None:
             trace.append(TraceEvent("SPLIT-CONFLICT", f"{conflict[0]} vs {conflict[1]}"))
             return False
+        net = inst.net
         nontrivial = sorted(net.cut_edges() - net.trivial_cut_edges())
         if nontrivial:
             e = nontrivial[0]
-            (t1, u1), (t2, u2) = branch_on_cut_edge(tree, net, e)
-            trace.append(TraceEvent("BRANCH", f"{e[0]}-{e[1]}", nets=(u1, u2)))
-            pending.append((t2, u2))
-            tree, net = t1, u1
+            first, second = _branch(inst, e, fresh_bit)
+            fresh_bit <<= 2
+            trace.append(TraceEvent("BRANCH", f"{e[0]}-{e[1]}", nets=(first.net, second.net)))
+            pending.append(second)
+            inst = first
             continue
-        outcome = apply_reduction(tree, net)
+        outcome = _reduce(inst)
         case = f" {outcome.case}" if outcome.case else ""
         trace.append(TraceEvent("RULE", f"{outcome.rule_id}{case}"))
         if outcome.verdict == "yes":
             if not pending:
                 return True
-            tree, net = pending.pop()
+            inst = pending.pop()
             continue
         if outcome.verdict == "no":
             return False
         e = outcome.eliminated_edge
+        reduced = outcome.reduced_net
         trace.append(TraceEvent("ELIM", f"{e[0]}-{e[1]}",
-                                trees=(tree,), nets=(net, outcome.reduced_net)))
-        net = outcome.reduced_net
+                                trees=(inst.tree,), nets=(net, reduced)))
+        masks = _cut_edge_masks(reduced, inst.bits, inst.full)
+        old = set(inst.net_masks.values())
+        conflict = _first_conflict(inst, [m for m in masks.values() if m not in old])
+        inst = inst._replace(net=reduced, net_masks=masks)

@@ -148,20 +148,22 @@ class UndirectedNet:
         self._by_label = None
 
     @classmethod
-    def _trusted(cls, vertices, edges, leaf_labels, next_id) -> "UndirectedNet":
+    def _trusted(cls, vertices, edges, leaf_labels, next_id, cuts=None) -> "UndirectedNet":
         """A network from parts its caller vouches for, with no check and no copy.
 
         ``vertices`` and ``edges`` are frozensets, every edge is canonical
         and joins two of the vertices, every labelled vertex is one of them,
         ``next_id`` is above every vertex, and nothing mutates the parts
-        afterwards.
+        afterwards.  A ``cuts`` frozenset, when given, seeds the cut-edge
+        cache and must equal the network's bridges.
         """
         net = object.__new__(cls)
         net.vertices = vertices
         net.edges = edges
         net.leaf_labels = leaf_labels
         net.next_id = next_id
-        net._adj = net._cuts = net._blob_list = net._chain_list = net._by_label = None
+        net._adj = net._blob_list = net._chain_list = net._by_label = None
+        net._cuts = cuts
         return net
 
     @staticmethod
@@ -607,7 +609,9 @@ def splits_of(net: UndirectedNet) -> list[tuple[Edge, Split]]:
 
 # A split is also an int bitmask over the sorted label set: bit i stands for
 # the i-th smallest label, and the canonical mask is the side holding bit 0,
-# which is ``Split.side_a``.
+# which is ``Split.side_a``.  Containment numbers bits run-wide instead (see
+# ``containment._solve``), so the mask helpers below take the lowest bit of
+# ``full``, not bit 0, as the canonical side's mark.
 
 def label_bits(labels) -> dict[str, int]:
     """The mask bit of each label: bit i is the i-th smallest label."""
@@ -615,8 +619,9 @@ def label_bits(labels) -> dict[str, int]:
 
 
 def canonical_mask(mask: int, full: int) -> int:
-    """The side of the bipartition ``mask | full ^ mask`` that holds bit 0."""
-    return mask if mask & 1 else full ^ mask
+    """The side of the bipartition ``mask | full ^ mask`` that holds the
+    lowest bit of ``full`` (bit 0 under ``label_bits``)."""
+    return mask if mask & (full & -full) else full ^ mask
 
 
 def split_of_mask(mask: int, labels) -> Split:
@@ -634,9 +639,14 @@ def cut_edge_masks(net: UndirectedNet) -> dict[Edge, int]:
     rest.  Cut-edges with a leafless side are skipped, as in
     ``split_of_cut_edge``.  Leaf labels are assumed distinct.
     """
-    cuts = net.cut_edges()
     bits = label_bits(net.labels())
-    full = (1 << len(bits)) - 1
+    return _cut_edge_masks(net, bits, (1 << len(bits)) - 1)
+
+
+def _cut_edge_masks(net: UndirectedNet, bits: dict[str, int], full: int) -> dict[Edge, int]:
+    """``cut_edge_masks`` under any numbering ``bits`` of the labels, whose
+    union is ``full``; masks are canonical at the lowest bit of ``full``."""
+    cuts = net.cut_edges()
     adj = net.adjacency()
     parent: dict[VertexId, VertexId | None] = {}
     masks = {}

@@ -484,8 +484,12 @@ def extract_assignment(net: RootedNet, gmap: GadgetMap) -> Assignment:
         undirected[b].add(a)
 
     def locate_terminals(gadget_name: str) -> tuple[int, int]:
-        leaf_l = net.vertex_of_label(f"{gadget_name}_l")
-        leaf_lp = net.vertex_of_label(f"{gadget_name}_lp")
+        try:
+            leaf_l = net.vertex_of_label(f"{gadget_name}_l")
+            leaf_lp = net.vertex_of_label(f"{gadget_name}_lp")
+        except KeyError as exc:
+            raise InconsistentGadgetState(
+                f"gadget leaf {exc.args[0]} is missing from the network") from None
         (w,) = undirected[leaf_l]
         (wp,) = undirected[leaf_lp]
         candidates_u = undirected[w] - {leaf_l, wp}

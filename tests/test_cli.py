@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from click.testing import CliRunner
 
@@ -7,6 +9,7 @@ from cutnets.formats import (
     parse_enewick,
     parse_upn,
     serialize_dimacs_cnf,
+    serialize_enewick,
     serialize_newick_tree,
     serialize_upn,
 )
@@ -177,6 +180,60 @@ class TestSatCommands:
         assert "error: " in result.output
         assert "occurs positively 1 times, expected 2" in result.output
         assert "no orientation produced" not in result.output
+
+    @staticmethod
+    def oriented(tmp_path, relabel=None):
+        """Files for ``sat extract``: PHI's network oriented under TFF (its
+        labels renamed by ``relabel``), the gadget map and PHI."""
+        cnf_path = write(tmp_path / "phi.cnf", serialize_dimacs_cnf(PHI))
+        rooted_path, gmap_path = tmp_path / "nphi.enwk", tmp_path / "phi.gmap"
+        result = CliRunner().invoke(cli, ["sat", "orient", cnf_path, "--assignment", "TFF",
+                                          "-o", str(rooted_path), "--gmap", str(gmap_path)])
+        assert result.exit_code == 0
+        if relabel:
+            rooted = parse_enewick(rooted_path.read_text())
+            labels = {v: relabel.get(lab, lab) for v, lab in rooted.leaf_labels.items()}
+            rooted_path.write_text(serialize_enewick(rooted.replace(leaf_labels=labels)))
+        return str(rooted_path), str(gmap_path), cnf_path
+
+    def test_extract_unsatisfied_formula_exit_1(self, tmp_path):
+        rooted, gmap, _ = self.oriented(tmp_path)
+        cnf = write(tmp_path / "other.cnf", "p cnf 3 1\n-1 2 3 0\n")   # TFF falsifies it
+        result = CliRunner().invoke(cli, ["sat", "extract", rooted, "--gmap", gmap, "--cnf", cnf])
+        assert result.exit_code == 1
+        assert "assignment: TFF" in result.output
+        assert "satisfies: no" in result.output
+
+    @pytest.mark.parametrize("relabel, message", [
+        ({"G1_1_l": "G1_1_lp", "G1_1_lp": "G1_1_l"},
+         "variable 1: terminal reticulation pattern is mixed"),
+        ({"G1_1_lp": "G1_2_lp", "G1_2_lp": "G1_1_lp"}, "cannot locate u in G1_1"),
+        ({"G2_1_lp": "stray"}, "gadget leaf G2_1_lp is missing from the network"),
+    ], ids=["mixed-pattern", "no-u", "missing-leaf"])
+    def test_extract_inconsistent_gadgets_exit_2(self, tmp_path, relabel, message):
+        rooted, gmap, cnf = self.oriented(tmp_path, relabel)
+        result = CliRunner().invoke(cli, ["sat", "extract", rooted, "--gmap", gmap, "--cnf", cnf])
+        assert result.exit_code == 2, result.output
+        assert f"error: {message}" in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    def test_extract_not_tree_child_exit_2(self, tmp_path):
+        _, gmap, cnf = self.oriented(tmp_path)
+        stack = write(tmp_path / "stack.enwk", "((((a)#H2)#H1,(#H2)#H3),(#H1,#H3));")
+        assert not is_tree_child(parse_enewick(Path(stack).read_text()))
+        result = CliRunner().invoke(cli, ["sat", "extract", stack, "--gmap", gmap, "--cnf", cnf])
+        assert result.exit_code == 2, result.output
+        assert "error: input is not a tree-child network" in result.output
+
+    @pytest.mark.parametrize("variables", [2, 4])
+    def test_extract_variable_count_mismatch_exit_2(self, tmp_path, variables):
+        rooted, gmap, _ = self.oriented(tmp_path)
+        cnf = write(tmp_path / "other.cnf", f"p cnf {variables} 1\n1 -2 {variables} 0\n")
+        result = CliRunner().invoke(cli, ["sat", "extract", rooted, "--gmap", gmap, "--cnf", cnf])
+        assert result.exit_code == 2, result.output
+        assert (f"error: the formula has {variables} variables but the gadget map has 3"
+                in result.output)
+        assert isinstance(result.exception, SystemExit)
 
     def test_bad_assignment_string_exit_2(self, tmp_path):
         cnf_path = write(tmp_path / "phi.cnf", serialize_dimacs_cnf(PHI))

@@ -26,7 +26,8 @@ from cutnets import (
     validate_unrooted,
     verify_embedding,
 )
-from cutnets.containment import serialize_trace
+from cutnets import containment
+from cutnets.containment import TraceEvent, serialize_trace
 from cutnets.errors import (
     BudgetExceeded,
     LabelSetMismatch,
@@ -36,7 +37,15 @@ from cutnets.errors import (
     TrivialCutEdge,
 )
 from cutnets.formats import parse_newick_tree, parse_upn
-from cutnets.nets import Split, all_simple_paths, canon_edge, split_of_cut_edge
+from cutnets.nets import (
+    Split,
+    _cut_edge_masks,
+    all_simple_paths,
+    bridges,
+    canon_edge,
+    split_of_cut_edge,
+    splits_of,
+)
 
 from conftest import build_simple_3cuttable
 
@@ -114,6 +123,47 @@ def reference_conflicting_split(tree, net):
             if not us.is_compatible_with(ts):
                 return us, ts
     return None
+
+
+def reference_solve(tree, net):
+    """three_cuttable_tc by rebuilding everything on every loop turn: the
+    public split check, branch and reduction on uncached copies, each
+    numbering its own instance."""
+    def uncached(graph):
+        return UndirectedNet(graph.vertices, graph.edges, graph.leaf_labels, graph.next_id)
+
+    trace, pending = [], []
+    verdict = None
+    while verdict is None:
+        conflict = conflicting_split(tree, net)
+        if conflict is not None:
+            trace.append(TraceEvent("SPLIT-CONFLICT", f"{conflict[0]} vs {conflict[1]}"))
+            verdict = False
+            break
+        nontrivial = sorted(net.cut_edges() - net.trivial_cut_edges())
+        if nontrivial:
+            e = nontrivial[0]
+            (t1, u1), (t2, u2) = branch_on_cut_edge(tree, net, e)
+            trace.append(TraceEvent("BRANCH", f"{e[0]}-{e[1]}"))
+            pending.append((uncached(t2), uncached(u2)))
+            tree, net = uncached(t1), uncached(u1)
+            continue
+        outcome = apply_reduction(tree, net)
+        case = f" {outcome.case}" if outcome.case else ""
+        trace.append(TraceEvent("RULE", f"{outcome.rule_id}{case}"))
+        if outcome.verdict == "yes":
+            if not pending:
+                verdict = True
+            else:
+                tree, net = pending.pop()
+        elif outcome.verdict == "no":
+            verdict = False
+        else:
+            e = outcome.eliminated_edge
+            trace.append(TraceEvent("ELIM", f"{e[0]}-{e[1]}"))
+            net = uncached(outcome.reduced_net)
+    trace.append(TraceEvent("YES" if verdict else "NO"))
+    return verdict, trace
 
 
 def swap_labels(tree, a, b):
@@ -335,6 +385,86 @@ class TestAlgorithm:
         for row in golden:
             _, trace = three_cuttable_tc(parse_newick_tree(row["tree"]), parse_upn(row["net"]))
             assert serialize_trace(trace) == row["trace"], row["name"]
+
+    def test_matches_reference_solve(self):
+        # per network: the displayed tree, that tree with two leaves swapped
+        # across a cut-edge and with two leaves swapped that no network split
+        # separates, and a random tree
+        finals = set()
+        conflict_after_elim = 0
+        for seed in range(24):
+            leaves = (16, 32, 48, 64)[seed % 4]
+            net = random_q_cuttable(GenConfig(seed=2600 + seed, leaf_count=leaves,
+                                              target_r=leaves // 8, target_q=3))
+            for tree in self.candidate_trees(net, seed):
+                verdict, trace = three_cuttable_tc(tree, net)
+                ref_verdict, ref_trace = reference_solve(tree, net)
+                assert verdict == ref_verdict
+                assert serialize_trace(trace) == serialize_trace(ref_trace), seed
+                finals.add(trace[-1].kind)
+                kinds = [ev.kind for ev in trace]
+                conflict_after_elim += "SPLIT-CONFLICT" in kinds and "ELIM" in kinds
+        assert finals == {"YES", "NO"}
+        assert conflict_after_elim > 0
+
+    @staticmethod
+    def candidate_trees(net, seed):
+        tree = sample_displayed_tree(net, seed)
+        trees = [tree, random_tree(sorted(net.labels()), seed)]
+        splits = [sp for _, sp in splits_of(net) if min(len(sp.side_a), len(sp.side_b)) > 1]
+        if splits:
+            split = splits[seed % len(splits)]
+            trees.append(swap_labels(tree, min(split.side_a), min(split.side_b)))
+        labels = sorted(net.labels())
+        together = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]
+                    if all((a in sp.side_a) == (b in sp.side_a) for sp in splits)]
+        if together:
+            trees.append(swap_labels(tree, *together[seed % len(together)]))
+        return trees
+
+    def test_matches_reference_solve_at_scale(self):
+        # the largest instance the reference decides in about ten seconds
+        net = random_q_cuttable(GenConfig(seed=1, leaf_count=768, target_r=96, target_q=3))
+        tree = sample_displayed_tree(net, 1)
+        verdict, trace = three_cuttable_tc(tree, net)
+        assert verdict is True
+        assert serialize_trace(trace) == serialize_trace(reference_solve(tree, net)[1])
+
+    def test_branch_halves_carry_exact_state(self, monkeypatch):
+        # every half inherits its parent's cut-edges and masks; they must be
+        # what a fresh bridge search and mask pass give under the run-wide
+        # numbering, and no fresh bit may be handed out twice in one run
+        real_branch = containment._branch
+        used_bits = set()
+        halves_checked = 0
+
+        def checked_branch(inst, e, fresh_bit):
+            nonlocal halves_checked
+            halves = real_branch(inst, e, fresh_bit)
+            fresh = {fresh_bit, fresh_bit << 1}
+            assert not fresh & used_bits and fresh_bit > inst.full
+            used_bits.update(fresh)
+            for half in halves:
+                assert half.bits.keys() == half.net.labels() == half.tree.labels()
+                for lab, bit in half.bits.items():
+                    assert inst.bits.get(lab, bit) == bit
+                    assert lab in inst.bits or bit in fresh
+                assert half.full == sum(half.bits.values())
+                for graph, masks in ((half.tree, half.tree_masks), (half.net, half.net_masks)):
+                    assert graph.cut_edges() == bridges(graph.adjacency())
+                    assert masks == _cut_edge_masks(graph, half.bits, half.full)
+                halves_checked += 1
+            return halves
+
+        monkeypatch.setattr(containment, "_branch", checked_branch)
+        for seed in range(8):
+            leaves = (16, 32, 48, 64)[seed % 4]
+            net = random_q_cuttable(GenConfig(seed=2600 + seed, leaf_count=leaves,
+                                              target_r=leaves // 8, target_q=3))
+            for tree in self.candidate_trees(net, seed):
+                used_bits.clear()
+                three_cuttable_tc(tree, net)
+        assert halves_checked > 100
 
     def test_only_branch_and_elim_events_keep_snapshots(self):
         row = json.loads((Path(__file__).parent / "data" / "tctrace_golden.json").read_text())[0]

@@ -85,8 +85,14 @@ class TestENewick:
             parse_enewick("((a,#H1),(b,c));")
 
     def test_parallel_arcs_rejected(self):
-        with pytest.raises(DegreeError):
-            parse_enewick("(((a)#H1,#H1),b);")
+        # a child listed twice under an inner vertex, under the root and
+        # after a sibling; the message names the arc by its parsed ids
+        for text, message in [("(((a)#H1,#H1),b);", "parallel arcs (2,3)"),
+                              ("((a)#H1,#H1);", "parallel arcs (1,2)"),
+                              ("((b,(a)#H1,#H1),c);", "parallel arcs (2,4)")]:
+            with pytest.raises(DegreeError) as info:
+                parse_enewick(text)
+            assert str(info.value) == message
 
     def test_roundtrip_rooted_fixtures(self):
         for seed in range(20):
