@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 affirmative/success, 1 negative decision, 2 usage, parse or
-precondition error, 3 budget exceeded.  Certificates for negative decisions
-go to stdout; diagnostics go to stderr.
+precondition error, 3 budget exceeded, 4 internal error (any other
+exception, reported as ``internal error: <Type>: <message>``).  Certificates
+for negative decisions go to stdout; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -37,17 +38,6 @@ _INPUT_ERRORS = (ParseError, ValidationError, DegreeError, CycleError, NotBinary
                  NotTreeChild, InconsistentGadgetState)
 
 
-def _guard(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except _INPUT_ERRORS as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    except (TooLarge, BudgetExceeded) as exc:
-        click.echo(f"budget exceeded: {exc}", err=True)
-        sys.exit(3)
-
-
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as handle:
         return handle.read()
@@ -61,7 +51,26 @@ def _write(path, text: str) -> None:
             handle.write(text)
 
 
-@click.group()
+class _Cli(click.Group):
+    """The command group; it maps what escapes a command to an exit code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except _INPUT_ERRORS as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
+        except (TooLarge, BudgetExceeded) as exc:
+            click.echo(f"budget exceeded: {exc}", err=True)
+            sys.exit(3)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception as exc:
+            click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+            sys.exit(4)
+
+
+@click.group(cls=_Cli)
 def cli():
     """Tools for q-cuttable phylogenetic networks."""
 
@@ -71,8 +80,8 @@ def cli():
 @click.argument("net_file", type=click.Path(exists=True))
 def recognize(q, net_file):
     """Decide whether NET_FILE is q-cuttable."""
-    net = _guard(formats.parse_upn, _read(net_file))
-    report = _guard(cuttable.is_q_cuttable, net, q)
+    net = formats.parse_upn(_read(net_file))
+    report = cuttable.is_q_cuttable(net, q)
     if report.is_cuttable:
         click.echo("q-cuttable: yes")
         sys.exit(0)
@@ -85,7 +94,7 @@ def recognize(q, net_file):
 @click.argument("net_file", type=click.Path(exists=True))
 def stats(net_file):
     """Structural summary of an unrooted network."""
-    net = _guard(formats.parse_upn, _read(net_file))
+    net = formats.parse_upn(_read(net_file))
     click.echo(f"leaves: {len(net.leaf_labels)}")
     click.echo(f"vertices: {len(net.vertices)}")
     click.echo(f"edges: {len(net.edges)}")
@@ -99,7 +108,6 @@ def stats(net_file):
                (f" (lengths {', '.join(str(c.length) for c in chains)})" if chains else ""))
     mc = cuttable.max_cuttability(net)
     click.echo(f"max cuttability: {'unbounded (tree)' if mc is None else mc}")
-    sys.exit(0)
 
 
 @cli.command("orient")
@@ -108,7 +116,7 @@ def stats(net_file):
 @click.option("-o", "--output", type=click.Path(), default=None)
 def orient_cmd(net_file, method, output):
     """Produce a tree-child orientation (constructive needs 2-cuttability)."""
-    net = _guard(formats.parse_upn, _read(net_file))
+    net = formats.parse_upn(_read(net_file))
     if method == "constructive":
         try:
             rooted = orient.tree_child_orient_2cuttable(net)
@@ -116,19 +124,18 @@ def orient_cmd(net_file, method, output):
             click.echo(f"no orientation produced: {exc}")
             sys.exit(1)
     else:
-        rooted = _guard(orient.brute_force_tree_child_orientation, net)
+        rooted = orient.brute_force_tree_child_orientation(net)
         if rooted is None:
             click.echo("no tree-child orientation exists")
             sys.exit(1)
     _write(output, formats.serialize_enewick(rooted) + "\n")
-    sys.exit(0)
 
 
 @cli.command("check-tree-child")
 @click.argument("rooted_file", type=click.Path(exists=True))
 def check_tree_child(rooted_file):
     """Check whether a rooted network is tree-child."""
-    rooted = _guard(formats.parse_enewick, _read(rooted_file))
+    rooted = formats.parse_enewick(_read(rooted_file))
     if orient.is_tree_child(rooted):
         click.echo("tree-child: yes")
         sys.exit(0)
@@ -143,13 +150,13 @@ def check_tree_child(rooted_file):
 @click.option("--trace", "trace_file", type=click.Path(), default=None)
 def contain(tree_file, net_file, oracle, trace_file):
     """Decide whether the network displays the tree (3-cuttable algorithm)."""
-    tree = _guard(formats.parse_newick_tree, _read(tree_file))
-    net = _guard(formats.parse_upn, _read(net_file))
+    tree = formats.parse_newick_tree(_read(tree_file))
+    net = formats.parse_upn(_read(net_file))
     if oracle:
-        emb = _guard(containment.display_oracle, tree, net)
+        emb = containment.display_oracle(tree, net)
         click.echo(f"displays: {'yes' if emb else 'no'}")
         sys.exit(0 if emb else 1)
-    verdict, trace = _guard(containment.three_cuttable_tc, tree, net)
+    verdict, trace = containment.three_cuttable_tc(tree, net)
     if trace_file:
         _write(trace_file, containment.serialize_trace(trace))
     click.echo(f"displays: {'yes' if verdict else 'no'}")
@@ -171,12 +178,11 @@ def sat_group():
 @click.option("--gmap", "gmap_file", type=click.Path(), required=True)
 def sat_reduce(cnf_file, output, gmap_file):
     """Build the unrooted network for a 2-balanced formula."""
-    cnf = _guard(formats.parse_dimacs_cnf, _read(cnf_file))
-    net, gmap = _guard(sat.build_u_phi, cnf)
+    cnf = formats.parse_dimacs_cnf(_read(cnf_file))
+    net, gmap = sat.build_u_phi(cnf)
     _write(output, formats.serialize_upn(net))
     _write(gmap_file, sat.serialize_gmap(gmap))
     click.echo(f"wrote {output} ({len(net.leaf_labels)} leaves) and {gmap_file}")
-    sys.exit(0)
 
 
 @sat_group.command("orient")
@@ -187,12 +193,12 @@ def sat_reduce(cnf_file, output, gmap_file):
 @click.option("--gmap", "gmap_file", type=click.Path(), required=True)
 def sat_orient(cnf_file, assignment, output, gmap_file):
     """Orient the reduction network under a satisfying assignment."""
-    cnf = _guard(formats.parse_dimacs_cnf, _read(cnf_file))
+    cnf = formats.parse_dimacs_cnf(_read(cnf_file))
     if len(assignment) != cnf.n or set(assignment) - {"T", "F"}:
         click.echo("error: assignment must be a T/F string, one letter per variable", err=True)
         sys.exit(2)
     beta = {i + 1: ch == "T" for i, ch in enumerate(assignment)}
-    _, gmap = _guard(sat.build_u_phi, cnf)   # exit 2 on a formula that is not 2-balanced
+    _, gmap = sat.build_u_phi(cnf)   # exit 2 on a formula that is not 2-balanced
     try:
         rooted = sat.build_n_phi(cnf, beta)
     except CutnetsError as exc:
@@ -200,7 +206,6 @@ def sat_orient(cnf_file, assignment, output, gmap_file):
         sys.exit(1)
     _write(output, formats.serialize_enewick(rooted) + "\n")
     _write(gmap_file, sat.serialize_gmap(gmap))
-    sys.exit(0)
 
 
 @sat_group.command("extract")
@@ -209,16 +214,16 @@ def sat_orient(cnf_file, assignment, output, gmap_file):
 @click.option("--cnf", "cnf_file", type=click.Path(exists=True), required=True)
 def sat_extract(rooted_file, gmap_file, cnf_file):
     """Read a satisfying assignment off a tree-child orientation."""
-    rooted = _guard(formats.parse_enewick, _read(rooted_file))
-    gmap = _guard(sat.parse_gmap, _read(gmap_file))
-    cnf = _guard(formats.parse_dimacs_cnf, _read(cnf_file))
+    rooted = formats.parse_enewick(_read(rooted_file))
+    gmap = sat.parse_gmap(_read(gmap_file))
+    cnf = formats.parse_dimacs_cnf(_read(cnf_file))
     if cnf.n != gmap.variable_count:
         click.echo(f"error: the formula has {cnf.n} variables but the gadget map "
                    f"has {gmap.variable_count}", err=True)
         sys.exit(2)
     # a failed extraction means the input was no tree-child orientation of
     # the recorded network: bad input, not a negative decision
-    beta = _guard(sat.extract_assignment, rooted, gmap)
+    beta = sat.extract_assignment(rooted, gmap)
     text = "".join("T" if beta[i] else "F" for i in range(1, cnf.n + 1))
     click.echo(f"assignment: {text}")
     if sat.assignment_satisfies(cnf, beta):
@@ -241,7 +246,6 @@ def gen_tree(leaves, seed, output):
     labels = [f"t{i}" for i in range(1, leaves + 1)]
     tree = generate.random_tree(labels, seed)
     _write(output, formats.serialize_newick_tree(tree) + "\n")
-    sys.exit(0)
 
 
 @gen_group.command("net")
@@ -258,7 +262,6 @@ def gen_net(leaves, target_r, target_q, seed, output):
         raise click.UsageError(str(exc)) from None
     net = generate.random_q_cuttable(config)
     _write(output, formats.serialize_upn(net))
-    sys.exit(0)
 
 
 @gen_group.command("cnf")
@@ -266,9 +269,8 @@ def gen_net(leaves, target_r, target_q, seed, output):
 @click.option("--seed", type=int, default=0)
 @click.option("-o", "--output", type=click.Path(), default=None)
 def gen_cnf(n, seed, output):
-    cnf = _guard(generate.random_2balanced_cnf, n, seed)
+    cnf = generate.random_2balanced_cnf(n, seed)
     _write(output, formats.serialize_dimacs_cnf(cnf))
-    sys.exit(0)
 
 
 def main():

@@ -9,7 +9,7 @@ scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .cuttable import is_q_cuttable
@@ -33,6 +33,7 @@ from .nets import (
     canonical_mask,
     eliminate_edge,
     label_bits,
+    split_of_mask,
     tree_path,
 )
 
@@ -231,11 +232,6 @@ def _fresh_instance(tree: UndirectedNet, net: UndirectedNet) -> _Instance:
     return _Instance(tree, net, tree_masks, _cut_edge_masks(net, bits, full), bits, full)
 
 
-def _split(mask: int, bits: dict[str, int]) -> Split:
-    side_a = {lab for lab, bit in bits.items() if mask & bit}
-    return Split.of(side_a, bits.keys() - side_a)
-
-
 # --- conflicting splits -----------------------------------------------------------
 
 def conflicting_split(tree: UndirectedNet, net: UndirectedNet) -> tuple[Split, Split] | None:
@@ -265,7 +261,7 @@ def _first_conflict(inst: _Instance, net_masks) -> tuple[Split, Split] | None:
         return None
 
     def ordered(masks):
-        return sorted(((_split(m, inst.bits), m) for m in masks),
+        return sorted(((split_of_mask(m, inst.bits), m) for m in masks),
                       key=lambda pair: pair[0].sort_key())
 
     full = inst.full
@@ -313,7 +309,7 @@ def _branch(inst: _Instance, e: Edge, fresh_bit: int) -> tuple[_Instance, _Insta
         raise AssertionError("a non-trivial cut-edge of a 3-cuttable network must induce a split")
     tree_edge = min((te for te, m in inst.tree_masks.items() if m == mask), default=None)
     if tree_edge is None:
-        raise NoMatchingTreeEdge(f"tree has no edge inducing {_split(mask, bits)}; "
+        raise NoMatchingTreeEdge(f"tree has no edge inducing {split_of_mask(mask, bits)}; "
                                  "instance has a conflicting split")
 
     existing = net.labels()
@@ -478,23 +474,24 @@ class RuleOutcome:
     case: str | None = None         # I..IV where the rule splits into cases
     reduced_net: UndirectedNet | None = None
     eliminated_edge: Edge | None = None
-    certificate: str | None = None
 
 
 def apply_reduction(tree: UndirectedNet, net: UndirectedNet) -> RuleOutcome:
     """Try the rules in order on a simple instance; exactly one applies."""
-    return _reduce(_fresh_instance(tree, net))
-
-
-def _reduce(inst: _Instance) -> RuleOutcome:
-    """``apply_reduction`` on an instance with its masks."""
-    tree, net = inst.tree, inst.net
     if not net.is_simple_network():
         raise NotSimple("network has a non-trivial cut-edge")
     if not is_q_cuttable(net, 3):
         raise NotThreeCuttable("network is not 3-cuttable")
+    return _reduce(_fresh_instance(tree, net))
+
+
+def _reduce(inst: _Instance) -> RuleOutcome:
+    """``apply_reduction`` on an instance with its masks, minus the input
+    checks: ``_solve`` calls it only on pieces with no non-trivial cut-edge,
+    and halves and eliminations of a 3-cuttable network are 3-cuttable."""
+    tree, net = inst.tree, inst.net
     if len(net.leaf_labels) <= 3:
-        return RuleOutcome("yes", 1, certificate="at most three leaves")
+        return RuleOutcome("yes", 1)
     outcome = _rule2(inst)
     if outcome is not None:
         return outcome
@@ -552,10 +549,8 @@ def _rule2(inst: _Instance):
                                 if canonical_mask(xy | bits[z], full) not in tree_masks:
                                     continue
                                 e = canon_edge(v1, v2)
-                                return RuleOutcome(
-                                    "reduced", 2, reduced_net=eliminate_edge(net, e),
-                                    eliminated_edge=e,
-                                    certificate=f"chain {quad} with leaves {x},{y},{z}")
+                                return RuleOutcome("reduced", 2, eliminated_edge=e,
+                                                   reduced_net=eliminate_edge(net, e))
     return None
 
 
@@ -564,10 +559,9 @@ def _rule3(tree, net, triple: PendantTriple):
     ux, uy, uz = (net.vertex_of_label(l) for l in (x, y, z))
     p = entangled_path(net, ux, uy)
     if p is None:
-        return RuleOutcome("no", 3, "I", certificate=f"no entangled path between {x} and {y}")
+        return RuleOutcome("no", 3, "I")
     p_edges = {canon_edge(p[i], p[i + 1]) for i in range(len(p) - 1)}
     chosen_v = None
-    chosen = None
     saw_any = False
     for v in p[1:-1]:
         p2 = entangled_path(net, uz, v)
@@ -577,16 +571,15 @@ def _rule3(tree, net, triple: PendantTriple):
         p2_edges = {canon_edge(p2[i], p2[i + 1]) for i in range(len(p2) - 1)}
         if p_edges & p2_edges:
             continue
-        chosen_v, chosen = v, p2
+        chosen_v = v
         break
     if not saw_any:
-        return RuleOutcome("no", 3, "II",
-                           certificate=f"no entangled path from {z} into the {x}-{y} path")
+        return RuleOutcome("no", 3, "II")
     if chosen_v is None:
         raise AssertionError("an edge-disjoint entangled prefix must exist")
     e = _pick_off_path_edge(net, p, forbidden=chosen_v)
     return RuleOutcome("reduced", 3, "III", reduced_net=eliminate_edge(net, e),
-                       eliminated_edge=e, certificate=f"paths anchored at {chosen_v}")
+                       eliminated_edge=e)
 
 
 def _rule4(tree, net, quad: PendantQuad):
@@ -595,12 +588,11 @@ def _rule4(tree, net, quad: PendantQuad):
     p1 = entangled_path(net, ux, uy)
     p2 = entangled_path(net, uw, uz)
     if p1 is None or p2 is None:
-        return RuleOutcome("no", 4, "I", certificate="a cherry has no entangled path")
+        return RuleOutcome("no", 4, "I")
     p1_edges = {canon_edge(p1[i], p1[i + 1]) for i in range(len(p1) - 1)}
     p2_edges = {canon_edge(p2[i], p2[i + 1]) for i in range(len(p2) - 1)}
     if p1_edges & p2_edges:
-        return RuleOutcome("no", 4, "II",
-                           certificate=f"entangled paths of {x},{y} and {w},{z} share an edge")
+        return RuleOutcome("no", 4, "II")
     for v1 in p1[1:-1]:
         for v2 in p2[1:-1]:
             p3 = entangled_path(net, v1, v2)
@@ -611,9 +603,8 @@ def _rule4(tree, net, quad: PendantQuad):
                 continue
             e = _pick_off_path_edge(net, p1, forbidden=v1)
             return RuleOutcome("reduced", 4, "IV", reduced_net=eliminate_edge(net, e),
-                               eliminated_edge=e, certificate=f"bridge path {v1}..{v2}")
-    return RuleOutcome("no", 4, "III",
-                       certificate="no two-edge entangled path joins the two cherry paths")
+                               eliminated_edge=e)
+    return RuleOutcome("no", 4, "III")
 
 
 def _pick_off_path_edge(net, path, forbidden):
@@ -637,16 +628,10 @@ def _pick_off_path_edge(net, path, forbidden):
 
 @dataclass(frozen=True)
 class TraceEvent:
-    """One step of the decision procedure.
-
-    Only BRANCH (its two sub-networks) and ELIM (the tree, and the network
-    before and after) keep snapshots; the other kinds carry none.
-    """
+    """One step of the decision procedure; it keeps no graph."""
 
     kind: str                      # SPLIT-CONFLICT | BRANCH | RULE | ELIM | YES | NO
     detail: str = ""
-    trees: tuple = field(default=(), repr=False)
-    nets: tuple = field(default=(), repr=False)
 
 
 def serialize_trace(events) -> str:
@@ -698,7 +683,7 @@ def _solve(tree, net, trace):
             e = nontrivial[0]
             first, second = _branch(inst, e, fresh_bit)
             fresh_bit <<= 2
-            trace.append(TraceEvent("BRANCH", f"{e[0]}-{e[1]}", nets=(first.net, second.net)))
+            trace.append(TraceEvent("BRANCH", f"{e[0]}-{e[1]}"))
             pending.append(second)
             inst = first
             continue
@@ -714,8 +699,7 @@ def _solve(tree, net, trace):
             return False
         e = outcome.eliminated_edge
         reduced = outcome.reduced_net
-        trace.append(TraceEvent("ELIM", f"{e[0]}-{e[1]}",
-                                trees=(inst.tree,), nets=(net, reduced)))
+        trace.append(TraceEvent("ELIM", f"{e[0]}-{e[1]}"))
         masks = _cut_edge_masks(reduced, inst.bits, inst.full)
         old = set(inst.net_masks.values())
         conflict = _first_conflict(inst, [m for m in masks.values() if m not in old])

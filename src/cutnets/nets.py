@@ -598,13 +598,13 @@ def split_of_cut_edge(net: UndirectedNet, edge) -> Split | None:
 def splits_of(net: UndirectedNet) -> list[tuple[Edge, Split]]:
     """(cut-edge, split) pairs for every split-inducing cut-edge, canonically ordered.
 
-    Every split comes from the masks of one ``cut_edge_masks`` pass, with no
-    search per edge; ``split_of_cut_edge`` is the per-edge reference it
+    Every split comes from the masks of one ``_cut_edge_masks`` pass, with
+    no search per edge; ``split_of_cut_edge`` is the per-edge reference it
     agrees with.
     """
-    labels = sorted(net.labels())
-    masks = cut_edge_masks(net)
-    return [(e, split_of_mask(masks[e], labels)) for e in sorted(masks)]
+    bits = label_bits(net.labels())
+    masks = _cut_edge_masks(net, bits, (1 << len(bits)) - 1)
+    return [(e, split_of_mask(masks[e], bits)) for e in sorted(masks)]
 
 
 # A split is also an int bitmask over the sorted label set: bit i stands for
@@ -624,14 +624,16 @@ def canonical_mask(mask: int, full: int) -> int:
     return mask if mask & (full & -full) else full ^ mask
 
 
-def split_of_mask(mask: int, labels) -> Split:
-    """The split of a canonical mask over ``labels``, given sorted."""
-    side_a = frozenset(lab for i, lab in enumerate(labels) if mask >> i & 1)
-    return Split(side_a, frozenset(labels) - side_a)
+def split_of_mask(mask: int, bits: dict[str, int]) -> Split:
+    """The split of ``mask`` under the numbering ``bits`` of the labels."""
+    side_a = {lab for lab, bit in bits.items() if mask & bit}
+    return Split.of(side_a, bits.keys() - side_a)
 
 
-def cut_edge_masks(net: UndirectedNet) -> dict[Edge, int]:
-    """Canonical mask of every split-inducing cut-edge, in one pass.
+def _cut_edge_masks(net: UndirectedNet, bits: dict[str, int], full: int) -> dict[Edge, int]:
+    """Mask of every split-inducing cut-edge, in one pass, under the
+    numbering ``bits`` of the labels, whose union is ``full``; masks are
+    canonical at the lowest bit of ``full``.
 
     A BFS spanning forest gives each vertex the leaf mask of its subtree.
     Every bridge lies in every spanning forest, so a cut-edge from a vertex
@@ -639,13 +641,6 @@ def cut_edge_masks(net: UndirectedNet) -> dict[Edge, int]:
     rest.  Cut-edges with a leafless side are skipped, as in
     ``split_of_cut_edge``.  Leaf labels are assumed distinct.
     """
-    bits = label_bits(net.labels())
-    return _cut_edge_masks(net, bits, (1 << len(bits)) - 1)
-
-
-def _cut_edge_masks(net: UndirectedNet, bits: dict[str, int], full: int) -> dict[Edge, int]:
-    """``cut_edge_masks`` under any numbering ``bits`` of the labels, whose
-    union is ``full``; masks are canonical at the lowest bit of ``full``."""
     cuts = net.cut_edges()
     adj = net.adjacency()
     parent: dict[VertexId, VertexId | None] = {}

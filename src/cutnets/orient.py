@@ -405,8 +405,7 @@ def reduce_pair(net: UndirectedNet, pair) -> UndirectedNet:
         raise NotReducible("pair must name two distinct leaves")
     if len(net.vertices) == 2:
         return net.replace(vertices={y}, edges=frozenset(), leaf_labels={y: y_lab})
-    (u,) = net.neighbors(x)
-    (v,) = net.neighbors(y)
+    u, v = _leaf_neighbor(net, x), _leaf_neighbor(net, y)
     if u == v and len(net.leaf_labels) < 3:
         raise NotReducible("cherry reduction on a two-leaf reticulate network "
                            "would not yield a network")
@@ -426,6 +425,18 @@ def reduce_pair(net: UndirectedNet, pair) -> UndirectedNet:
     return g.freeze()
 
 
+def _leaf_neighbor(net: UndirectedNet, leaf):
+    """The one neighbour of the labelled vertex ``leaf``; it must be unlabelled."""
+    nbs = net.neighbors(leaf)
+    lab = net.leaf_labels[leaf]
+    if len(nbs) != 1:
+        raise NotReducible(f"leaf {lab} is vertex {leaf} of degree {len(nbs)}, not 1")
+    if nbs[0] in net.leaf_labels:
+        raise NotReducible(f"vertex {nbs[0]} next to leaf {lab} is labelled "
+                           f"{net.leaf_labels[nbs[0]]}")
+    return nbs[0]
+
+
 def reducible_pairs(net: UndirectedNet) -> list[tuple[str, str]]:
     """Candidate ordered pairs in lexicographic label order.
 
@@ -437,12 +448,13 @@ def reducible_pairs(net: UndirectedNet) -> list[tuple[str, str]]:
         a, b = sorted(net.leaf_labels.values())
         return [(a, b), (b, a)]
     leaves = sorted(net.leaves(), key=lambda v: net.leaf_labels[v])
+    neighbor = {x: _leaf_neighbor(net, x) for x in leaves}
     for x in leaves:
-        (u,) = net.neighbors(x)
+        u = neighbor[x]
         for y in leaves:
             if y == x:
                 continue
-            (v,) = net.neighbors(y)
+            v = neighbor[y]
             lx, ly = net.leaf_labels[x], net.leaf_labels[y]
             if u == v and len(net.leaf_labels) >= 3:
                 out.append((lx, ly))

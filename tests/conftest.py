@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cutnets import UndirectedNet, CnfInstance, make_q_cuttable
+from cutnets import UndirectedNet, CnfInstance, containment, make_q_cuttable
 from cutnets.formats import parse_newick_tree
 from cutnets.nets import canon_edge, subdivide
 
@@ -89,3 +89,30 @@ def build_simple_3cuttable(seed: int) -> UndirectedNet:
         net, m2 = subdivide(net, e2)
         net = net.replace(edges=net.edges | {canon_edge(m1, m2)})
     return make_q_cuttable(net, 3)
+
+
+def spy_on_pieces(monkeypatch):
+    """Record what the containment loop builds, as it builds it.
+
+    Returns two lists that fill as ``three_cuttable_tc`` runs: the network
+    of every BRANCH half, and (tree, network before, network after) of every
+    ELIM.  The trace keeps no graphs, so checks on them watch production
+    here.
+    """
+    halves, eliminations = [], []
+    real_branch, real_reduce = containment._branch, containment._reduce
+
+    def branch(inst, e, fresh_bit):
+        out = real_branch(inst, e, fresh_bit)
+        halves.extend(half.net for half in out)
+        return out
+
+    def reduce(inst):
+        outcome = real_reduce(inst)
+        if outcome.verdict == "reduced":
+            eliminations.append((inst.tree, inst.net, outcome.reduced_net))
+        return outcome
+
+    monkeypatch.setattr(containment, "_branch", branch)
+    monkeypatch.setattr(containment, "_reduce", reduce)
+    return halves, eliminations

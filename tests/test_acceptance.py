@@ -50,7 +50,7 @@ from cutnets.formats import (
 )
 from cutnets.nets import all_simple_paths
 
-from conftest import build_simple_3cuttable
+from conftest import build_simple_3cuttable, spy_on_pieces
 
 PHI_BENCH = CnfInstance(3, ((1, -2, 3), (-1, 2, -3), (1, 2, -3), (-1, -2, 3)))
 
@@ -196,32 +196,29 @@ def test_criterion_4_tree_containment_equivalence(tc_results):
            f"median {median_ms:.2f} ms")
 
 
-def test_criterion_5_reduction_soundness(tc_results):
+def test_criterion_5_reduction_soundness(tc_instances, monkeypatch):
+    halves, eliminations = spy_on_pieces(monkeypatch)
+    for tree, net in tc_instances:
+        three_cuttable_tc(tree, net)
     bad_intermediate = 0
     verdict_flips = 0
     oracle_checks = 0
     skipped = 0
-    for _, _, _, trace, _ in tc_results:
-        for ev in trace:
-            if ev.kind == "BRANCH":
-                for sub in ev.nets:
-                    if not (validate_unrooted(sub).ok and is_q_cuttable(sub, 3).is_cuttable):
-                        bad_intermediate += 1
-            if ev.kind != "ELIM":
-                continue
-            before, after = ev.nets
-            (subtree,) = ev.trees
-            if not (validate_unrooted(after).ok and is_q_cuttable(after, 3).is_cuttable):
-                bad_intermediate += 1
-            try:
-                va = display_oracle(subtree, before) is not None
-                vb = display_oracle(subtree, after) is not None
-            except BudgetExceeded:
-                skipped += 1
-                continue
-            oracle_checks += 1
-            if va != vb:
-                verdict_flips += 1
+    for sub in halves:
+        if not (validate_unrooted(sub).ok and is_q_cuttable(sub, 3).is_cuttable):
+            bad_intermediate += 1
+    for subtree, before, after in eliminations:
+        if not (validate_unrooted(after).ok and is_q_cuttable(after, 3).is_cuttable):
+            bad_intermediate += 1
+        try:
+            va = display_oracle(subtree, before) is not None
+            vb = display_oracle(subtree, after) is not None
+        except BudgetExceeded:
+            skipped += 1
+            continue
+        oracle_checks += 1
+        if va != vb:
+            verdict_flips += 1
     report(5, "reduction-soundness",
            bad_intermediate == 0 and verdict_flips == 0 and oracle_checks > 0,
            f"{oracle_checks} elimination checks, {skipped} over budget, "

@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from cutnets import CnfInstance
+from cutnets import CnfInstance, orient
 from cutnets.cli import cli
 from cutnets.formats import (
     parse_enewick,
@@ -91,6 +91,18 @@ class TestStatsAndOrient:
         result = CliRunner().invoke(cli, ["check-tree-child", path])
         assert result.exit_code == 0
         assert "tree-child: yes" in result.output
+
+    def test_internal_error_exit_4(self, tmp_path, monkeypatch):
+        # a failure inside the library is neither "no" (1) nor bad input (2)
+        def broken(rooted):
+            raise AssertionError("broken invariant")
+
+        monkeypatch.setattr(orient, "is_tree_child", broken)
+        path = write(tmp_path / "n.enwk", "((a,(b)#H1),(#H1,c));\n")
+        result = CliRunner().invoke(cli, ["check-tree-child", path])
+        assert result.exit_code == 4
+        assert "internal error: AssertionError: broken invariant" in result.stderr
+        assert "tree-child" not in result.stdout
 
 
 class TestContain:

@@ -33,6 +33,7 @@ from cutnets.errors import (
     LabelSetMismatch,
     NoMatchingTreeEdge,
     NotSimple,
+    NotThreeCuttable,
     TooFewLeaves,
     TrivialCutEdge,
 )
@@ -47,7 +48,7 @@ from cutnets.nets import (
     splits_of,
 )
 
-from conftest import build_simple_3cuttable
+from conftest import build_simple_3cuttable, spy_on_pieces
 
 
 def ring_of_leaves(k):
@@ -347,6 +348,16 @@ class TestApplyReduction:
         with pytest.raises(NotSimple):
             apply_reduction(tree, net)
 
+    def test_not_three_cuttable_rejected(self, theta3):
+        # the input checks live at the public boundary; the containment
+        # loop's own pieces skip them
+        tree = parse_newick_tree("(a,b,c);")
+        assert theta3.is_simple_network()
+        with pytest.raises(NotThreeCuttable):
+            apply_reduction(tree, theta3)
+        with pytest.raises(NotThreeCuttable):
+            three_cuttable_tc(tree, theta3)
+
 
 class TestAlgorithm:
     def test_displayed_instance(self, displayed_pair):
@@ -466,15 +477,6 @@ class TestAlgorithm:
                 three_cuttable_tc(tree, net)
         assert halves_checked > 100
 
-    def test_only_branch_and_elim_events_keep_snapshots(self):
-        row = json.loads((Path(__file__).parent / "data" / "tctrace_golden.json").read_text())[0]
-        _, trace = three_cuttable_tc(parse_newick_tree(row["tree"]), parse_upn(row["net"]))
-        kinds = {ev.kind for ev in trace}
-        assert {"BRANCH", "RULE", "ELIM"} <= kinds
-        for ev in trace:
-            shapes = {"BRANCH": (0, 2), "ELIM": (1, 2)}.get(ev.kind, (0, 0))
-            assert (len(ev.trees), len(ev.nets)) == shapes, ev.kind
-
     def test_branch_nesting_does_not_recurse(self):
         # this instance nests branches 48 deep; deciding it must not need
         # call-stack room for them
@@ -520,29 +522,26 @@ class TestAlgorithm:
             agreements += 1
         assert agreements >= 60
 
-    def test_reduction_soundness(self):
-        checked = 0
+    def test_reduction_soundness(self, monkeypatch):
+        _, eliminations = spy_on_pieces(monkeypatch)
         for seed in range(40):
             net = build_simple_3cuttable(seed)
             if len(net.leaf_labels) > 9:
                 continue
             tree = sample_displayed_tree(net, seed) if seed % 2 == 0 else \
                 random_tree(sorted(net.labels()), seed * 7 + 3)
-            _, trace = three_cuttable_tc(tree, net)
-            for ev in trace:
-                if ev.kind != "ELIM":
-                    continue
-                before, after = ev.nets
-                (subtree,) = ev.trees
-                assert validate_unrooted(after).ok
-                assert is_q_cuttable(after, 3).is_cuttable
-                try:
-                    va = display_oracle(subtree, before) is not None
-                    vb = display_oracle(subtree, after) is not None
-                except BudgetExceeded:
-                    continue
-                assert va == vb
-                checked += 1
+            three_cuttable_tc(tree, net)
+        checked = 0
+        for subtree, before, after in eliminations:
+            assert validate_unrooted(after).ok
+            assert is_q_cuttable(after, 3).is_cuttable
+            try:
+                va = display_oracle(subtree, before) is not None
+                vb = display_oracle(subtree, after) is not None
+            except BudgetExceeded:
+                continue
+            assert va == vb
+            checked += 1
         assert checked > 10
 
 
