@@ -37,18 +37,35 @@ _INPUT_ERRORS = (ParseError, ValidationError, DegreeError, CycleError, NotBinary
                  LabelSetMismatch, NotThreeCuttable, InvalidQ, InvalidN, NotTwoBalanced,
                  NotTreeChild, InconsistentGadgetState)
 
+# a directory where a file belongs is a usage error (exit 2), caught by click
+_INPUT_FILE = click.Path(exists=True, dir_okay=False)
+_OUTPUT_FILE = click.Path(dir_okay=False)
+
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        _file_error("read", path, exc)
 
 
 def _write(path, text: str) -> None:
     if path is None:
         click.echo(text, nl=not text.endswith("\n"))
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        _file_error("write", path, exc)
+
+
+def _file_error(verb: str, path: str, exc: Exception):
+    """A file that cannot be read or written is a usage error: exit 2."""
+    reason = getattr(exc, "strerror", None) or exc
+    click.echo(f"error: cannot {verb} {path}: {reason}", err=True)
+    sys.exit(2)
 
 
 class _Cli(click.Group):
@@ -77,7 +94,7 @@ def cli():
 
 @cli.command()
 @click.option("--q", "q", type=int, required=True, help="chain length threshold")
-@click.argument("net_file", type=click.Path(exists=True))
+@click.argument("net_file", type=_INPUT_FILE)
 def recognize(q, net_file):
     """Decide whether NET_FILE is q-cuttable."""
     net = formats.parse_upn(_read(net_file))
@@ -91,7 +108,7 @@ def recognize(q, net_file):
 
 
 @cli.command()
-@click.argument("net_file", type=click.Path(exists=True))
+@click.argument("net_file", type=_INPUT_FILE)
 def stats(net_file):
     """Structural summary of an unrooted network."""
     net = formats.parse_upn(_read(net_file))
@@ -111,9 +128,9 @@ def stats(net_file):
 
 
 @cli.command("orient")
-@click.argument("net_file", type=click.Path(exists=True))
+@click.argument("net_file", type=_INPUT_FILE)
 @click.option("--method", type=click.Choice(["constructive", "brute"]), default="constructive")
-@click.option("-o", "--output", type=click.Path(), default=None)
+@click.option("-o", "--output", type=_OUTPUT_FILE, default=None)
 def orient_cmd(net_file, method, output):
     """Produce a tree-child orientation (constructive needs 2-cuttability)."""
     net = formats.parse_upn(_read(net_file))
@@ -132,7 +149,7 @@ def orient_cmd(net_file, method, output):
 
 
 @cli.command("check-tree-child")
-@click.argument("rooted_file", type=click.Path(exists=True))
+@click.argument("rooted_file", type=_INPUT_FILE)
 def check_tree_child(rooted_file):
     """Check whether a rooted network is tree-child."""
     rooted = formats.parse_enewick(_read(rooted_file))
@@ -144,10 +161,10 @@ def check_tree_child(rooted_file):
 
 
 @cli.command()
-@click.argument("tree_file", type=click.Path(exists=True))
-@click.argument("net_file", type=click.Path(exists=True))
+@click.argument("tree_file", type=_INPUT_FILE)
+@click.argument("net_file", type=_INPUT_FILE)
 @click.option("--oracle", is_flag=True, help="use the exhaustive embedding search")
-@click.option("--trace", "trace_file", type=click.Path(), default=None)
+@click.option("--trace", "trace_file", type=_OUTPUT_FILE, default=None)
 def contain(tree_file, net_file, oracle, trace_file):
     """Decide whether the network displays the tree (3-cuttable algorithm)."""
     tree = formats.parse_newick_tree(_read(tree_file))
@@ -173,9 +190,9 @@ def sat_group():
 
 
 @sat_group.command("reduce")
-@click.argument("cnf_file", type=click.Path(exists=True))
-@click.option("-o", "--output", type=click.Path(), required=True)
-@click.option("--gmap", "gmap_file", type=click.Path(), required=True)
+@click.argument("cnf_file", type=_INPUT_FILE)
+@click.option("-o", "--output", type=_OUTPUT_FILE, required=True)
+@click.option("--gmap", "gmap_file", type=_OUTPUT_FILE, required=True)
 def sat_reduce(cnf_file, output, gmap_file):
     """Build the unrooted network for a 2-balanced formula."""
     cnf = formats.parse_dimacs_cnf(_read(cnf_file))
@@ -186,11 +203,11 @@ def sat_reduce(cnf_file, output, gmap_file):
 
 
 @sat_group.command("orient")
-@click.argument("cnf_file", type=click.Path(exists=True))
+@click.argument("cnf_file", type=_INPUT_FILE)
 @click.option("--assignment", required=True,
               help="compact truth string, one T/F per variable (e.g. TFF)")
-@click.option("-o", "--output", type=click.Path(), required=True)
-@click.option("--gmap", "gmap_file", type=click.Path(), required=True)
+@click.option("-o", "--output", type=_OUTPUT_FILE, required=True)
+@click.option("--gmap", "gmap_file", type=_OUTPUT_FILE, required=True)
 def sat_orient(cnf_file, assignment, output, gmap_file):
     """Orient the reduction network under a satisfying assignment."""
     cnf = formats.parse_dimacs_cnf(_read(cnf_file))
@@ -209,9 +226,9 @@ def sat_orient(cnf_file, assignment, output, gmap_file):
 
 
 @sat_group.command("extract")
-@click.argument("rooted_file", type=click.Path(exists=True))
-@click.option("--gmap", "gmap_file", type=click.Path(exists=True), required=True)
-@click.option("--cnf", "cnf_file", type=click.Path(exists=True), required=True)
+@click.argument("rooted_file", type=_INPUT_FILE)
+@click.option("--gmap", "gmap_file", type=_INPUT_FILE, required=True)
+@click.option("--cnf", "cnf_file", type=_INPUT_FILE, required=True)
 def sat_extract(rooted_file, gmap_file, cnf_file):
     """Read a satisfying assignment off a tree-child orientation."""
     rooted = formats.parse_enewick(_read(rooted_file))
@@ -241,7 +258,7 @@ def gen_group():
 @gen_group.command("tree")
 @click.option("--leaves", type=click.IntRange(min=2), required=True)
 @click.option("--seed", type=int, default=0)
-@click.option("-o", "--output", type=click.Path(), default=None)
+@click.option("-o", "--output", type=_OUTPUT_FILE, default=None)
 def gen_tree(leaves, seed, output):
     labels = [f"t{i}" for i in range(1, leaves + 1)]
     tree = generate.random_tree(labels, seed)
@@ -253,7 +270,7 @@ def gen_tree(leaves, seed, output):
 @click.option("--r", "target_r", type=int, default=1)
 @click.option("--q", "target_q", type=int, default=1)
 @click.option("--seed", type=int, default=0)
-@click.option("-o", "--output", type=click.Path(), default=None)
+@click.option("-o", "--output", type=_OUTPUT_FILE, default=None)
 def gen_net(leaves, target_r, target_q, seed, output):
     try:
         config = generate.GenConfig(seed=seed, leaf_count=leaves,
@@ -267,7 +284,7 @@ def gen_net(leaves, target_r, target_q, seed, output):
 @gen_group.command("cnf")
 @click.option("--vars", "n", type=int, required=True)
 @click.option("--seed", type=int, default=0)
-@click.option("-o", "--output", type=click.Path(), default=None)
+@click.option("-o", "--output", type=_OUTPUT_FILE, default=None)
 def gen_cnf(n, seed, output):
     cnf = generate.random_2balanced_cnf(n, seed)
     _write(output, formats.serialize_dimacs_cnf(cnf))

@@ -33,6 +33,7 @@ from .nets import RootedNet, UndirectedNet, canon_edge, validate_rooted, validat
 from .sat import CnfInstance
 
 _LABEL_RE = re.compile(r"[A-Za-z0-9_.\-]+")
+_TAG_RE = re.compile(r"#H?(\d+)")
 
 
 # --- UPN/1 ---------------------------------------------------------------------
@@ -168,14 +169,27 @@ class _NewickScanner:
         return root
 
     def parse_node(self) -> _Node:
-        node = _Node()
-        if self.peek() == "(":
-            self.pos += 1
-            node.children.append(self.parse_node())
-            while self.peek() == ",":
+        """One node and its subtree; the nodes whose ``(`` is read and whose
+        ``)`` is not yet are kept on a stack, innermost last."""
+        open_nodes: list[_Node] = []
+        while True:
+            if self.peek() == "(":
                 self.pos += 1
-                node.children.append(self.parse_node())
-            self.expect(")")
+                open_nodes.append(_Node())
+                continue
+            node = self.parse_suffix(_Node())
+            while open_nodes:
+                open_nodes[-1].children.append(node)
+                if self.peek() == ",":
+                    self.pos += 1
+                    break
+                self.expect(")")
+                node = self.parse_suffix(open_nodes.pop())
+            else:
+                return node
+
+    def parse_suffix(self, node: _Node) -> _Node:
+        """The optional label and hybrid tag after a node's children."""
         c = self.peek()
         if c and (c.isalnum() or c in "_.-"):
             m = _LABEL_RE.match(self.text, self.pos)
@@ -184,7 +198,7 @@ class _NewickScanner:
         if self.peek() == "#":
             if not self.allow_tags:
                 raise self.error("hybrid tags are not allowed in plain Newick trees")
-            m = re.compile(r"#H?(\d+)").match(self.text, self.pos)
+            m = _TAG_RE.match(self.text, self.pos)
             if not m:
                 raise self.error("malformed hybrid tag")
             node.tag = m.group(1)
@@ -192,6 +206,48 @@ class _NewickScanner:
         if not node.children and node.label is None and node.tag is None:
             raise self.error("empty node")
         return node
+
+
+def _materialize(spec: _Node, vid: int, enter, link) -> int:
+    """Walk the subtree below ``spec`` (vertex ``vid``) as a recursive
+    preorder would: ``enter(child)`` hands out each child's vertex on the way
+    down, and ``link(parent, child, cid)`` runs once the child's own subtree
+    is done.  Returns ``vid``."""
+    stack = [(spec, vid, iter(spec.children))]
+    while stack:
+        child = next(stack[-1][2], None)
+        if child is None:
+            node, nid, _ = stack.pop()
+            if stack:
+                link(stack[-1][1], node, nid)
+        else:
+            stack.append((child, enter(child), iter(child.children)))
+    return vid
+
+
+def _render(root: int, expand) -> str:
+    """Newick text of the subtree below ``root``.  ``expand(v)`` returns
+    either the text of ``v`` itself or ``(children, close)``: the ordered
+    children, written in parentheses and followed by ``close``."""
+    pieces = []
+    stack: list = [root]   # vertex ids and literal text, next item last
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            pieces.append(item)
+            continue
+        step = expand(item)
+        if type(step) is str:
+            pieces.append(step)
+            continue
+        children, close = step
+        pieces.append("(")
+        stack.append(close)
+        for i, c in enumerate(reversed(children)):
+            if i:
+                stack.append(",")
+            stack.append(c)
+    return "".join(pieces)
 
 
 # --- extended Newick -------------------------------------------------------------
@@ -206,9 +262,12 @@ def parse_enewick(text: str) -> RootedNet:
     tag_ids: dict[str, int] = {}
     tag_defined: dict[str, bool] = {}
     arcs: list[tuple[int, int]] = []
+    # an untagged child always gets a fresh vertex, so only an arc into a
+    # hybrid can repeat
+    hybrid_arcs: set[tuple[int, int]] = set()
     labels: dict[int, str] = {}
 
-    def materialize(spec: _Node) -> int:
+    def enter(spec: _Node) -> int:
         if spec.tag is not None:
             if spec.tag not in tag_ids:
                 tag_ids[spec.tag] = next(ids)
@@ -224,19 +283,16 @@ def parse_enewick(text: str) -> RootedNet:
             if vid in labels and labels[vid] != spec.label:
                 raise DegreeError(f"conflicting labels on hybrid #{spec.tag}")
             labels[vid] = spec.label
-        for child in spec.children:
-            cid = materialize(child)
-            if (vid, cid) in arcs:
-                raise DegreeError(f"parallel arcs ({vid},{cid})")
-            arcs.append((vid, cid))
         return vid
 
-    root = next(ids)
-    for child in top.children:
-        cid = materialize(child)
-        if (root, cid) in arcs:
-            raise DegreeError(f"parallel arcs ({root},{cid})")
-        arcs.append((root, cid))
+    def link(vid: int, child: _Node, cid: int) -> None:
+        if child.tag is not None:
+            if (vid, cid) in hybrid_arcs:
+                raise DegreeError(f"parallel arcs ({vid},{cid})")
+            hybrid_arcs.add((vid, cid))
+        arcs.append((vid, cid))
+
+    root = _materialize(top, next(ids), enter, link)
     for tag, defined in tag_defined.items():
         if not defined:
             raise DegreeError(f"hybrid #{tag} is referenced but never defined")
@@ -256,36 +312,43 @@ def parse_enewick(text: str) -> RootedNet:
 def serialize_enewick(net: RootedNet) -> str:
     """Canonical eNewick: children ordered by smallest reachable leaf label,
     hybrid tags numbered in traversal order."""
-    min_leaf: dict[int, str] = {}
-
-    def leaf_key(v: int) -> str:
+    labels = net.leaf_labels
+    # smallest reachable leaf label, children first; None marks a vertex
+    # whose children are still on the stack
+    min_leaf: dict[int, str | None] = {}
+    stack = list(net.children(net.root))
+    while stack:
+        v = stack[-1]
         if v not in min_leaf:
-            if v in net.leaf_labels:
-                min_leaf[v] = net.leaf_labels[v]
+            if v in labels:
+                min_leaf[v] = labels[v]
+                stack.pop()
             else:
-                min_leaf[v] = min(leaf_key(c) for c in net.children(v))
-        return min_leaf[v]
+                min_leaf[v] = None
+                stack.extend(c for c in net.children(v) if c not in min_leaf)
+            continue
+        stack.pop()
+        if min_leaf[v] is None:
+            keys = [min_leaf[c] for c in net.children(v)]
+            if None in keys:   # a child still open is an ancestor
+                raise CycleError(f"directed cycle through vertex {v}")
+            min_leaf[v] = min(keys)
 
     hybrid_no: dict[int, int] = {}
-    emitted: set[int] = set()
 
-    def render(v: int) -> str:
+    def expand(v: int):
         if net.in_degree(v) >= 2:
-            if v in emitted:
+            if v in hybrid_no:
                 return f"#H{hybrid_no[v]}"
-            emitted.add(v)
             hybrid_no[v] = len(hybrid_no) + 1
-            inner = ",".join(render(c) for c in _sorted_children(v))
-            return f"({inner})#H{hybrid_no[v]}"
-        if v in net.leaf_labels:
-            return net.leaf_labels[v]
-        inner = ",".join(render(c) for c in _sorted_children(v))
-        return f"({inner})"
+            close = f")#H{hybrid_no[v]}"
+        elif v in labels:
+            return labels[v]
+        else:
+            close = ")"
+        return sorted(net.children(v), key=lambda c: (min_leaf[c], c)), close
 
-    def _sorted_children(v: int):
-        return sorted(net.children(v), key=lambda c: (leaf_key(c), c))
-
-    return render(net.root) + ";"
+    return _render(net.root, expand) + ";"
 
 
 # --- plain Newick trees ------------------------------------------------------------
@@ -301,27 +364,25 @@ def parse_newick_tree(text: str) -> UndirectedNet:
     edges: list[tuple[int, int]] = []
     labels: dict[int, str] = {}
 
-    def materialize(spec: _Node) -> int:
+    def enter(spec: _Node) -> int:
         vid = next(ids)
         if spec.children:
             if len(spec.children) != 2:
                 raise NotBinary(f"internal node has {len(spec.children)} children, expected 2")
             if spec.label is not None:
                 raise NotBinary("internal node labels are not supported")
-            for child in spec.children:
-                edges.append(canon_edge(vid, materialize(child)))
         else:
             labels[vid] = spec.label
         return vid
 
+    def link(vid: int, child: _Node, cid: int) -> None:
+        edges.append(canon_edge(vid, cid))
+
     if len(top.children) == 2:
-        a = materialize(top.children[0])
-        b = materialize(top.children[1])
+        a, b = (_materialize(child, enter(child), enter, link) for child in top.children)
         edges.append(canon_edge(a, b))
     elif len(top.children) == 3:
-        center = next(ids)
-        for child in top.children:
-            edges.append(canon_edge(center, materialize(child)))
+        _materialize(top, next(ids), enter, link)
     else:
         raise NotBinary(f"root has {len(top.children)} children, expected 2 or 3")
 
@@ -347,16 +408,29 @@ def serialize_newick_tree(net: UndirectedNet) -> str:
     anchor_leaf = net.vertex_of_label(min(labels.values()))
     root = net.neighbors(anchor_leaf)[0]
 
-    def render(v: int, parent: int) -> tuple[str, str]:
-        if v in labels:
-            return labels[v], labels[v]
-        parts = [render(w, v) for w in net.neighbors(v) if w != parent]
-        parts.sort(key=lambda p: p[1])
-        return "(" + ",".join(p[0] for p in parts) + ")", min(p[1] for p in parts)
+    # root the tree at ``root``; a leaf ends its branch
+    parent = {root: None}
+    children: dict[int, list[int]] = {}
+    order = [root]
+    for v in order:
+        if v in labels and v != root:
+            continue
+        children[v] = [w for w in net.neighbors(v) if w != parent[v]]
+        for w in children[v]:
+            if w in parent:
+                raise ValueError("not a tree")
+            parent[w] = v
+            order.append(w)
+    min_label: dict[int, str] = {}
+    for v in reversed(order):
+        min_label[v] = min(min_label[w] for w in children[v]) if v in children else labels[v]
 
-    parts = [render(w, root) for w in net.neighbors(root)]
-    parts.sort(key=lambda p: p[1])
-    return "(" + ",".join(p[0] for p in parts) + ");"
+    def expand(v: int):
+        if v not in children:
+            return labels[v]
+        return sorted(children[v], key=min_label.__getitem__), ")"
+
+    return _render(root, expand) + ";"
 
 
 # --- DIMACS CNF --------------------------------------------------------------------

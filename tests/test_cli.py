@@ -1,5 +1,6 @@
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -46,6 +47,19 @@ class TestRecognize:
     def test_missing_file_is_usage_error(self):
         result = CliRunner().invoke(cli, ["recognize", "--q", "1", "nope.upn"])
         assert result.exit_code == 2
+
+    def test_unwritable_output_is_usage_error(self, tmp_path):
+        out = str(tmp_path / "missing" / "dir" / "x.nwk")
+        result = CliRunner().invoke(cli, ["gen", "tree", "--leaves", "4", "-o", out])
+        assert result.exit_code == 2
+        assert f"error: cannot write {out}: No such file or directory" in result.output
+
+    def test_undecodable_input_is_usage_error(self, tmp_path):
+        path = tmp_path / "net.upn"
+        path.write_bytes(b"UPN/1\n\xff\xfe\n")
+        result = CliRunner().invoke(cli, ["stats", str(path)])
+        assert result.exit_code == 2
+        assert f"error: cannot read {path}: 'utf-8' codec can't decode" in result.output
 
     def test_parse_error_exit_2(self, tmp_path):
         path = write(tmp_path / "bad.upn", "not a network\n")
@@ -290,3 +304,116 @@ class TestGen:
     def test_unknown_flag_rejected(self):
         result = CliRunner().invoke(cli, ["gen", "cnf", "--vars", "6", "--bogus", "1"])
         assert result.exit_code == 2
+
+
+def caterpillar_enewick(n):
+    """A rooted caterpillar on t1..tn, nested n - 1 deep."""
+    return "(" * (n - 1) + "t1" + "".join(f",t{i})" for i in range(2, n + 1)) + ";\n"
+
+
+class TestDeepInput:
+    def test_check_tree_child_on_a_1500_leaf_caterpillar(self, tmp_path):
+        path = write(tmp_path / "cat.enwk", caterpillar_enewick(1500))
+        result = CliRunner().invoke(cli, ["check-tree-child", path])
+        assert result.exit_code == 0, result.output
+        assert "tree-child: yes" in result.output
+
+
+NOT_TREE_CHILD = "((((a)#H2)#H1,(#H2)#H3),(#H1,#H3));\n"
+
+
+def exit_code_matrix(tmp_path, fx) -> dict:
+    """Per subcommand, the arguments of a yes input (exit 0), a no input
+    where the command decides one (1), a bad input (2) and a directory
+    given where a file belongs (2)."""
+    d = str(tmp_path)
+    f = {name: write(tmp_path / name, text) for name, text in {
+        "c4.upn": serialize_upn(fx["cycle4"]),
+        "k4.upn": serialize_upn(fx["k4_sub"]),
+        "theta.upn": serialize_upn(fx["theta3"]),
+        "bad.upn": "not a network\n",
+        "tc.enwk": "((a,(b)#H1),(#H1,c));\n",
+        "stack.enwk": NOT_TREE_CHILD,
+        "bad.enwk": "((a,b));\n",
+        "shown.nwk": serialize_newick_tree(fx["displayed_pair"][0]) + "\n",
+        "shown.upn": serialize_upn(fx["displayed_pair"][1]),
+        "conflict.nwk": serialize_newick_tree(fx["conflicting_pair"][0]) + "\n",
+        "conflict.upn": serialize_upn(fx["conflicting_pair"][1]),
+        "phi.cnf": serialize_dimacs_cnf(PHI),
+        "unbalanced.cnf": "p cnf 3 1\n1 2 3 0\n",
+        "falsified.cnf": "p cnf 3 1\n-1 2 3 0\n",   # TFF falsifies it
+    }.items()}
+    out = ["-o", str(tmp_path / "out"), "--gmap", str(tmp_path / "out.gmap")]
+    oriented = ["sat", "orient", f["phi.cnf"], "--assignment", "TFF", "-o",
+                str(tmp_path / "n.enwk"), "--gmap", str(tmp_path / "n.gmap")]
+    assert CliRunner().invoke(cli, oriented).exit_code == 0
+    n_enwk, n_gmap = str(tmp_path / "n.enwk"), str(tmp_path / "n.gmap")
+
+    def extract(rooted, cnf):
+        return ["sat", "extract", rooted, "--gmap", n_gmap, "--cnf", cnf]
+
+    def contain(tree, net):
+        return ["contain", tree, net]
+
+    return {
+        "recognize": (["recognize", "--q", "2", f["c4.upn"]],
+                      ["recognize", "--q", "1", f["k4.upn"]],
+                      ["recognize", "--q", "1", f["bad.upn"]],
+                      ["recognize", "--q", "1", d]),
+        "stats": (["stats", f["c4.upn"]], None, ["stats", f["bad.upn"]], ["stats", d]),
+        "orient": (["orient", f["c4.upn"]], ["orient", f["theta.upn"]],
+                   ["orient", f["bad.upn"]], ["orient", d]),
+        "check-tree-child": (["check-tree-child", f["tc.enwk"]],
+                             ["check-tree-child", f["stack.enwk"]],
+                             ["check-tree-child", f["bad.enwk"]], ["check-tree-child", d]),
+        "contain": (contain(f["shown.nwk"], f["shown.upn"]),
+                    contain(f["conflict.nwk"], f["conflict.upn"]),
+                    contain(f["shown.nwk"], f["c4.upn"]), contain(d, f["shown.upn"])),
+        "sat reduce": (["sat", "reduce", f["phi.cnf"], *out], None,
+                       ["sat", "reduce", f["unbalanced.cnf"], *out],
+                       ["sat", "reduce", d, *out]),
+        "sat orient": (["sat", "orient", f["phi.cnf"], "--assignment", "TFF", *out],
+                       ["sat", "orient", f["phi.cnf"], "--assignment", "FTF", *out],
+                       ["sat", "orient", f["unbalanced.cnf"], "--assignment", "TTT", *out],
+                       ["sat", "orient", d, "--assignment", "TFF", *out]),
+        "sat extract": (extract(n_enwk, f["phi.cnf"]), extract(n_enwk, f["falsified.cnf"]),
+                        extract(f["stack.enwk"], f["phi.cnf"]), extract(d, f["phi.cnf"])),
+        "gen tree": (["gen", "tree", "--leaves", "5"], None, ["gen", "tree", "--leaves", "1"],
+                     ["gen", "tree", "--leaves", "5", "-o", d]),
+        "gen net": (["gen", "net", "--leaves", "5", "--r", "1"], None,
+                    ["gen", "net", "--leaves", "2", "--r", "1"],
+                    ["gen", "net", "--leaves", "5", "-o", d]),
+        "gen cnf": (["gen", "cnf", "--vars", "6"], None, ["gen", "cnf", "--vars", "4"],
+                    ["gen", "cnf", "--vars", "6", "-o", d]),
+    }
+
+
+SUBCOMMANDS = ("recognize", "stats", "orient", "check-tree-child", "contain", "sat reduce",
+               "sat orient", "sat extract", "gen tree", "gen net", "gen cnf")
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_exit_code_matrix(tmp_path, command, cycle4, k4_sub, theta3, displayed_pair,
+                          conflicting_pair):
+    fixtures = {"cycle4": cycle4, "k4_sub": k4_sub, "theta3": theta3,
+                "displayed_pair": displayed_pair, "conflicting_pair": conflicting_pair}
+    yes, no, bad, directory = exit_code_matrix(tmp_path, fixtures)[command]
+    for case, args, code in (("yes", yes, 0), ("no", no, 1), ("bad", bad, 2),
+                             ("directory", directory, 2)):
+        if args is None:
+            continue
+        result = CliRunner().invoke(cli, args)
+        assert result.exit_code == code, f"{case}: {result.output}"
+        assert result.exception is None or isinstance(result.exception, SystemExit), case
+        if code == 2:
+            assert "error" in result.output.lower(), case   # click's "Error:" or ours
+
+
+def test_every_subcommand_is_in_the_matrix():
+    names = set()
+    for name, command in cli.commands.items():
+        if isinstance(command, click.Group):
+            names.update(f"{name} {sub}" for sub in command.commands)
+        else:
+            names.add(name)
+    assert names == set(SUBCOMMANDS)

@@ -1,6 +1,7 @@
 import pytest
 
 from cutnets import GenConfig, labeled_isomorphic, random_q_cuttable, rooted_isomorphic
+from cutnets.nets import RootedNet, UndirectedNet
 from cutnets.errors import (
     ClauseArityError,
     DegreeError,
@@ -187,3 +188,73 @@ class TestGmap:
     def test_bad_header(self):
         with pytest.raises(ParseError):
             parse_gmap("GMAP/2\n")
+
+
+def caterpillar_edges(n):
+    """Unrooted caterpillar on t1..tn: spine 1..n-2, t1 and t2 on vertex 1,
+    t(i+1) on vertex i, tn on vertex n-2; leaf ti is vertex n-2+i."""
+    spine = [(i, i + 1) for i in range(1, n - 2)]
+    pendant = [(1, n - 1)] + [(i, n - 1 + i) for i in range(1, n - 1)]
+    pendant.append((n - 2, 2 * n - 2))
+    return spine + pendant, {n - 2 + i: f"t{i}" for i in range(1, n + 1)}
+
+
+def balanced_edges(n):
+    """Unrooted tree on t1..tn from a complete binary tree in heap order
+    (vertex v has children 2v and 2v+1) with its root suppressed."""
+    total = 2 * n - 1
+    edges = [(v // 2, v) for v in range(4, total + 1)] + [(2, 3)]
+    return edges, {n - 1 + i: f"t{i}" for i in range(1, n + 1)}
+
+
+def rooted_from(edges, labels, anchor):
+    """Root an unrooted tree by subdividing the edge above leaf ``anchor``."""
+    adj = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    (above,) = adj[anchor]
+    root = max(adj) + 1
+    arcs = [(root, anchor), (root, above)]
+    parent = {anchor: root, above: root}
+    order = [above]
+    for v in order:
+        for w in adj[v]:
+            if w not in parent:
+                parent[w] = v
+                arcs.append((v, w))
+                order.append(w)
+    return RootedNet.build(arcs, root, labels)
+
+
+def depth(text):
+    level = deepest = 0
+    for ch in text:
+        level += (ch == "(") - (ch == ")")
+        deepest = max(deepest, level)
+    return deepest
+
+
+class TestDeepInputs:
+    """10^4-leaf trees round-trip byte for byte in all three formats, with
+    no recursion limit in the way."""
+
+    @pytest.mark.parametrize("shape, min_depth", [(caterpillar_edges, 9000),
+                                                  (balanced_edges, 14)],
+                             ids=["caterpillar", "balanced"])
+    def test_round_trips(self, shape, min_depth):
+        edges, labels = shape(10_000)
+        tree = UndirectedNet.build(edges, labels)
+        assert tree.reticulation_number() == 0 and len(tree.leaf_labels) == 10_000
+
+        upn = serialize_upn(tree)
+        assert serialize_upn(parse_upn(upn)) == upn
+
+        newick = serialize_newick_tree(tree)
+        assert depth(newick) >= min_depth
+        assert serialize_newick_tree(parse_newick_tree(newick)) == newick
+
+        rooted = rooted_from(edges, labels, tree.vertex_of_label("t1"))
+        enewick = serialize_enewick(rooted)
+        assert depth(enewick) >= min_depth
+        assert serialize_enewick(parse_enewick(enewick)) == enewick

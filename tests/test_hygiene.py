@@ -37,6 +37,64 @@ def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+# Exhaustive oracles with a node or size budget: their depth is bounded by
+# the budget, not by the input, so they may recurse.
+RECURSION_ALLOWED = {
+    "containment.display_oracle.solve",
+    "containment.display_oracle.solve.extend",
+    "nets.all_simple_paths.extend",
+    "nets.labeled_isomorphic.assign",
+    "nets.rooted_isomorphic.assign",
+    "orient._search_orientation.place",
+    "orient.cherry_picking_sequence.search",
+}
+
+
+def self_recursive(source: str, module: str = "m") -> list[str]:
+    """Dotted names of the functions that call themselves: a method through
+    ``self.<name>(...)``, any other function or closure through its bare
+    name (a method calling a module function of its own name is not)."""
+    found = []
+
+    def visit(node, path, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, path + [child.name], True)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                calls = [n.func for n in ast.walk(child) if isinstance(n, ast.Call)]
+                if in_class:
+                    hit = any(isinstance(f, ast.Attribute) and f.attr == child.name
+                              and isinstance(f.value, ast.Name) and f.value.id == "self"
+                              for f in calls)
+                else:
+                    hit = any(isinstance(f, ast.Name) and f.id == child.name for f in calls)
+                if hit:
+                    found.append(".".join([module] + path + [child.name]))
+                visit(child, path + [child.name], False)
+            else:
+                visit(child, path, in_class)
+
+    visit(ast.parse(source), [], False)
+    return found
+
+
+def test_checker_flags_recursion():
+    source = ("def f(n):\n    return f(n - 1)\n"
+              "def g():\n    def h(x):\n        return h(x)\n    return h\n"
+              "class C:\n    def walk(self):\n        self.walk()\n"
+              "    def bridges(self):\n        return bridges(self)\n"
+              "def loop(n):\n    while n:\n        n -= 1\n")
+    assert self_recursive(source) == ["m.f", "m.g.h", "m.C.walk"]
+
+
+def test_no_recursion_outside_the_budgeted_oracles():
+    found = set()
+    for path in MODULES:
+        found.update(self_recursive(path.read_text(encoding="utf-8"), path.stem))
+    assert found - RECURSION_ALLOWED == set()
+    assert RECURSION_ALLOWED - found == set(), "stale allowlist entry"
+
+
 def traced_names() -> list[str]:
     """The ``module.function`` names the bench tracer wraps, read from the
     ``LAYERS`` literal in ``perfbench/tracing.py`` without running it."""
