@@ -397,7 +397,7 @@ def entangled_path(net: UndirectedNet, u: int, v: int) -> tuple[int, ...] | None
 
 def is_entangled(net: UndirectedNet, path) -> bool:
     """Literal predicate: no internal path vertex meets a cut-edge off the path."""
-    path_edges = {canon_edge(path[i], path[i + 1]) for i in range(len(path) - 1)}
+    path_edges = _path_edges(path)
     cuts = net.cut_edges()
     for x in path[1:-1]:
         for w in net.neighbors(x):
@@ -405,6 +405,10 @@ def is_entangled(net: UndirectedNet, path) -> bool:
             if e in cuts and e not in path_edges:
                 return False
     return True
+
+
+def _path_edges(path) -> set[Edge]:
+    return {canon_edge(path[i], path[i + 1]) for i in range(len(path) - 1)}
 
 
 # --- pendant structures ----------------------------------------------------------------
@@ -472,8 +476,7 @@ class RuleOutcome:
     verdict: str                     # "yes" | "no" | "reduced"
     rule_id: int
     case: str | None = None         # I..IV where the rule splits into cases
-    reduced_net: UndirectedNet | None = None
-    eliminated_edge: Edge | None = None
+    eliminated_edge: Edge | None = None   # set when the verdict is "reduced"
 
 
 def apply_reduction(tree: UndirectedNet, net: UndirectedNet) -> RuleOutcome:
@@ -497,70 +500,50 @@ def _reduce(inst: _Instance) -> RuleOutcome:
         return outcome
     structure = find_pendant_structures(tree)
     if isinstance(structure, PendantTriple):
-        return _rule3(tree, net, structure)
-    return _rule4(tree, net, structure)
+        return _rule3(net, structure)
+    return _rule4(net, structure)
 
 
 def _rule2(inst: _Instance):
     """Three consecutive leaf-hung vertices plus a fourth path vertex, with a
-    matching pendant triple in the tree: eliminate the path's leading edge."""
+    matching pendant triple in the tree: eliminate the path's leading edge.
+
+    ``_reduce`` calls it only on a simple piece with at least 4 leaves, so
+    each internal vertex holds at most one leaf, no leaf-hung vertex is a
+    leaf, no edge between internal vertices is a cut-edge, and no three
+    leaf-hung vertices form a triangle (it would be the whole piece).
+    """
     net, bits, full = inst.net, inst.bits, inst.full
     tree_masks = set(inst.tree_masks.values())
-    leaves = net.leaves()
-    cuts = net.cut_edges()
-
-    def leaf_labels_at(v):
-        return sorted(net.leaf_labels[w] for w in net.neighbors(v) if w in leaves)
-
-    for v1 in sorted(net.vertices - leaves):
+    leaf_at = {net.neighbors(v)[0]: lab for v, lab in net.leaf_labels.items()}
+    for v1 in sorted(net.vertices - net.leaves()):
         for v2 in net.neighbors(v1):
-            if v2 in leaves:
-                continue
-            xs = leaf_labels_at(v2)
-            if not xs:
+            x = leaf_at.get(v2)
+            if x is None:
                 continue
             for v3 in net.neighbors(v2):
-                if v3 in (v1,) or v3 in leaves:
+                y = leaf_at.get(v3)
+                if y is None or v3 == v1:
                     continue
-                ys = leaf_labels_at(v3)
-                if not ys:
+                xy = bits[x] | bits[y]
+                if canonical_mask(xy, full) not in tree_masks:
                     continue
                 for v4 in net.neighbors(v3):
-                    if v4 in (v1, v2) or v4 in leaves:
+                    z = leaf_at.get(v4)
+                    if z is None or v4 == v2:
                         continue
-                    zs = leaf_labels_at(v4)
-                    if not zs:
-                        continue
-                    quad = (v1, v2, v3, v4)
-                    if any(canon_edge(a, b) in cuts
-                           for i, a in enumerate(quad) for b in quad[i + 1:]
-                           if net.has_edge(a, b)):
-                        continue
-                    for x in xs:
-                        for y in ys:
-                            if y == x:
-                                continue
-                            xy = bits[x] | bits[y]
-                            if canonical_mask(xy, full) not in tree_masks:
-                                continue
-                            for z in zs:
-                                if z in (x, y):
-                                    continue
-                                if canonical_mask(xy | bits[z], full) not in tree_masks:
-                                    continue
-                                e = canon_edge(v1, v2)
-                                return RuleOutcome("reduced", 2, eliminated_edge=e,
-                                                   reduced_net=eliminate_edge(net, e))
+                    if canonical_mask(xy | bits[z], full) in tree_masks:
+                        return RuleOutcome("reduced", 2, eliminated_edge=canon_edge(v1, v2))
     return None
 
 
-def _rule3(tree, net, triple: PendantTriple):
+def _rule3(net, triple: PendantTriple):
     x, y, z = triple.x, triple.y, triple.z
     ux, uy, uz = (net.vertex_of_label(l) for l in (x, y, z))
     p = entangled_path(net, ux, uy)
     if p is None:
         return RuleOutcome("no", 3, "I")
-    p_edges = {canon_edge(p[i], p[i + 1]) for i in range(len(p) - 1)}
+    p_edges = _path_edges(p)
     chosen_v = None
     saw_any = False
     for v in p[1:-1]:
@@ -568,8 +551,7 @@ def _rule3(tree, net, triple: PendantTriple):
         if p2 is None:
             continue
         saw_any = True
-        p2_edges = {canon_edge(p2[i], p2[i + 1]) for i in range(len(p2) - 1)}
-        if p_edges & p2_edges:
+        if p_edges & _path_edges(p2):
             continue
         chosen_v = v
         break
@@ -577,20 +559,19 @@ def _rule3(tree, net, triple: PendantTriple):
         return RuleOutcome("no", 3, "II")
     if chosen_v is None:
         raise AssertionError("an edge-disjoint entangled prefix must exist")
-    e = _pick_off_path_edge(net, p, forbidden=chosen_v)
-    return RuleOutcome("reduced", 3, "III", reduced_net=eliminate_edge(net, e),
-                       eliminated_edge=e)
+    return RuleOutcome("reduced", 3, "III",
+                       eliminated_edge=_pick_off_path_edge(net, p, forbidden=chosen_v))
 
 
-def _rule4(tree, net, quad: PendantQuad):
+def _rule4(net, quad: PendantQuad):
     w, x, y, z = quad.w, quad.x, quad.y, quad.z
     ux, uy, uw, uz = (net.vertex_of_label(l) for l in (x, y, w, z))
     p1 = entangled_path(net, ux, uy)
     p2 = entangled_path(net, uw, uz)
     if p1 is None or p2 is None:
         return RuleOutcome("no", 4, "I")
-    p1_edges = {canon_edge(p1[i], p1[i + 1]) for i in range(len(p1) - 1)}
-    p2_edges = {canon_edge(p2[i], p2[i + 1]) for i in range(len(p2) - 1)}
+    p1_edges = _path_edges(p1)
+    p2_edges = _path_edges(p2)
     if p1_edges & p2_edges:
         return RuleOutcome("no", 4, "II")
     for v1 in p1[1:-1]:
@@ -598,12 +579,11 @@ def _rule4(tree, net, quad: PendantQuad):
             p3 = entangled_path(net, v1, v2)
             if p3 is None or len(p3) < 3:
                 continue
-            p3_edges = {canon_edge(p3[i], p3[i + 1]) for i in range(len(p3) - 1)}
+            p3_edges = _path_edges(p3)
             if (p3_edges & p1_edges) or (p3_edges & p2_edges):
                 continue
-            e = _pick_off_path_edge(net, p1, forbidden=v1)
-            return RuleOutcome("reduced", 4, "IV", reduced_net=eliminate_edge(net, e),
-                               eliminated_edge=e)
+            return RuleOutcome("reduced", 4, "IV",
+                               eliminated_edge=_pick_off_path_edge(net, p1, forbidden=v1))
     return RuleOutcome("no", 4, "III")
 
 
@@ -611,7 +591,7 @@ def _pick_off_path_edge(net, path, forbidden):
     """First internal path vertex (from the path's start, skipping the anchor)
     whose third edge leaves the path; that edge is never a cut-edge."""
     on_path = set(path)
-    path_edges = {canon_edge(path[i], path[i + 1]) for i in range(len(path) - 1)}
+    path_edges = _path_edges(path)
     cuts = net.cut_edges()
     for u in path[1:-1]:
         if u == forbidden:
@@ -698,7 +678,7 @@ def _solve(tree, net, trace):
         if outcome.verdict == "no":
             return False
         e = outcome.eliminated_edge
-        reduced = outcome.reduced_net
+        reduced = eliminate_edge(net, e)
         trace.append(TraceEvent("ELIM", f"{e[0]}-{e[1]}"))
         masks = _cut_edge_masks(reduced, inst.bits, inst.full)
         old = set(inst.net_masks.values())

@@ -39,7 +39,10 @@ def is_q_cuttable(net: UndirectedNet, q: int) -> CuttabilityReport:
     Deletes every vertex that lies on a chain of at least q vertices and
     tests the rest for acyclicity.  A surviving cycle avoids all long
     chains, so no q consecutive vertices on it can all be cut-edge
-    incident; it is minimized to a chordless cycle before reporting.
+    incident.  The first cycle the search closes is already chordless:
+    every vertex on it but the two ends of the closing edge has been
+    popped, and a popped vertex other than the current one has met only
+    tree edges, which on a tree path are path edges.
     """
     _check_q(q)
     doomed = set()
@@ -49,7 +52,7 @@ def is_q_cuttable(net: UndirectedNet, q: int) -> CuttabilityReport:
     cycle = _find_cycle_avoiding(net, doomed)
     if cycle is None:
         return CuttabilityReport(q, True)
-    return CuttabilityReport(q, False, _make_chordless(net, cycle, doomed))
+    return CuttabilityReport(q, False, _canon_cycle(list(cycle)))
 
 
 def is_q_cuttable_via_chain_deletion(net: UndirectedNet, q: int) -> bool:
@@ -156,35 +159,3 @@ def _find_cycle_avoiding(net: UndirectedNet, doomed):
                 stack.append((w, v))
     return None
 
-
-def _make_chordless(net: UndirectedNet, cycle, doomed):
-    """Shrink a witness cycle along chords until no chord remains.
-
-    Chord endpoints stay inside the surviving vertex set, so the shrunken
-    cycle still avoids every deleted long-chain vertex and remains a valid
-    witness.
-    """
-    cycle = list(cycle)
-    changed = True
-    while changed:
-        changed = False
-        n = len(cycle)
-        pos = {v: i for i, v in enumerate(cycle)}
-        for i in range(n):
-            if changed:
-                break
-            v = cycle[i]
-            for w in net.neighbors(v):
-                if w in doomed or w not in pos:
-                    continue
-                j = pos[w]
-                gap = (j - i) % n
-                if gap in (1, n - 1):
-                    continue
-                # shortcut: keep the shorter side of the chord
-                side_a = cycle[i:j + 1] if i < j else cycle[i:] + cycle[:j + 1]
-                side_b = cycle[j:i + 1] if j < i else cycle[j:] + cycle[:i + 1]
-                cycle = side_a if len(side_a) <= len(side_b) else side_b
-                changed = True
-                break
-    return _canon_cycle(cycle)

@@ -280,8 +280,6 @@ def parse_enewick(text: str) -> RootedNet:
         else:
             vid = next(ids)
         if spec.label is not None:
-            if vid in labels and labels[vid] != spec.label:
-                raise DegreeError(f"conflicting labels on hybrid #{spec.tag}")
             labels[vid] = spec.label
         return vid
 

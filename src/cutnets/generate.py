@@ -53,19 +53,20 @@ def make_q_cuttable(net: UndirectedNet, q: int) -> UndirectedNet:
     """Insert leaf-decorated q-vertex paths into witness cycles until the
     recognizer accepts.  Insertions never create cycles, so this terminates;
     fresh leaves use the reserved ``aug_`` prefix, numbered above every
-    ``aug_<k>`` label already present."""
-    return _augment(_WorkGraph.of(net), q, net)
+    ``aug_<k>`` label already present.  A q-cuttable input is returned
+    as it is."""
+    if is_q_cuttable(net, q):
+        return net
+    return _augment(_WorkGraph.of(net), q)
 
 
-def _augment(g: _WorkGraph, q: int, net: UndirectedNet | None = None) -> UndirectedNet:
-    """``make_q_cuttable`` on a working graph; ``net`` is its frozen copy,
-    if the caller has one."""
+def _augment(g: _WorkGraph, q: int) -> UndirectedNet:
+    """``make_q_cuttable`` on a working graph."""
     taken = [int(lab[4:]) for lab in g.labels.values()
              if lab.startswith("aug_") and lab[4:].isdecimal()]
     counter = max(taken, default=0) + 1
     while True:
-        if net is None:
-            net = g.freeze()
+        net = g.freeze()
         report = is_q_cuttable(net, q)
         if report.is_cuttable:
             return net
@@ -76,7 +77,6 @@ def _augment(g: _WorkGraph, q: int, net: UndirectedNet | None = None) -> Undirec
             attach = g.subdivide((attach, far))
             g.add_leaf(attach, f"aug_{counter}")
             counter += 1
-        net = None
 
 
 def random_q_cuttable(config: GenConfig) -> UndirectedNet:

@@ -259,12 +259,14 @@ class UndirectedNet:
     def maximal_chains(self) -> tuple[Chain, ...]:
         """Every maximal chain, each reported once.
 
-        Within a blob, the cut-edge-incident vertices induce a subgraph of
-        maximum degree 2 (each such vertex spends one of its three edges on
-        the cut-edge), so chains are simply the components of that subgraph:
-        a path component is itself the maximal chain, and a fully qualifying
-        cycle is reported as the path that starts at its lowest vertex id and
-        proceeds toward the lower-id neighbor.
+        A chain vertex meets a cut-edge and lies in a blob, so it also meets
+        a non-cut edge, and a non-cut edge joins two vertices of one blob.
+        The chains are therefore the components of the non-cut edges between
+        such vertices, found with no blob built.  Each such vertex spends one
+        of its three edges on the cut-edge, so these components have maximum
+        degree 2: a path component is itself the maximal chain, and a fully
+        qualifying cycle is reported as the path that starts at its lowest
+        vertex id and proceeds toward the lower-id neighbor.
         """
         if self._chain_list is not None:
             return self._chain_list
@@ -273,33 +275,31 @@ class UndirectedNet:
         for e in sorted(cuts):
             for v in e:
                 cut_at.setdefault(v, e)
+        blob_edges = self.edges - cuts
+        marked = {v for u, w in blob_edges if u != w for v in (u, w) if v in cut_at}
+        adj = {v: [] for v in marked}
+        for u, v in blob_edges:
+            if u in marked and v in marked:
+                adj[u].append(v)
+                adj[v].append(u)
         chains = []
-        for blob in self.blobs():
-            marked = {v for v in blob.vertices if v in cut_at}
-            if not marked:
+        seen = set()
+        for start in sorted(marked):
+            if start in seen:
                 continue
-            adj = {v: [] for v in marked}
-            for u, v in blob.edges:
-                if u in marked and v in marked:
-                    adj[u].append(v)
-                    adj[v].append(u)
-            seen = set()
-            for start in sorted(marked):
-                if start in seen:
-                    continue
-                comp = _component_of(adj, start)
-                seen |= comp
-                if any(len(adj[v]) > 2 for v in comp):
-                    raise AssertionError("chain subgraph has a degree-3 vertex; input is not binary")
-                if all(len(adj[v]) == 2 for v in comp) and len(comp) >= 3:
-                    first = min(comp)
-                    path = _walk_path(adj, first, min(adj[first]), len(comp))
-                else:
-                    ends = sorted(v for v in comp if len(adj[v]) <= 1)
-                    first = ends[0]
-                    nxt = adj[first][0] if adj[first] else None
-                    path = _walk_path(adj, first, nxt, len(comp))
-                chains.append(Chain(tuple(path), tuple(cut_at[v] for v in path)))
+            comp = _component_of(adj, start)
+            seen |= comp
+            if any(len(adj[v]) > 2 for v in comp):
+                raise AssertionError("chain subgraph has a degree-3 vertex; input is not binary")
+            if all(len(adj[v]) == 2 for v in comp) and len(comp) >= 3:
+                first = min(comp)
+                path = _walk_path(adj, first, min(adj[first]), len(comp))
+            else:
+                ends = sorted(v for v in comp if len(adj[v]) <= 1)
+                first = ends[0]
+                nxt = adj[first][0] if adj[first] else None
+                path = _walk_path(adj, first, nxt, len(comp))
+            chains.append(Chain(tuple(path), tuple(cut_at[v] for v in path)))
         chains.sort(key=lambda c: c.path_vertices)
         self._chain_list = tuple(chains)
         return self._chain_list
@@ -491,10 +491,10 @@ def validate_unrooted(net: UndirectedNet) -> ValidationReport:
 
 
 def validate_rooted(net: RootedNet) -> ValidationReport:
-    """Report every violation of the rooted-network invariants; never raises."""
+    """Report every violation of the rooted-network invariants; never raises.
+
+    A rooted network always holds its root, so it is never empty."""
     bad = []
-    if not net.vertices:
-        return ValidationReport(("network is empty",))
     for u, v in sorted(net.arcs):
         if u == v:
             bad.append(f"self-arc at vertex {u}")

@@ -134,7 +134,7 @@ def chain_edge_set(net: UndirectedNet) -> frozenset[Edge]:
                      if e not in cuts and e[0] in cut_incident and e[1] in cut_incident)
 
 
-def choose_s_prime(net: UndirectedNet, chain_edges=None) -> frozenset[Edge]:
+def choose_s_prime(net: UndirectedNet) -> frozenset[Edge]:
     """Deterministic subset of the chain edges whose deletion leaves a spanning tree.
 
     The non-chain edges of a 2-cuttable network already form a spanning
@@ -147,7 +147,7 @@ def choose_s_prime(net: UndirectedNet, chain_edges=None) -> frozenset[Edge]:
     """
     if not is_q_cuttable(net, 2):
         raise NotTwoCuttable("input is not 2-cuttable")
-    s_edges = chain_edge_set(net) if chain_edges is None else frozenset(chain_edges)
+    s_edges = chain_edge_set(net)
     sets = UnionFind(net.vertices)
     for u, v in sorted(net.edges - s_edges):
         if not sets.union(u, v):

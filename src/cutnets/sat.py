@@ -407,6 +407,7 @@ def build_n_phi(cnf: CnfInstance, assignment: Assignment) -> RootedNet:
     def value(lit: int) -> bool:
         return assignment[lit] if lit > 0 else not assignment[-lit]
 
+    ids = {g.name: g.vertex_ids for g in gmap.gadgets}
     retic_vertices = set()
     for g in gmap.gadgets:
         if g.kind == "reticulation":
@@ -417,7 +418,7 @@ def build_n_phi(cnf: CnfInstance, assignment: Assignment) -> RootedNet:
         orient(gmap.named[f"p{k}"], gmap.named[f"p{k + 1}"])
 
     for k in range(1, nr):
-        tau = gmap.gadget(f"R{k}").vertex_ids["t"]
+        tau = ids[f"R{k}"]["t"]
         for x in net.neighbors(tau):
             if x not in retic_vertices:
                 orient(tau, x)
@@ -425,20 +426,20 @@ def build_n_phi(cnf: CnfInstance, assignment: Assignment) -> RootedNet:
     for i in range(1, n + 1):
         pattern = CONNECTION_FORWARD_ARCS if assignment[i] else CONNECTION_BACKWARD_ARCS
         for h in (1, 2):
-            apply_pattern(gmap.gadget(f"G{i}_{h}").vertex_ids, pattern)
+            apply_pattern(ids[f"G{i}_{h}"], pattern)
 
     for j, clause in enumerate(cnf.clauses, start=1):
         values = [value(lit) for lit in clause]
         for k in range(1, 4):
-            orient(gmap.named[f"lit{j}_{k}"], gmap.gadget(f"C{j}_{k}").vertex_ids["t"])
+            orient(gmap.named[f"lit{j}_{k}"], ids[f"C{j}_{k}"]["t"])
             if all(values):
                 pattern = CONNECTION_FORWARD_ARCS if k <= 2 else CONNECTION_BACKWARD_ARCS
             else:
                 pattern = CONNECTION_FORWARD_ARCS if values[k - 1] else CONNECTION_BACKWARD_ARCS
-            apply_pattern(gmap.gadget(f"C{j}_{k}").vertex_ids, pattern)
+            apply_pattern(ids[f"C{j}_{k}"], pattern)
 
     lr = gmap.named["lr"]
-    s_root = gmap.gadget("Rr").vertex_ids["s"]
+    s_root = ids["Rr"]["s"]
     root_edge = canon_edge(s_root, lr)
     for leaf in net.leaves():
         if leaf == lr:

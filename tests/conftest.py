@@ -4,7 +4,7 @@ import pytest
 
 from cutnets import UndirectedNet, CnfInstance, containment, make_q_cuttable
 from cutnets.formats import parse_newick_tree
-from cutnets.nets import canon_edge, subdivide
+from cutnets.nets import canon_edge, eliminate_edge, subdivide
 
 
 @pytest.fixture
@@ -110,7 +110,8 @@ def spy_on_pieces(monkeypatch):
     def reduce(inst):
         outcome = real_reduce(inst)
         if outcome.verdict == "reduced":
-            eliminations.append((inst.tree, inst.net, outcome.reduced_net))
+            eliminations.append((inst.tree, inst.net,
+                                 eliminate_edge(inst.net, outcome.eliminated_edge)))
         return outcome
 
     monkeypatch.setattr(containment, "_branch", branch)

@@ -27,7 +27,7 @@ from cutnets import (
     verify_embedding,
 )
 from cutnets import containment
-from cutnets.containment import TraceEvent, serialize_trace
+from cutnets.containment import RuleOutcome, TraceEvent, serialize_trace
 from cutnets.errors import (
     BudgetExceeded,
     LabelSetMismatch,
@@ -44,6 +44,8 @@ from cutnets.nets import (
     all_simple_paths,
     bridges,
     canon_edge,
+    canonical_mask,
+    eliminate_edge,
     split_of_cut_edge,
     splits_of,
 )
@@ -162,9 +164,62 @@ def reference_solve(tree, net):
         else:
             e = outcome.eliminated_edge
             trace.append(TraceEvent("ELIM", f"{e[0]}-{e[1]}"))
-            net = uncached(outcome.reduced_net)
+            net = uncached(eliminate_edge(net, e))
     trace.append(TraceEvent("YES" if verdict else "NO"))
     return verdict, trace
+
+
+def reference_rule2(inst):
+    """Rule 2 as first written: every leaf-hung vertex quadruple, its leaf
+    labels read at each step, the quadruple's edges checked for cut-edges
+    and the three labels checked for distinctness."""
+    net, bits, full = inst.net, inst.bits, inst.full
+    tree_masks = set(inst.tree_masks.values())
+    leaves = net.leaves()
+    cuts = net.cut_edges()
+
+    def leaf_labels_at(v):
+        return sorted(net.leaf_labels[w] for w in net.neighbors(v) if w in leaves)
+
+    for v1 in sorted(net.vertices - leaves):
+        for v2 in net.neighbors(v1):
+            if v2 in leaves:
+                continue
+            xs = leaf_labels_at(v2)
+            if not xs:
+                continue
+            for v3 in net.neighbors(v2):
+                if v3 in (v1,) or v3 in leaves:
+                    continue
+                ys = leaf_labels_at(v3)
+                if not ys:
+                    continue
+                for v4 in net.neighbors(v3):
+                    if v4 in (v1, v2) or v4 in leaves:
+                        continue
+                    zs = leaf_labels_at(v4)
+                    if not zs:
+                        continue
+                    quad = (v1, v2, v3, v4)
+                    if any(canon_edge(a, b) in cuts
+                           for i, a in enumerate(quad) for b in quad[i + 1:]
+                           if net.has_edge(a, b)):
+                        continue
+                    for x in xs:
+                        for y in ys:
+                            if y == x:
+                                continue
+                            xy = bits[x] | bits[y]
+                            if canonical_mask(xy, full) not in tree_masks:
+                                continue
+                            for z in zs:
+                                if z in (x, y):
+                                    continue
+                                if canonical_mask(xy | bits[z], full) not in tree_masks:
+                                    continue
+                                return RuleOutcome("reduced", 2,
+                                                   eliminated_edge=canon_edge(v1, v2))
+    return None
 
 
 def swap_labels(tree, a, b):
@@ -321,8 +376,7 @@ class TestApplyReduction:
         tree = parse_newick_tree("((a,b),(c,d));")
         out = apply_reduction(tree, cycle4)
         assert out.verdict == "reduced" and out.rule_id == 2
-        assert out.reduced_net is not None
-        assert len(out.reduced_net.edges) < len(cycle4.edges)
+        assert len(eliminate_edge(cycle4, out.eliminated_edge).edges) < len(cycle4.edges)
 
     def test_rule3_no_entangled_path(self):
         # ring positions 1..6 carry a,b,c,d,e,f; the deepest tree cherry {c,f}
@@ -476,6 +530,49 @@ class TestAlgorithm:
                 used_bits.clear()
                 three_cuttable_tc(tree, net)
         assert halves_checked > 100
+
+    def test_rule2_matches_reference(self, monkeypatch):
+        # the leaf index drops tests that cannot fire on a simple piece with
+        # 4 or more leaves; every call must still pick what the full
+        # quadruple scan picks
+        real_rule2 = containment._rule2
+        compared = reduced = 0
+
+        def checked_rule2(inst):
+            nonlocal compared, reduced
+            outcome = real_rule2(inst)
+            assert outcome == reference_rule2(inst)
+            compared += 1
+            reduced += outcome is not None
+            return outcome
+
+        monkeypatch.setattr(containment, "_rule2", checked_rule2)
+        for seed in range(8):
+            leaves = (16, 32, 48, 64)[seed % 4]
+            net = random_q_cuttable(GenConfig(seed=2600 + seed, leaf_count=leaves,
+                                              target_r=leaves // 8, target_q=3))
+            for tree in self.candidate_trees(net, seed):
+                three_cuttable_tc(tree, net)
+        for seed in range(800):
+            net = random_q_cuttable(GenConfig(seed=seed, leaf_count=4 + seed % 9,
+                                              target_r=1 + seed % 4, target_q=3))
+            three_cuttable_tc(random_tree(sorted(net.labels()), 7 * seed + 1), net)
+        assert compared > 200 and reduced > 60
+
+    @pytest.mark.parametrize("seed, case, verdict", [
+        (209, "4 I", False),
+        (705, "4 IV", True),
+        (2755, "4 III", False),
+    ])
+    def test_rule4_cases_match_oracle(self, seed, case, verdict):
+        # rule 4 case II is reached by none of the first 4000 seeds of this family
+        net = random_q_cuttable(GenConfig(seed=seed, leaf_count=4 + seed % 9,
+                                          target_r=1 + seed % 4, target_q=3))
+        tree = random_tree(sorted(net.labels()), 7 * seed + 1)
+        got, trace = three_cuttable_tc(tree, net)
+        assert TraceEvent("RULE", case) in trace
+        assert got is verdict
+        assert (display_oracle(tree, net) is not None) is verdict
 
     def test_branch_nesting_does_not_recurse(self):
         # this instance nests branches 48 deep; deciding it must not need

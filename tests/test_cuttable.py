@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from cutnets import (
 )
 from cutnets.cuttable import _cycle_has_q_chain
 from cutnets.errors import InvalidQ, TooLarge
+from cutnets.generate import _tree_graph
 from cutnets.nets import simple_cycles
 
 
@@ -122,6 +125,35 @@ class TestEquivalenceAndMonotonicity:
                     for w in net.neighbors(v):
                         if w in pos:
                             assert (pos[w] - i) % len(wc) in (1, len(wc) - 1)
+
+    def test_witness_is_chordless_on_raw_handle_networks(self):
+        # handles on a random tree with no augmentation: most cycles are
+        # short of cut-edges, so witnesses are plentiful at every size, and
+        # the first cycle the search closes must already be chordless
+        witnesses = 0
+        for seed in range(50):
+            leaves = (8, 25, 50, 100, 200)[seed % 5]
+            rng = random.Random(seed)
+            g = _tree_graph([f"t{i}" for i in range(1, leaves + 1)], rng.randrange(2**32))
+            for _ in range(1 + seed % 12):
+                e1, e2 = rng.sample(g.edges, 2)
+                g.add_edge(g.subdivide(e1), g.subdivide(e2))
+            net = g.freeze()
+            cut_inc = cut_incident_vertices(net)
+            for q in range(1, 6):
+                wc = is_q_cuttable(net, q).witness_cycle
+                if wc is None:
+                    continue
+                witnesses += 1
+                pos = {v: i for i, v in enumerate(wc)}
+                assert len(pos) == len(wc) >= 3
+                assert all(net.has_edge(wc[i], wc[(i + 1) % len(wc)]) for i in range(len(wc)))
+                assert not _cycle_has_q_chain(wc, cut_inc, q)
+                for i, v in enumerate(wc):
+                    for w in net.neighbors(v):
+                        if w in pos:
+                            assert (pos[w] - i) % len(wc) in (1, len(wc) - 1), (seed, q)
+        assert witnesses > 100
 
 
 class TestMaxCuttability:

@@ -52,6 +52,28 @@ class TestUpn:
         with pytest.raises(ParseError):
             parse_upn("")
 
+    @pytest.mark.parametrize("text, message, line, col", [
+        ("UPN/1\nV 1 2\n", "V record takes exactly one id", 2, 1),
+        ("UPN/1\nV 1\nV 1\n", "vertex 1 declared twice", 3, 1),
+        ("UPN/1\nV  x1\n", "expected a positive integer id, found 'x1'", 2, 4),
+        ("UPN/1\nV 0\n", "expected a positive integer id, found '0'", 2, 3),
+        ("UPN/1\nV 1\nL 1\n", "L record takes an id and a label", 3, 1),
+        ("UPN/1\nL 1 a\n", "label references undeclared vertex 1", 2, 1),
+        ("UPN/1\nV 1\nL 1 a\nL 1 b\n", "vertex 1 labeled twice", 4, 1),
+        ("UPN/1\nV 1\nL 1 a,b\n", "bad label 'a,b'", 3, 5),
+        ("UPN/1\nV 1\nE 1\n", "E record takes exactly two ids", 3, 1),
+        ("UPN/1\nV 1\nE 1 -2\n", "expected a positive integer id, found '-2'", 3, 5),
+        ("UPN/1\nV 1\nE 1 2\n", "edge references undeclared vertex 2", 3, 1),
+        ("UPN/1\nV 1\nV 2\nE 1 2\nE 2 1\n", "duplicate edge (1, 2)", 5, 1),
+        ("UPN/1\nV 1\n  X 1\n", "unknown record type 'X'", 3, 3),
+    ])
+    def test_record_errors_name_line_and_column(self, text, message, line, col):
+        with pytest.raises(ParseError) as err:
+            parse_upn(text)
+        assert type(err.value) is ParseError
+        assert str(err.value) == f"{message} (line {line}, col {col})"
+        assert (err.value.line, err.value.col) == (line, col)
+
     def test_serialize_is_canonical_fixed_point(self, cycle4):
         text = serialize_upn(cycle4)
         again = serialize_upn(parse_upn(text))
@@ -162,6 +184,25 @@ class TestDimacs:
     def test_unterminated_clause(self):
         with pytest.raises(ParseError):
             parse_dimacs_cnf("p cnf 3 1\n1 2 3\n")
+
+    @pytest.mark.parametrize("text, message, line, col", [
+        ("p cnf 3 1\np cnf 3 1\n1 2 3 0\n", "duplicate problem line", 2, 1),
+        ("p dnf 3 1\n", "expected 'p cnf <vars> <clauses>'", 1, 1),
+        ("p cnf 3\n", "expected 'p cnf <vars> <clauses>'", 1, 1),
+        ("p cnf three 1\n", "non-integer counts in problem line", 1, 1),
+        ("1 2 3 0\np cnf 3 1\n", "clause before problem line", 1, 1),
+        ("p cnf 3 1\n1 x 3 0\n", "expected a literal, found 'x'", 2, 3),
+        ("p cnf 2 1\n1 2 5 0\n", "literal 5 out of range 1..2", 2, 5),
+        ("", "empty document (missing problem line)", 1, 1),
+        ("p cnf 3 1\n1 2 3\n", "unterminated clause at end of input", 1, 1),
+        ("p cnf 3 2\n1 2 3 0\n", "problem line promises 2 clauses, found 1", 1, 1),
+    ])
+    def test_errors_name_line_and_column(self, text, message, line, col):
+        with pytest.raises(ParseError) as err:
+            parse_dimacs_cnf(text)
+        assert type(err.value) is ParseError
+        assert str(err.value) == f"{message} (line {line}, col {col})"
+        assert (err.value.line, err.value.col) == (line, col)
 
     def test_roundtrip(self):
         for seed in range(15):

@@ -117,6 +117,20 @@ class TestValidation:
         net = UndirectedNet({1, 2, 3, 4}, {(1, 2), (3, 4)}, {1: "a", 2: "b", 3: "c", 4: "d"})
         assert "network is disconnected" in validate_unrooted(net).violations
 
+    @pytest.mark.parametrize("vertices, edges, labels, violations", [
+        ({1, 2, 3}, {(1, 1), (1, 2), (1, 3)}, {2: "a", 3: "b"},
+         ("self-loop at vertex 1",)),
+        ({1, 2}, {(1, 2)}, {1: "a"}, ("degree-1 vertex 2 is unlabeled",)),
+        ({1, 2, 3, 4}, {(1, 2), (1, 3), (1, 4)}, {1: "a", 2: "b", 3: "c", 4: "d"},
+         ("labeled vertex 1 has degree 3 (leaves must have degree 1)",)),
+        ({1, 2}, {(1, 2)}, {},
+         ("degree-1 vertex 1 is unlabeled", "degree-1 vertex 2 is unlabeled",
+          "network has no labeled leaves")),
+        (set(), set(), {}, ("network is empty",)),
+    ])
+    def test_violations_name_the_vertex(self, vertices, edges, labels, violations):
+        assert validate_unrooted(UndirectedNet(vertices, edges, labels)).violations == violations
+
 
 class TestSurgery:
     def test_subdivide_two_leaf(self, two_leaf):
@@ -381,6 +395,23 @@ class TestRootedValidation:
     def test_bad_degree_reported(self):
         net = RootedNet.build([(1, 2), (1, 3), (1, 4)], 1, {2: "a", 3: "b", 4: "c"})
         assert any("out-degree 3" in v for v in validate_rooted(net).violations)
+
+    @pytest.mark.parametrize("arcs, labels, violations", [
+        ([(1, 2), (1, 3), (2, 4), (3, 4), (2, 5), (3, 6)], {4: "a", 5: "b", 6: "c"},
+         ("leaf 4 has in-degree 2 (expected 1)",)),
+        ([(1, 2), (1, 3)], {2: "a"}, ("sink vertex 3 is unlabeled",)),
+        ([(1, 2), (1, 3), (3, 4), (3, 5)], {2: "a", 3: "b", 4: "c", 5: "d"},
+         ("labeled vertex 3 is not a sink",)),
+        ([(1, 2), (1, 3)], {2: "a", 3: "a"}, ("duplicate label 'a' on vertices 2 and 3",)),
+    ])
+    def test_violations_name_the_vertex(self, arcs, labels, violations):
+        assert validate_rooted(RootedNet.build(arcs, 1, labels)).violations == violations
+
+    def test_empty_network_has_no_root(self):
+        # a rooted network holds at least its root, so the empty one is
+        # refused at construction
+        with pytest.raises(ValueError, match="^root is not a vertex$"):
+            RootedNet(set(), set(), None, {})
 
 
 def differential_nets():
