@@ -137,8 +137,8 @@ def _is_forest(vertices, edges) -> bool:
 
 def _find_cycle_avoiding(net: UndirectedNet, doomed):
     """A cycle in the subgraph induced by the surviving vertices, or None."""
-    adj = {v: [w for w in net.neighbors(v) if w not in doomed]
-           for v in net.vertices if v not in doomed}
+    adj = {v: [w for w in ns if w not in doomed]
+           for v, ns in net.adjacency().items() if v not in doomed}
     seen = set()
     for root in sorted(adj):
         if root in seen:

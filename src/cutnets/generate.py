@@ -55,21 +55,27 @@ def make_q_cuttable(net: UndirectedNet, q: int) -> UndirectedNet:
     fresh leaves use the reserved ``aug_`` prefix, numbered above every
     ``aug_<k>`` label already present.  A q-cuttable input is returned
     as it is."""
-    if is_q_cuttable(net, q):
+    report = is_q_cuttable(net, q)
+    if report:
         return net
-    return _augment(_WorkGraph.of(net), q)
+    return _augment(_WorkGraph.of(net), q, report)
 
 
-def _augment(g: _WorkGraph, q: int) -> UndirectedNet:
-    """``make_q_cuttable`` on a working graph."""
+def _augment(g: _WorkGraph, q: int, report=None) -> UndirectedNet:
+    """``make_q_cuttable`` on a working graph; ``report``, when given, is
+    ``is_q_cuttable`` of the graph as it is.  Subdividing and hanging leaves
+    keep the graph's cut-edge set, so each round freezes with it and the
+    recognizer runs no bridge search."""
     taken = [int(lab[4:]) for lab in g.labels.values()
              if lab.startswith("aug_") and lab[4:].isdecimal()]
     counter = max(taken, default=0) + 1
+    g.bridges()   # kept from here on
     while True:
-        net = g.freeze()
-        report = is_q_cuttable(net, q)
-        if report.is_cuttable:
-            return net
+        if report is None:
+            net = g.freeze()
+            report = is_q_cuttable(net, q)
+            if report.is_cuttable:
+                return net
         cycle = report.witness_cycle
         attach, far = min(canon_edge(cycle[i], cycle[(i + 1) % len(cycle)])
                           for i in range(len(cycle)))
@@ -77,6 +83,7 @@ def _augment(g: _WorkGraph, q: int) -> UndirectedNet:
             attach = g.subdivide((attach, far))
             g.add_leaf(attach, f"aug_{counter}")
             counter += 1
+        report = None
 
 
 def random_q_cuttable(config: GenConfig) -> UndirectedNet:
@@ -99,7 +106,7 @@ def sample_displayed_tree(net: UndirectedNet, seed: int) -> UndirectedNet:
     if net.reticulation_number() == 0:
         return net
     rng = random.Random(seed)
-    g = _WorkGraph.of(net)
+    g = _WorkGraph.of(net)   # eliminate keeps its cut-edge set current
     while g.reticulation_number() > 0:
         cuts = g.bridges()
         candidates = [e for e in g.edges if e not in cuts]   # sorted, as g.edges is

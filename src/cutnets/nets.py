@@ -8,7 +8,8 @@ implemented once, on the private mutable ``_WorkGraph``, which keeps the
 same counter: the public ``subdivide``, ``suppress`` and ``eliminate_edge``
 make one edit on a working graph of their input and freeze it, and longer
 chains of edits share one working graph and freeze once, where the result
-leaves its caller.
+leaves its caller.  A working graph keeps its cut-edge set current through
+the edits that can do so cheaply and hands it to the network it freezes.
 """
 
 from __future__ import annotations
@@ -155,7 +156,9 @@ class UndirectedNet:
         and joins two of the vertices, every labelled vertex is one of them,
         ``next_id`` is above every vertex, and nothing mutates the parts
         afterwards.  A ``cuts`` frozenset, when given, seeds the cut-edge
-        cache and must equal the network's bridges.
+        cache and must equal the network's bridges: ``_WorkGraph.freeze``
+        passes the cut-edge set its edits kept, so the frozen network runs
+        no bridge search.
         """
         net = object.__new__(cls)
         net.vertices = vertices
@@ -860,16 +863,20 @@ def rooted_isomorphic(a: RootedNet, b: RootedNet) -> bool:
 
 # -- bridges and the working graph ----------------------------------------------------
 
-def bridges(adj) -> set[Edge]:
+def bridges(adj, start=None, skip=()) -> set[Edge]:
     """Every bridge of a simple graph, via an iterative lowpoint DFS.
 
     ``adj`` maps each vertex to an iterable of its neighbours; edges come
-    back canonical (Tarjan, *IPL* 2(6), 1974).
+    back canonical (Tarjan, *IPL* 2(6), 1974).  With a ``start`` vertex
+    only its component is searched, and the canonical edges in ``skip``
+    are treated as absent.  Dropping bridges of a graph leaves the bridge
+    status of every other edge as it was, so with ``skip`` a set of known
+    bridges the search finds the rest of them around ``start``.
     """
     index: dict[VertexId, int] = {}
     low: dict[VertexId, int] = {}
     out = set()
-    for root in adj:
+    for root in (adj if start is None else (start,)):
         if root in index:
             continue
         index[root] = low[root] = len(index)
@@ -878,6 +885,8 @@ def bridges(adj) -> set[Edge]:
             v, p, it = stack[-1]
             for w in it:
                 if w == p or w == v:
+                    continue
+                if skip and ((v, w) if v < w else (w, v)) in skip:
                     continue
                 if w in index:
                     if index[w] < low[v]:
@@ -907,30 +916,48 @@ class _WorkGraph:
     order of ``sorted_edges()``, so seeded draws from it match draws from
     the frozen network.  ``subdivide``, ``suppress`` and ``eliminate`` check
     everything before they change the graph, so a raise leaves it as it was.
+
+    ``cuts`` is the graph's cut-edge set, or None when it is not known.
+    ``of`` seeds it from the network's cut-edge cache, ``bridges()`` fills
+    it when it is None, and ``freeze`` hands it to the frozen network.
+    ``subdivide`` and ``add_leaf`` keep it current in O(1), and
+    ``eliminate`` keeps it current with one bridge search of the blob that
+    held the edge.  ``add_edge``, ``remove_edge``, ``suppress`` and
+    ``delete_leaf`` set it to None.
     """
 
-    __slots__ = ("adj", "edges", "labels", "next_id")
+    __slots__ = ("adj", "edges", "labels", "next_id", "cuts")
 
-    def __init__(self, adj, edges, labels, next_id):
+    def __init__(self, adj, edges, labels, next_id, cuts=None):
         self.adj: dict[VertexId, set[VertexId]] = adj
         self.edges: list[Edge] = edges   # sorted; read it, edit only through the methods
         self.labels: dict[VertexId, str] = labels
         self.next_id = next_id
+        self.cuts: set[Edge] | None = cuts
 
     @classmethod
     def of(cls, net: UndirectedNet) -> "_WorkGraph":
         return cls({v: set(ns) for v, ns in net.adjacency().items()},
-                   sorted(net.edges), dict(net.leaf_labels), net.next_id)
+                   sorted(net.edges), dict(net.leaf_labels), net.next_id,
+                   None if net._cuts is None else set(net._cuts))
 
     def reticulation_number(self) -> int:
         return len(self.edges) - (len(self.adj) - 1)
 
     def add_edge(self, u: VertexId, v: VertexId) -> None:
+        self._link(u, v)
+        self.cuts = None
+
+    def remove_edge(self, u: VertexId, v: VertexId) -> None:
+        self._unlink(u, v)
+        self.cuts = None
+
+    def _link(self, u: VertexId, v: VertexId) -> None:
         insort(self.edges, canon_edge(u, v))
         self.adj[u].add(v)
         self.adj[v].add(u)
 
-    def remove_edge(self, u: VertexId, v: VertexId) -> None:
+    def _unlink(self, u: VertexId, v: VertexId) -> None:
         self.adj[u].remove(v)   # a KeyError for a non-edge, before any change
         self.adj[v].remove(u)
         del self.edges[bisect_left(self.edges, canon_edge(u, v))]
@@ -943,7 +970,7 @@ class _WorkGraph:
 
     def _delete(self, v: VertexId) -> None:
         for n in list(self.adj[v]):
-            self.remove_edge(v, n)
+            self._unlink(v, n)
         del self.adj[v]
 
     def _join(self, v: VertexId, gone=None, joined=()) -> Edge:
@@ -959,30 +986,39 @@ class _WorkGraph:
         return a, b
 
     def subdivide(self, edge) -> VertexId:
-        """Replace an edge by two through a fresh vertex; returns the vertex."""
+        """Replace an edge by two through a fresh vertex; returns the vertex.
+        Both halves are cut-edges exactly when the edge was."""
         u, w = canon_edge(*edge)
         if w not in self.adj.get(u, ()):
             raise UnknownEdge(f"no edge {(u, w)}")
         if u == w:
             raise WouldCreateParallelEdge(f"subdividing the self-loop at {u} would "
                                           f"create a parallel edge")
-        self.remove_edge(u, w)
+        self._unlink(u, w)
         v = self._fresh()
-        self.add_edge(u, v)
-        self.add_edge(v, w)
+        self._link(u, v)
+        self._link(v, w)
+        if self.cuts is not None and (u, w) in self.cuts:
+            self.cuts.remove((u, w))
+            self.cuts.add((u, v))   # u < w < v: v is the newest vertex
+            self.cuts.add((w, v))
         return v
 
     def add_leaf(self, v: VertexId, label: str) -> VertexId:
-        """Hang a fresh leaf labelled ``label`` off ``v``; returns the leaf."""
+        """Hang a fresh leaf labelled ``label`` off ``v``; returns the leaf.
+        Its pendant edge is a cut-edge."""
         leaf = self._fresh()
-        self.add_edge(v, leaf)
+        self._link(v, leaf)
         self.labels[leaf] = label
+        if self.cuts is not None:
+            self.cuts.add((v, leaf))   # leaf is the newest vertex
         return leaf
 
     def delete_leaf(self, v: VertexId) -> None:
         """Drop the leaf ``v`` with its edge and its label."""
         del self.labels[v]
         self._delete(v)
+        self.cuts = None
 
     def suppress(self, v: VertexId) -> None:
         """Delete the unlabelled degree-2 vertex ``v`` and join its neighbours."""
@@ -990,7 +1026,8 @@ class _WorkGraph:
         if v in self.labels:
             raise ValueError(f"label on undeclared vertex {v}")
         self._delete(v)
-        self.add_edge(a, b)
+        self._link(a, b)
+        self.cuts = None
 
     def eliminate(self, edge) -> None:
         """Delete an edge and suppress both its ends.
@@ -998,6 +1035,14 @@ class _WorkGraph:
         The cut-edge check is left to the caller.  Both suppressions are
         checked before anything changes; the second is checked as if the
         first were done, so both ends may not join the same pair.
+
+        Deleting a non-cut edge keeps every cut-edge a cut-edge and can
+        make new ones only among the edges of its own blob, and suppressing
+        its ends keeps that so.  A kept cut-edge set therefore loses the
+        edges that went and gains what ``bridges`` finds from a joined
+        vertex over the edges not in the set: the old blob, and the blob
+        beyond a joined edge that replaced a cut-edge.  Eliminating a
+        cut-edge splits the graph and drops the set.
         """
         x, y = canon_edge(*edge)
         if y not in self.adj.get(x, ()):
@@ -1006,18 +1051,34 @@ class _WorkGraph:
             raise EndpointIsLeaf(f"{(x, y)} touches a leaf")
         first = self._join(x, gone=y)
         second = self._join(y, gone=x, joined=(first,))
-        self.remove_edge(x, y)
+        cuts = self.cuts
+        if cuts is not None:
+            if (x, y) in cuts:
+                cuts = None
+            else:
+                for v in (x, y):
+                    for n in self.adj[v]:
+                        cuts.discard((v, n) if v < n else (n, v))
+        self._unlink(x, y)
         self._delete(x)
         self._delete(y)
-        self.add_edge(*first)
-        self.add_edge(*second)
+        self._link(*first)
+        self._link(*second)
+        if cuts is not None:
+            cuts |= bridges(self.adj, first[0], cuts)
+        self.cuts = cuts
 
     def bridges(self) -> set[Edge]:
-        return bridges(self.adj)
+        """The graph's cut-edges, found only when they are not kept.  The
+        set is the graph's own: read it, and read it again after an edit."""
+        if self.cuts is None:
+            self.cuts = bridges(self.adj)
+        return self.cuts
 
     def freeze(self) -> UndirectedNet:
         return UndirectedNet._trusted(frozenset(self.adj), frozenset(self.edges),
-                                      dict(self.labels), self.next_id)
+                                      dict(self.labels), self.next_id,
+                                      None if self.cuts is None else frozenset(self.cuts))
 
 
 # -- internals ----------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -9,7 +10,10 @@ from cutnets import (
     UndirectedNet,
     eliminate_edge,
     labeled_isomorphic,
+    make_q_cuttable,
     random_q_cuttable,
+    random_tree,
+    sample_displayed_tree,
     split_of_cut_edge,
     subdivide,
     suppress,
@@ -429,7 +433,8 @@ def frozen_text(net):
 
 
 def work_state(g):
-    return ({v: set(ns) for v, ns in g.adj.items()}, list(g.edges), dict(g.labels), g.next_id)
+    return ({v: set(ns) for v, ns in g.adj.items()}, list(g.edges), dict(g.labels), g.next_id,
+            None if g.cuts is None else set(g.cuts))
 
 
 def outcome(call) -> tuple[str, str]:
@@ -580,3 +585,110 @@ class TestWorkGraph:
                 except WouldCreateParallelEdge:
                     continue
             assert g.bridges() == brute_force_bridges(g.freeze())
+
+    def test_kept_cut_edges_match_a_fresh_search_after_every_edit(self):
+        """Seeded chains that mix all seven edits, on connected desk-scale
+        graphs.  After every edit the kept cut-edge set, when there is one,
+        equals a fresh ``bridges`` search and the brute-force bridges, and
+        ``freeze`` hands it on.  ``subdivide``, ``add_leaf`` and ``eliminate``
+        keep a set they were given."""
+        kept = Counter()
+        made = Counter()
+        new_bridges = 0
+
+        def edit(g, name, *args):
+            nonlocal new_bridges
+            old_edges = set(g.edges)
+            old_cuts = None if g.cuts is None else set(g.cuts)
+            result = getattr(g, name)(*args)
+            made[name] += 1
+            frozen = g.freeze()
+            if g.cuts is None:
+                assert frozen._cuts is None
+                assert old_cuts is None or name not in ("subdivide", "add_leaf", "eliminate")
+                return result
+            assert g.cuts == bridges(g.adj), (name, args)
+            assert g.cuts == brute_force_bridges(frozen), (name, args)
+            assert frozen._cuts == g.cuts
+            kept[name] += 1
+            if name == "eliminate" and (g.cuts - old_cuts) & old_edges:
+                new_bridges += 1   # an edge that stayed became a cut-edge
+            return result
+
+        def non_cut_edges(g):
+            return [e for e in g.edges if e not in g.bridges()]
+
+        for s in range(60):
+            rng = random.Random(s)
+            net = random_q_cuttable(GenConfig(seed=3000 + s, leaf_count=4 + s % 9,
+                                              target_r=1 + s % 5, target_q=1 + s % 3))
+            g = _WorkGraph.of(net if s % 2 else net.replace())   # with and without a seeded set
+            for _ in range(25):
+                if rng.random() < 0.6:
+                    g.bridges()
+                move = rng.randrange(5)
+                if move == 0:   # a handle: two subdivisions joined by an edge
+                    e1, e2 = rng.sample(g.edges, 2)
+                    edit(g, "add_edge", edit(g, "subdivide", e1), edit(g, "subdivide", e2))
+                elif move == 1:   # a pendant leaf
+                    edit(g, "add_leaf", edit(g, "subdivide", rng.choice(g.edges)),
+                         f"n{g.next_id}")
+                elif move == 2:
+                    candidates = non_cut_edges(g)
+                    rng.shuffle(candidates)
+                    for e in candidates:
+                        try:
+                            edit(g, "eliminate", e)
+                            break
+                        except (WouldCreateParallelEdge, EndpointIsLeaf, NotDegreeTwo):
+                            continue
+                elif move == 3 and non_cut_edges(g):   # a reticulated-cherry cut
+                    u, v = rng.choice(non_cut_edges(g))
+                    edit(g, "remove_edge", u, v)
+                    for w in (u, v):
+                        try:
+                            edit(g, "suppress", w)
+                        except (WouldCreateParallelEdge, NotDegreeTwo, ValueError):
+                            pass
+                elif move == 4 and len(g.labels) > 3:   # a cherry reduction
+                    leaf = rng.choice(sorted(g.labels))
+                    (w,) = g.adj[leaf]
+                    edit(g, "delete_leaf", leaf)
+                    try:
+                        edit(g, "suppress", w)
+                    except (WouldCreateParallelEdge, NotDegreeTwo, ValueError):
+                        pass
+        assert set(made) == {"add_edge", "remove_edge", "subdivide", "add_leaf",
+                             "delete_leaf", "suppress", "eliminate"}
+        assert min(kept[name] for name in ("subdivide", "add_leaf", "eliminate")) > 100
+        assert new_bridges > 50
+
+    def test_eliminating_a_cut_edge_drops_the_kept_set(self):
+        # the graph splits in two, so a search from one side cannot renew it
+        for seed in range(10):
+            g = _WorkGraph.of(random_tree([f"t{i}" for i in range(8)], seed))
+            inner = [e for e in g.edges if e[0] not in g.labels and e[1] not in g.labels]
+            assert g.bridges() == set(g.edges)
+            g.eliminate(inner[seed % len(inner)])
+            assert g.cuts is None
+            assert g.bridges() == set(g.edges)
+
+    @pytest.mark.parametrize("leaves", [64, 1024])
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_generator_outputs_carry_their_bridges(self, leaves, q):
+        net = random_q_cuttable(GenConfig(seed=leaves + q, leaf_count=leaves,
+                                          target_r=leaves // 8, target_q=q))
+        tree = sample_displayed_tree(net, leaves)
+        assert net._cuts is not None and tree._cuts is not None
+        assert net.cut_edges() == bridges(net.adjacency())
+        assert tree.cut_edges() == bridges(tree.adjacency())
+
+    def test_make_q_cuttable_output_carries_its_bridges(self):
+        for seed in range(20):
+            rng = random.Random(seed)
+            g = _WorkGraph.of(random_tree([f"t{i}" for i in range(8 + seed)], seed))
+            for _ in range(2 + seed % 3):
+                e1, e2 = rng.sample(g.edges, 2)
+                g.add_edge(g.subdivide(e1), g.subdivide(e2))
+            net = make_q_cuttable(g.freeze(), 2 + seed % 2)
+            assert net.cut_edges() == bridges(net.adjacency())
