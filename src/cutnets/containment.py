@@ -9,6 +9,7 @@ scale.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -26,7 +27,6 @@ from .nets import (
     Edge,
     Split,
     UndirectedNet,
-    _component_of,
     _cut_edge_masks,
     bfs_order,
     canon_edge,
@@ -205,11 +205,25 @@ def _edge_order(tree: UndirectedNet) -> list[tuple[int, int]]:
 class _Instance(NamedTuple):
     """A tree and a network on the same labels, with their split masks.
 
-    ``bits`` gives each label its mask bit and ``full`` is the union of
-    them; both mask dicts map every split-inducing cut-edge to its mask,
-    canonical at the lowest bit of ``full``.  Each instance carries its own
-    ``bits`` because fresh labels are named per instance: ``x2`` can close
-    a half waiting on the stack and, with another bit, a half of its sibling.
+    ``bits`` maps each label to its group of mask bits.  The groups are
+    pairwise disjoint, their union is ``full``, and every mask is a union
+    of groups, so masks compare and intersect as the label sets they stand
+    for.  An input label's group is one bit (``label_bits``); the fresh
+    label of a BRANCH half stands for the other side's labels and takes the
+    union of their groups.  Both mask dicts map every split-inducing
+    cut-edge to its mask, canonical at the lowest bit of ``full``.  Each
+    instance carries its own ``bits`` because fresh labels are named per
+    instance: ``x2`` can close a half waiting on the stack and, with
+    another group, a half of its sibling.
+
+    ``tree_edges`` maps each mask of the input tree to the smallest edge
+    that has it; one dict serves the whole run.  A tree edge keeps its mask
+    and lies in one half, and the mask of a tree edge outside a half splits
+    one of the half's groups, so it is no mask of the half.  The exception
+    is the severed edge's mask, which both pendant edges take; it is never
+    looked up, as no non-trivial cut-edge of a binary 3-cuttable network
+    separates one leaf from the rest.  ``branchable`` lists the network's
+    non-trivial cut-edges in sorted order.
     """
 
     tree: UndirectedNet
@@ -218,6 +232,8 @@ class _Instance(NamedTuple):
     net_masks: dict[Edge, int]
     bits: dict[str, int]
     full: int
+    tree_edges: dict[int, Edge]
+    branchable: list[Edge]
 
 
 def _fresh_instance(tree: UndirectedNet, net: UndirectedNet) -> _Instance:
@@ -229,7 +245,15 @@ def _fresh_instance(tree: UndirectedNet, net: UndirectedNet) -> _Instance:
     bits = label_bits(net.labels())
     full = (1 << len(bits)) - 1
     tree_masks = _cut_edge_masks(tree, bits, full) if tree.labels() == net.labels() else {}
-    return _Instance(tree, net, tree_masks, _cut_edge_masks(net, bits, full), bits, full)
+    tree_edges: dict[int, Edge] = {}
+    for e in sorted(tree_masks, reverse=True):   # the smallest edge writes last
+        tree_edges[tree_masks[e]] = e
+    return _Instance(tree, net, tree_masks, _cut_edge_masks(net, bits, full), bits, full,
+                     tree_edges, _branchable(net))
+
+
+def _branchable(net: UndirectedNet) -> list[Edge]:
+    return sorted(net.cut_edges() - net.trivial_cut_edges())
 
 
 # --- conflicting splits -----------------------------------------------------------
@@ -239,9 +263,10 @@ def conflicting_split(tree: UndirectedNet, net: UndirectedNet) -> tuple[Split, S
 
     Fast path: when every network split mask is also a tree split mask there
     is no conflict, because the splits of a tree are pairwise compatible.
-    Otherwise the splits are built from their masks and every network split
-    is checked against every tree split, both in canonical order.  On a
-    non-binary tree that scan can still find no conflict.
+    Otherwise the network split that is smallest in canonical order among
+    those incompatible with some tree split is paired with the smallest
+    tree split it is incompatible with.  On a non-binary tree there can be
+    none.
     """
     if tree.labels() != net.labels():
         raise LabelSetMismatch(f"{sorted(tree.labels())} vs {sorted(net.labels())}")
@@ -253,27 +278,31 @@ def _first_conflict(inst: _Instance, net_masks) -> tuple[Split, Split] | None:
     """``conflicting_split`` over the network masks ``net_masks`` only.
 
     A network mask that is also a tree mask is compatible with every tree
-    split, so only the others are scanned.
+    split, so only the others are tested.  The tests run on masks;
+    ``Split`` values are built only for the network masks that clash and
+    for the partners of the first of them.
     """
     tree_set = set(inst.tree_masks.values())
     foreign = [m for m in net_masks if m not in tree_set]
     if not foreign:
         return None
-
-    def ordered(masks):
-        return sorted(((split_of_mask(m, inst.bits), m) for m in masks),
-                      key=lambda pair: pair[0].sort_key())
-
     full = inst.full
-    tree_splits = ordered(tree_set)
-    for us, um in ordered(foreign):
-        for ts, tm in tree_splits:
-            # both masks hold the lowest bit of full, so the sides holding it
-            # always meet; incompatible when each of the other three
-            # intersections is nonempty
-            if um & ~tm and tm & ~um and um | tm != full:
-                return us, ts
-    return None
+
+    def clash(um, tm):
+        # both masks hold the lowest bit of full, so the sides holding it
+        # always meet; incompatible when each of the other three
+        # intersections is nonempty
+        return um & ~tm and tm & ~um and um | tm != full
+
+    clashing = [um for um in foreign if any(clash(um, tm) for tm in tree_set)]
+    if not clashing:
+        return None
+    bits = inst.bits
+    us, um = min(((split_of_mask(m, bits), m) for m in clashing),
+                 key=lambda pair: pair[0].sort_key())
+    ts = min((split_of_mask(tm, bits) for tm in tree_set if clash(um, tm)),
+             key=Split.sort_key)
+    return us, ts
 
 
 # --- branching ---------------------------------------------------------------------
@@ -290,89 +319,144 @@ def branch_on_cut_edge(tree: UndirectedNet, net: UndirectedNet, edge):
     leaves = net.leaves()
     if e[0] in leaves or e[1] in leaves:
         raise TrivialCutEdge(f"{e} is a trivial cut-edge")
-    inst = _fresh_instance(tree, net)
-    first, second = _branch(inst, e, 1 << len(inst.bits))
+    first, second = _branch(_fresh_instance(tree, net), e)
     return (first.tree, first.net), (second.tree, second.net)
 
 
-def _branch(inst: _Instance, e: Edge, fresh_bit: int) -> tuple[_Instance, _Instance]:
-    """``branch_on_cut_edge`` at the non-trivial cut-edge ``e``, carrying state.
+def _branch(inst: _Instance, e: Edge) -> tuple[_Instance, _Instance]:
+    """``branch_on_cut_edge`` at the non-trivial cut-edge ``e``, carrying
+    state, in time about linear in the smaller side of ``e`` and of its
+    tree edge.
 
-    The fresh labels take the bits ``fresh_bit`` and ``fresh_bit << 1``.  A
-    cycle never crosses the severed bridge, so a half's cut-edges are the
-    parent's on that side plus the new pendant edge, and its masks are the
-    parent's restricted to that side.
+    A cycle never crosses the severed bridge, so a half's cut-edges are the
+    parent's on that side plus the new pendant edge.  A half keeps its
+    parent's ``full``, and its fresh label's group is the union of the other
+    side's groups, so each cut-edge on the side keeps its parent's mask and
+    the pendant edge takes the mask of the severed edge: no mask is
+    rewritten.
     """
-    tree, net, bits = inst.tree, inst.net, inst.bits
     mask = inst.net_masks.get(e)
     if mask is None:
         raise AssertionError("a non-trivial cut-edge of a 3-cuttable network must induce a split")
-    tree_edge = min((te for te, m in inst.tree_masks.items() if m == mask), default=None)
+    tree_edge = inst.tree_edges.get(mask)
     if tree_edge is None:
-        raise NoMatchingTreeEdge(f"tree has no edge inducing {split_of_mask(mask, bits)}; "
+        raise NoMatchingTreeEdge(f"tree has no edge inducing {split_of_mask(mask, inst.bits)}; "
                                  "instance has a conflicting split")
-
-    existing = net.labels()
+    tree, net, bits, full = inst.tree, inst.net, inst.bits, inst.full
     k = 1
-    while f"x{k}" in existing or f"x{k + 1}" in existing:
+    while f"x{k}" in bits or f"x{k + 1}" in bits:
         k += 1
-    fresh = (f"x{k}", f"x{k + 1}")
 
-    sides = [_component_of(net.adjacency(), v, e) for v in e]
-    tree_sides = [_component_of(tree.adjacency(), v, tree_edge) for v in tree_edge]
+    # the half of the network's smaller side is built from its own vertices
+    small = _smaller_side(net.adjacency(), e)
+    i = e.index(small[0])
+    fresh = (f"x{k + i}", f"x{k + 1 - i}")   # x{k} closes the side of e[0]
+    small_labels = [net.leaf_labels[v] for v in small if v in net.leaf_labels]
+    side = 0
+    for lab in small_labels:
+        side |= bits[lab]
+    small_bits = {lab: bits[lab] for lab in small_labels}
+    small_bits[fresh[0]] = full ^ side
+    large_bits = dict(bits)
+    for lab in small_labels:
+        del large_bits[lab]
+    large_bits[fresh[1]] = side
+    (s_net, s_net_masks), (l_net, l_net_masks) = _peel(net, inst.net_masks, e, small,
+                                                       fresh, mask)
+    s_branchable = sorted(f for f in s_net.cut_edges()
+                          if f[0] not in s_net.leaf_labels and f[1] not in s_net.leaf_labels)
+    l_branchable = list(inst.branchable)
+    for f in s_branchable + [e]:
+        del l_branchable[bisect_left(l_branchable, f)]
 
-    def label_mask(graph, side):
-        out = 0
-        for v, lab in graph.leaf_labels.items():
-            if v in side:
-                out |= bits[lab]
-        return out
+    # the tree's smaller side can hold either side's labels
+    t_small = _smaller_side(tree.adjacency(), tree_edge)
+    t_side = 0
+    for v in t_small:
+        if v in tree.leaf_labels:
+            t_side |= bits[tree.leaf_labels[v]]
+    same = t_side == side
+    trees = _peel(tree, inst.tree_masks, tree_edge, t_small, fresh if same else fresh[::-1], mask)
+    (s_tree, s_tree_masks), (l_tree, l_tree_masks) = trees if same else trees[::-1]
 
-    side_bits = [label_mask(net, side) for side in sides]
-    # pair the tree halves with the network halves holding the same labels
-    order = (0, 1) if label_mask(tree, tree_sides[0]) == side_bits[0] else (1, 0)
-    halves = []
-    for i, j in enumerate(order):
-        bit = fresh_bit << i
-        half_bits = {lab: b for lab, b in bits.items() if b & side_bits[i]}
-        half_bits[fresh[i]] = bit
-        full = side_bits[i] | bit
-        sub_tree, tree_masks = _halve(tree, inst.tree_masks, tree_edge, tree_sides[j],
-                                      fresh[i], side_bits[i], full)
-        sub_net, net_masks = _halve(net, inst.net_masks, e, sides[i],
-                                    fresh[i], side_bits[i], full)
-        halves.append(_Instance(sub_tree, sub_net, tree_masks, net_masks, half_bits, full))
-    return halves[0], halves[1]
+    small_half = _Instance(s_tree, s_net, s_tree_masks, s_net_masks, small_bits, full,
+                           inst.tree_edges, s_branchable)
+    large_half = _Instance(l_tree, l_net, l_tree_masks, l_net_masks, large_bits, full,
+                           inst.tree_edges, l_branchable)
+    return (small_half, large_half) if i == 0 else (large_half, small_half)
 
 
-def _halve(graph, masks, severed, side, fresh_label, side_bits, full):
-    """The ``side`` of the cut-edge ``severed``, with a fresh leaf hung where
-    the edge was, and its masks.
+def _smaller_side(adj, e: Edge) -> list[int]:
+    """The vertices on the smaller side of the cut-edge ``e``, its endpoint
+    first: one search from each end, a vertex at a time in turn, stopped
+    when one side is exhausted, so it visits about twice the smaller side.
+    Neither search can cross ``e``, so they share one seen set."""
+    sides = ([e[0]], [e[1]])
+    seen = set(e)
+    pos = 0
+    while True:
+        for side in sides:
+            if pos == len(side):
+                return side
+            for w in adj[side[pos]]:
+                if w not in seen:
+                    seen.add(w)
+                    side.append(w)
+        pos += 1
 
-    ``side_bits`` are the side's labels and ``full`` adds the fresh label's
-    bit.  Each cut-edge on the side keeps the side of its split away from
-    ``severed``, which lies within ``side_bits``; only the other side gains
-    the fresh label.
+
+def _peel(graph: UndirectedNet, masks, severed: Edge, small, labels, mask):
+    """Both halves of ``graph`` at the cut-edge ``severed``, with their masks:
+    first the half of ``small``, the smaller side's vertices with its
+    endpoint first, then the other half.
+
+    Each half hangs a fresh leaf where ``severed`` was, named by ``labels``
+    in the same order; its pendant edge takes ``mask`` and every other edge
+    keeps its own.  The smaller half is built from its own vertices.  The
+    larger half is the parent minus the smaller side's entries, in C-level
+    copies, and takes the parent's sorted adjacency the same way, with the
+    kept endpoint's tuple ending in the fresh leaf, so no half sorts an
+    adjacency again.
     """
-    keep = severed[0] if severed[0] in side else severed[1]
+    adj, cuts, leaf_labels = graph.adjacency(), graph.cut_edges(), graph.leaf_labels
     nv = graph.next_id
+    keep = small[0]
+    far = severed[severed[0] == keep]
+    inner = {(v, w) for v in small for w in adj[v] if v < w}
+    inner.discard(severed)
+    inner_cuts = inner & cuts
+
     pendant = (keep, nv)
+    s_adj = {v: adj[v] for v in small}
+    s_adj[keep] = tuple(w for w in adj[keep] if w != far) + (nv,)
+    s_adj[nv] = (keep,)
+    s_labels = {v: leaf_labels[v] for v in small if v in leaf_labels}
+    s_labels[nv] = labels[0]
+    s_masks = {f: masks[f] for f in inner if f in masks}
+    s_masks[pendant] = mask
+    s_half = UndirectedNet._trusted(frozenset(s_adj), frozenset(inner | {pendant}), s_labels,
+                                    nv + 1, cuts=frozenset(inner_cuts | {pendant}), adj=s_adj)
 
-    def inside(edges):
-        out = {e for e in edges if e[0] in side and e[1] in side}
-        out.add(pendant)
-        return frozenset(out)
-
-    labels = {v: lab for v, lab in graph.leaf_labels.items() if v in side}
-    labels[nv] = fresh_label
-    half = UndirectedNet._trusted(frozenset(side) | {nv}, inside(graph.edges), labels,
-                                  nv + 1, cuts=inside(graph.cut_edges()))
-    half_masks = {pendant: canonical_mask(full ^ side_bits, full)}
-    for e, m in masks.items():
-        if e[0] in side and e[1] in side:
-            away = m if m & side_bits == m else side_bits & ~m
-            half_masks[e] = canonical_mask(away, full)
-    return half, half_masks
+    pendant = (far, nv)
+    l_adj = dict(adj)
+    l_labels = dict(leaf_labels)
+    l_masks = dict(masks)
+    for v in small:
+        del l_adj[v]
+        l_labels.pop(v, None)
+    for f in inner:
+        l_masks.pop(f, None)
+    del l_masks[severed]
+    l_adj[far] = tuple(w for w in adj[far] if w != keep) + (nv,)
+    l_adj[nv] = (far,)
+    l_labels[nv] = labels[1]
+    l_masks[pendant] = mask
+    l_half = UndirectedNet._trusted(graph.vertices.difference(small).union((nv,)),
+                                    graph.edges.difference(inner, (severed,)).union((pendant,)),
+                                    l_labels, nv + 1,
+                                    cuts=cuts.difference(inner_cuts, (severed,)).union((pendant,)),
+                                    adj=l_adj)
+    return (s_half, s_masks), (l_half, l_masks)
 
 
 # --- entangled paths ----------------------------------------------------------------
@@ -639,30 +723,27 @@ def _solve(tree, net, trace):
     A branch decides its first half before its second; the second halves
     wait on an explicit stack, so depth is not bounded by the call stack.
 
-    Mask bits are numbered once for the whole run: the input's labels get
-    ``label_bits`` and each fresh label the next unused bit, so a half's
-    cut-edges and masks are its parent's restricted to its side, with no
-    new bridge search or renumbering.  Split conflicts are looked for once
-    on the input and then only among the splits an elimination creates.
-    A half needs no check: its splits match its parent's on that side one
-    to one, and a pair of them is compatible exactly when the parent's pair
-    is.  An elimination keeps every old split, so the first conflict in
-    canonical order can only be a new one.
+    The input's labels get ``label_bits``, and each fresh label of a branch
+    the group of the labels it stands for (see ``_Instance``), so masks
+    stay |X| bits wide for the whole run.  A half's cut-edges and masks are
+    its parent's on its side, with no new bridge search or renumbering, and
+    ``_branch`` costs about the smaller side.  Split conflicts are looked
+    for once on the input and then only among the splits an elimination
+    creates.  A half needs no check: its splits match its parent's on that
+    side one to one, and a pair of them is compatible exactly when the
+    parent's pair is.  An elimination keeps every old split, so the first
+    conflict in canonical order can only be a new one.
     """
     inst = _fresh_instance(tree, net)
     conflict = _first_conflict(inst, inst.net_masks.values())
-    fresh_bit = 1 << len(inst.bits)
     pending = []
     while True:
         if conflict is not None:
             trace.append(TraceEvent("SPLIT-CONFLICT", f"{conflict[0]} vs {conflict[1]}"))
             return False
-        net = inst.net
-        nontrivial = sorted(net.cut_edges() - net.trivial_cut_edges())
-        if nontrivial:
-            e = nontrivial[0]
-            first, second = _branch(inst, e, fresh_bit)
-            fresh_bit <<= 2
+        if inst.branchable:
+            e = inst.branchable[0]
+            first, second = _branch(inst, e)
             trace.append(TraceEvent("BRANCH", f"{e[0]}-{e[1]}"))
             pending.append(second)
             inst = first
@@ -678,9 +759,9 @@ def _solve(tree, net, trace):
         if outcome.verdict == "no":
             return False
         e = outcome.eliminated_edge
-        reduced = eliminate_edge(net, e)
+        reduced = eliminate_edge(inst.net, e)
         trace.append(TraceEvent("ELIM", f"{e[0]}-{e[1]}"))
         masks = _cut_edge_masks(reduced, inst.bits, inst.full)
         old = set(inst.net_masks.values())
         conflict = _first_conflict(inst, [m for m in masks.values() if m not in old])
-        inst = inst._replace(net=reduced, net_masks=masks)
+        inst = inst._replace(net=reduced, net_masks=masks, branchable=_branchable(reduced))

@@ -149,7 +149,8 @@ class UndirectedNet:
         self._by_label = None
 
     @classmethod
-    def _trusted(cls, vertices, edges, leaf_labels, next_id, cuts=None) -> "UndirectedNet":
+    def _trusted(cls, vertices, edges, leaf_labels, next_id,
+                 cuts=None, adj=None) -> "UndirectedNet":
         """A network from parts its caller vouches for, with no check and no copy.
 
         ``vertices`` and ``edges`` are frozensets, every edge is canonical
@@ -158,15 +159,18 @@ class UndirectedNet:
         afterwards.  A ``cuts`` frozenset, when given, seeds the cut-edge
         cache and must equal the network's bridges: ``_WorkGraph.freeze``
         passes the cut-edge set its edits kept, so the frozen network runs
-        no bridge search.
+        no bridge search.  An ``adj`` dict, when given, seeds the adjacency
+        cache and must equal what ``adjacency()`` builds, sorted tuples
+        included: a containment half inherits its parent's.
         """
         net = object.__new__(cls)
         net.vertices = vertices
         net.edges = edges
         net.leaf_labels = leaf_labels
         net.next_id = next_id
-        net._adj = net._blob_list = net._chain_list = net._by_label = None
+        net._blob_list = net._chain_list = net._by_label = None
         net._cuts = cuts
+        net._adj = adj
         return net
 
     @staticmethod
@@ -612,9 +616,10 @@ def splits_of(net: UndirectedNet) -> list[tuple[Edge, Split]]:
 
 # A split is also an int bitmask over the sorted label set: bit i stands for
 # the i-th smallest label, and the canonical mask is the side holding bit 0,
-# which is ``Split.side_a``.  Containment numbers bits run-wide instead (see
-# ``containment._solve``), so the mask helpers below take the lowest bit of
-# ``full``, not bit 0, as the canonical side's mark.
+# which is ``Split.side_a``.  Containment gives a label a group of bits
+# instead (see ``containment._Instance``); a mask is then a union of groups.
+# The mask helpers below take the lowest bit of ``full``, not bit 0, as the
+# canonical side's mark.
 
 def label_bits(labels) -> dict[str, int]:
     """The mask bit of each label: bit i is the i-th smallest label."""
@@ -628,7 +633,11 @@ def canonical_mask(mask: int, full: int) -> int:
 
 
 def split_of_mask(mask: int, bits: dict[str, int]) -> Split:
-    """The split of ``mask`` under the numbering ``bits`` of the labels."""
+    """The split of ``mask`` under the numbering ``bits`` of the labels.
+
+    ``bits`` may give a label a group of bits, the groups pairwise disjoint
+    and ``mask`` a union of them; a label is on the mask's side when its
+    group is."""
     side_a = {lab for lab, bit in bits.items() if mask & bit}
     return Split.of(side_a, bits.keys() - side_a)
 

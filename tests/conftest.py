@@ -102,8 +102,8 @@ def spy_on_pieces(monkeypatch):
     halves, eliminations = [], []
     real_branch, real_reduce = containment._branch, containment._reduce
 
-    def branch(inst, e, fresh_bit):
-        out = real_branch(inst, e, fresh_bit)
+    def branch(inst, e):
+        out = real_branch(inst, e)
         halves.extend(half.net for half in out)
         return out
 

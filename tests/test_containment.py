@@ -40,12 +40,14 @@ from cutnets.errors import (
 from cutnets.formats import parse_newick_tree, parse_upn
 from cutnets.nets import (
     Split,
+    _component_of,
     _cut_edge_masks,
     all_simple_paths,
     bridges,
     canon_edge,
     canonical_mask,
     eliminate_edge,
+    label_bits,
     split_of_cut_edge,
     splits_of,
 )
@@ -128,10 +130,44 @@ def reference_conflicting_split(tree, net):
     return None
 
 
+def reference_branch(tree, net, edge):
+    """branch_on_cut_edge rebuilt from scratch: both sides of the cut-edge
+    and of its tree edge found by component searches, every edge and label
+    filtered, each half a new network with no cache."""
+    e = canon_edge(*edge)
+    bits = label_bits(net.labels())
+    full = (1 << len(bits)) - 1
+    mask = _cut_edge_masks(net, bits, full)[e]
+    tree_edge = min(te for te, m in _cut_edge_masks(tree, bits, full).items() if m == mask)
+    existing = net.labels()
+    k = 1
+    while f"x{k}" in existing or f"x{k + 1}" in existing:
+        k += 1
+    tree_sides = [_component_of(tree.adjacency(), v, tree_edge) for v in tree_edge]
+
+    def labels_on(graph, side):
+        return {lab for v, lab in graph.leaf_labels.items() if v in side}
+
+    def halve(graph, severed, side, label):
+        keep = severed[0] if severed[0] in side else severed[1]
+        nv = graph.next_id
+        edges = [f for f in graph.edges if f[0] in side and f[1] in side]
+        labels = {v: lab for v, lab in graph.leaf_labels.items() if v in side}
+        labels[nv] = label
+        return UndirectedNet(side | {nv}, edges + [(keep, nv)], labels, nv + 1)
+
+    halves = []
+    for v, label in zip(e, (f"x{k}", f"x{k + 1}")):
+        side = _component_of(net.adjacency(), v, e)
+        (tree_side,) = [s for s in tree_sides if labels_on(tree, s) == labels_on(net, side)]
+        halves.append((halve(tree, tree_edge, tree_side, label), halve(net, e, side, label)))
+    return halves[0], halves[1]
+
+
 def reference_solve(tree, net):
     """three_cuttable_tc by rebuilding everything on every loop turn: the
-    public split check, branch and reduction on uncached copies, each
-    numbering its own instance."""
+    public split check and reduction and ``reference_branch``, on uncached
+    networks, each numbering its own instance."""
     def uncached(graph):
         return UndirectedNet(graph.vertices, graph.edges, graph.leaf_labels, graph.next_id)
 
@@ -146,10 +182,9 @@ def reference_solve(tree, net):
         nontrivial = sorted(net.cut_edges() - net.trivial_cut_edges())
         if nontrivial:
             e = nontrivial[0]
-            (t1, u1), (t2, u2) = branch_on_cut_edge(tree, net, e)
+            (tree, net), second = reference_branch(tree, net, e)
             trace.append(TraceEvent("BRANCH", f"{e[0]}-{e[1]}"))
-            pending.append((uncached(t2), uncached(u2)))
-            tree, net = uncached(t1), uncached(u1)
+            pending.append(second)
             continue
         outcome = apply_reduction(tree, net)
         case = f" {outcome.case}" if outcome.case else ""
@@ -298,6 +333,29 @@ class TestBranching:
         _, net = conflicting_pair
         with pytest.raises(TrivialCutEdge):
             branch_on_cut_edge(conflicting_pair[0], net, (1, 5))
+
+    def test_matches_reference_branch(self):
+        # every non-trivial cut-edge of seeded networks at |X| 16-64, each
+        # against a tree it displays: the halves built from the smaller side
+        # and from the parent minus it equal the halves built from scratch
+        compared = 0
+        for seed in range(8):
+            leaves = (16, 32, 48, 64)[seed % 4]
+            net = random_q_cuttable(GenConfig(seed=2600 + seed, leaf_count=leaves,
+                                              target_r=leaves // 8, target_q=3))
+            tree = sample_displayed_tree(net, seed)
+            for e in sorted(net.cut_edges() - net.trivial_cut_edges()):
+                got = branch_on_cut_edge(tree, net, e)
+                for got_pair, want_pair in zip(got, reference_branch(tree, net, e)):
+                    for half, want in zip(got_pair, want_pair):
+                        assert half.vertices == want.vertices
+                        assert half.edges == want.edges
+                        assert half.leaf_labels == want.leaf_labels
+                        assert half.next_id == want.next_id
+                        assert half.cut_edges() == want.cut_edges()
+                        assert half.adjacency() == want.adjacency()
+                compared += 1
+        assert compared > 50
 
     def test_display_equivalence_across_branch(self):
         for seed in range(12):
@@ -496,28 +554,45 @@ class TestAlgorithm:
         assert serialize_trace(trace) == serialize_trace(reference_solve(tree, net)[1])
 
     def test_branch_halves_carry_exact_state(self, monkeypatch):
-        # every half inherits its parent's cut-edges and masks; they must be
-        # what a fresh bridge search and mask pass give under the run-wide
-        # numbering, and no fresh bit may be handed out twice in one run
+        # every half inherits its parent's cut-edges, masks, adjacency and
+        # indices; they must be what a fresh bridge search, mask pass and
+        # sort give under the half's label groups, which are pairwise
+        # disjoint with the parent's full as their union: input labels keep
+        # their groups and the fresh label takes the other side's union
         real_branch = containment._branch
-        used_bits = set()
         halves_checked = 0
 
-        def checked_branch(inst, e, fresh_bit):
+        def checked_branch(inst, e):
             nonlocal halves_checked
-            halves = real_branch(inst, e, fresh_bit)
-            fresh = {fresh_bit, fresh_bit << 1}
-            assert not fresh & used_bits and fresh_bit > inst.full
-            used_bits.update(fresh)
-            for half in halves:
+            halves = real_branch(inst, e)
+            for half, other in (halves, halves[::-1]):
                 assert half.bits.keys() == half.net.labels() == half.tree.labels()
-                for lab, bit in half.bits.items():
-                    assert inst.bits.get(lab, bit) == bit
-                    assert lab in inst.bits or bit in fresh
-                assert half.full == sum(half.bits.values())
+                assert half.full == inst.full
+                union = 0
+                for group in half.bits.values():
+                    assert group and not group & union
+                    union |= group
+                assert union == half.full
+                (fresh,) = half.bits.keys() - inst.bits.keys()
+                assert all(half.bits[lab] == inst.bits[lab] for lab in half.bits if lab != fresh)
+                # disjoint groups: their sum is their union
+                assert half.bits[fresh] == sum(inst.bits[lab] for lab in other.bits
+                                               if lab in inst.bits)
                 for graph, masks in ((half.tree, half.tree_masks), (half.net, half.net_masks)):
+                    rebuilt = UndirectedNet(graph.vertices, graph.edges, graph.leaf_labels,
+                                            graph.next_id)
+                    assert graph.adjacency() == rebuilt.adjacency()
                     assert graph.cut_edges() == bridges(graph.adjacency())
                     assert masks == _cut_edge_masks(graph, half.bits, half.full)
+                # the run-wide tree-edge index answers every split the half
+                # can branch on with the half's own smallest tree edge
+                smallest = {}
+                for te in sorted(half.tree_masks, reverse=True):
+                    smallest[half.tree_masks[te]] = te
+                for f in half.branchable:
+                    assert half.tree_edges[half.net_masks[f]] == smallest[half.net_masks[f]]
+                assert half.branchable == sorted(half.net.cut_edges()
+                                                 - half.net.trivial_cut_edges())
                 halves_checked += 1
             return halves
 
@@ -527,7 +602,6 @@ class TestAlgorithm:
             net = random_q_cuttable(GenConfig(seed=2600 + seed, leaf_count=leaves,
                                               target_r=leaves // 8, target_q=3))
             for tree in self.candidate_trees(net, seed):
-                used_bits.clear()
                 three_cuttable_tc(tree, net)
         assert halves_checked > 100
 
