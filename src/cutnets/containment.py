@@ -28,10 +28,10 @@ from .nets import (
     Split,
     UndirectedNet,
     _cut_edge_masks,
+    _WorkGraph,
     bfs_order,
     canon_edge,
     canonical_mask,
-    eliminate_edge,
     label_bits,
     split_of_mask,
     tree_path,
@@ -205,6 +205,11 @@ def _edge_order(tree: UndirectedNet) -> list[tuple[int, int]]:
 class _Instance(NamedTuple):
     """A tree and a network on the same labels, with their split masks.
 
+    ``tree`` and ``net`` are working graphs, thawed once by
+    ``_fresh_instance`` and edited in place: an ELIM edits ``net``, and
+    ``_branch`` turns the instance into its larger half, so an instance is
+    used up by branching on it.
+
     ``bits`` maps each label to its group of mask bits.  The groups are
     pairwise disjoint, their union is ``full``, and every mask is a union
     of groups, so masks compare and intersect as the label sets they stand
@@ -226,8 +231,8 @@ class _Instance(NamedTuple):
     non-trivial cut-edges in sorted order.
     """
 
-    tree: UndirectedNet
-    net: UndirectedNet
+    tree: _WorkGraph
+    net: _WorkGraph
     tree_masks: dict[Edge, int]
     net_masks: dict[Edge, int]
     bits: dict[str, int]
@@ -244,16 +249,22 @@ def _fresh_instance(tree: UndirectedNet, net: UndirectedNet) -> _Instance:
     """
     bits = label_bits(net.labels())
     full = (1 << len(bits)) - 1
-    tree_masks = _cut_edge_masks(tree, bits, full) if tree.labels() == net.labels() else {}
+    t, n = _WorkGraph.of(tree), _WorkGraph.of(net)
+    tree_masks = _masks(t, bits, full) if tree.labels() == net.labels() else {}
     tree_edges: dict[int, Edge] = {}
     for e in sorted(tree_masks, reverse=True):   # the smallest edge writes last
         tree_edges[tree_masks[e]] = e
-    return _Instance(tree, net, tree_masks, _cut_edge_masks(net, bits, full), bits, full,
-                     tree_edges, _branchable(net))
+    return _Instance(t, n, tree_masks, _masks(n, bits, full), bits, full,
+                     tree_edges, _branchable(n))
 
 
-def _branchable(net: UndirectedNet) -> list[Edge]:
-    return sorted(net.cut_edges() - net.trivial_cut_edges())
+def _masks(graph: _WorkGraph, bits, full) -> dict[Edge, int]:
+    return _cut_edge_masks(graph.adj, graph.bridges(), graph.labels, bits, full)
+
+
+def _branchable(graph: _WorkGraph) -> list[Edge]:
+    return sorted(e for e in graph.bridges()
+                  if e[0] not in graph.labels and e[1] not in graph.labels)
 
 
 # --- conflicting splits -----------------------------------------------------------
@@ -320,7 +331,7 @@ def branch_on_cut_edge(tree: UndirectedNet, net: UndirectedNet, edge):
     if e[0] in leaves or e[1] in leaves:
         raise TrivialCutEdge(f"{e} is a trivial cut-edge")
     first, second = _branch(_fresh_instance(tree, net), e)
-    return (first.tree, first.net), (second.tree, second.net)
+    return (first.tree.freeze(), first.net.freeze()), (second.tree.freeze(), second.net.freeze())
 
 
 def _branch(inst: _Instance, e: Edge) -> tuple[_Instance, _Instance]:
@@ -328,12 +339,15 @@ def _branch(inst: _Instance, e: Edge) -> tuple[_Instance, _Instance]:
     state, in time about linear in the smaller side of ``e`` and of its
     tree edge.
 
-    A cycle never crosses the severed bridge, so a half's cut-edges are the
-    parent's on that side plus the new pendant edge.  A half keeps its
-    parent's ``full``, and its fresh label's group is the union of the other
-    side's groups, so each cut-edge on the side keeps its parent's mask and
-    the pendant edge takes the mask of the severed edge: no mask is
-    rewritten.
+    The smaller side of each graph moves out into a new working graph
+    (``_WorkGraph.split_off``), and ``inst`` becomes the larger half in
+    place: its graphs, masks, label groups and ``branchable`` list lose
+    what moved, so ``inst`` is used up.  A cycle never crosses the severed
+    bridge, so a half's cut-edges are the parent's on that side plus the
+    new pendant edge.  A half keeps its parent's ``full``, and its fresh
+    label's group is the union of the other side's groups, so each cut-edge
+    on the side keeps its parent's mask and the pendant edge takes the mask
+    of the severed edge: no mask is rewritten.
     """
     mask = inst.net_masks.get(e)
     if mask is None:
@@ -347,42 +361,27 @@ def _branch(inst: _Instance, e: Edge) -> tuple[_Instance, _Instance]:
     while f"x{k}" in bits or f"x{k + 1}" in bits:
         k += 1
 
-    # the half of the network's smaller side is built from its own vertices
-    small = _smaller_side(net.adjacency(), e)
+    small = _smaller_side(net.adj, e)
     i = e.index(small[0])
     fresh = (f"x{k + i}", f"x{k + 1 - i}")   # x{k} closes the side of e[0]
-    small_labels = [net.leaf_labels[v] for v in small if v in net.leaf_labels]
-    side = 0
-    for lab in small_labels:
-        side |= bits[lab]
-    small_bits = {lab: bits[lab] for lab in small_labels}
+    small_bits = {net.labels[v]: bits.pop(net.labels[v]) for v in small if v in net.labels}
+    side = sum(small_bits.values())   # disjoint groups: their sum is their union
     small_bits[fresh[0]] = full ^ side
-    large_bits = dict(bits)
-    for lab in small_labels:
-        del large_bits[lab]
-    large_bits[fresh[1]] = side
-    (s_net, s_net_masks), (l_net, l_net_masks) = _peel(net, inst.net_masks, e, small,
-                                                       fresh, mask)
-    s_branchable = sorted(f for f in s_net.cut_edges()
-                          if f[0] not in s_net.leaf_labels and f[1] not in s_net.leaf_labels)
-    l_branchable = list(inst.branchable)
+    bits[fresh[1]] = side
+    s_net, s_net_masks = _peel(net, inst.net_masks, e, small, fresh)
+    s_branchable = _branchable(s_net)
     for f in s_branchable + [e]:
-        del l_branchable[bisect_left(l_branchable, f)]
+        del inst.branchable[bisect_left(inst.branchable, f)]
 
     # the tree's smaller side can hold either side's labels
-    t_small = _smaller_side(tree.adjacency(), tree_edge)
-    t_side = 0
-    for v in t_small:
-        if v in tree.leaf_labels:
-            t_side |= bits[tree.leaf_labels[v]]
-    same = t_side == side
-    trees = _peel(tree, inst.tree_masks, tree_edge, t_small, fresh if same else fresh[::-1], mask)
+    t_small = _smaller_side(tree.adj, tree_edge)
+    same = any(tree.labels.get(v) in small_bits for v in t_small)
+    trees = (_peel(tree, inst.tree_masks, tree_edge, t_small, fresh if same else fresh[::-1]),
+             (tree, inst.tree_masks))
     (s_tree, s_tree_masks), (l_tree, l_tree_masks) = trees if same else trees[::-1]
-
     small_half = _Instance(s_tree, s_net, s_tree_masks, s_net_masks, small_bits, full,
                            inst.tree_edges, s_branchable)
-    large_half = _Instance(l_tree, l_net, l_tree_masks, l_net_masks, large_bits, full,
-                           inst.tree_edges, l_branchable)
+    large_half = inst._replace(tree=l_tree, tree_masks=l_tree_masks)
     return (small_half, large_half) if i == 0 else (large_half, small_half)
 
 
@@ -405,58 +404,21 @@ def _smaller_side(adj, e: Edge) -> list[int]:
         pos += 1
 
 
-def _peel(graph: UndirectedNet, masks, severed: Edge, small, labels, mask):
-    """Both halves of ``graph`` at the cut-edge ``severed``, with their masks:
-    first the half of ``small``, the smaller side's vertices with its
-    endpoint first, then the other half.
-
-    Each half hangs a fresh leaf where ``severed`` was, named by ``labels``
-    in the same order; its pendant edge takes ``mask`` and every other edge
-    keeps its own.  The smaller half is built from its own vertices.  The
-    larger half is the parent minus the smaller side's entries, in C-level
-    copies, and takes the parent's sorted adjacency the same way, with the
-    kept endpoint's tuple ending in the fresh leaf, so no half sorts an
-    adjacency again.
+def _peel(graph: _WorkGraph, masks, severed: Edge, small, labels):
+    """Cut ``graph`` at the cut-edge ``severed`` and move ``small``, the
+    smaller side's vertices with its endpoint first, out with the masks of
+    its edges: returns the moved half and its masks, and ``graph`` and
+    ``masks`` become the other half in place.  Each half hangs a fresh leaf
+    where ``severed`` was, named by ``labels`` in the same order, and both
+    pendant edges take the severed edge's mask.
     """
-    adj, cuts, leaf_labels = graph.adjacency(), graph.cut_edges(), graph.leaf_labels
-    nv = graph.next_id
-    keep = small[0]
-    far = severed[severed[0] == keep]
-    inner = {(v, w) for v in small for w in adj[v] if v < w}
-    inner.discard(severed)
-    inner_cuts = inner & cuts
-
-    pendant = (keep, nv)
-    s_adj = {v: adj[v] for v in small}
-    s_adj[keep] = tuple(w for w in adj[keep] if w != far) + (nv,)
-    s_adj[nv] = (keep,)
-    s_labels = {v: leaf_labels[v] for v in small if v in leaf_labels}
-    s_labels[nv] = labels[0]
-    s_masks = {f: masks[f] for f in inner if f in masks}
-    s_masks[pendant] = mask
-    s_half = UndirectedNet._trusted(frozenset(s_adj), frozenset(inner | {pendant}), s_labels,
-                                    nv + 1, cuts=frozenset(inner_cuts | {pendant}), adj=s_adj)
-
-    pendant = (far, nv)
-    l_adj = dict(adj)
-    l_labels = dict(leaf_labels)
-    l_masks = dict(masks)
-    for v in small:
-        del l_adj[v]
-        l_labels.pop(v, None)
-    for f in inner:
-        l_masks.pop(f, None)
-    del l_masks[severed]
-    l_adj[far] = tuple(w for w in adj[far] if w != keep) + (nv,)
-    l_adj[nv] = (far,)
-    l_labels[nv] = labels[1]
-    l_masks[pendant] = mask
-    l_half = UndirectedNet._trusted(graph.vertices.difference(small).union((nv,)),
-                                    graph.edges.difference(inner, (severed,)).union((pendant,)),
-                                    l_labels, nv + 1,
-                                    cuts=cuts.difference(inner_cuts, (severed,)).union((pendant,)),
-                                    adj=l_adj)
-    return (s_half, s_masks), (l_half, l_masks)
+    half = graph.split_off(severed, small, labels)
+    half_masks = {f: masks.pop(f) for f in half.edges if f in masks}
+    mask = masks.pop(severed)
+    leaf = graph.next_id - 1
+    half_masks[(small[0], leaf)] = mask
+    masks[(severed[severed[0] == small[0]], leaf)] = mask
+    return half, half_masks
 
 
 # --- entangled paths ----------------------------------------------------------------
@@ -575,20 +537,21 @@ def apply_reduction(tree: UndirectedNet, net: UndirectedNet) -> RuleOutcome:
 def _reduce(inst: _Instance) -> RuleOutcome:
     """``apply_reduction`` on an instance with its masks, minus the input
     checks: ``_solve`` calls it only on pieces with no non-trivial cut-edge,
-    and halves and eliminations of a 3-cuttable network are 3-cuttable."""
-    tree, net = inst.tree, inst.net
-    if len(net.leaf_labels) <= 3:
+    and halves and eliminations of a 3-cuttable network are 3-cuttable.
+    The rules read the piece frozen, so their picks follow sorted neighbours."""
+    if len(inst.net.labels) <= 3:
         return RuleOutcome("yes", 1)
-    outcome = _rule2(inst)
+    net = inst.net.freeze()
+    outcome = _rule2(net, inst)
     if outcome is not None:
         return outcome
-    structure = find_pendant_structures(tree)
+    structure = find_pendant_structures(inst.tree.freeze())
     if isinstance(structure, PendantTriple):
         return _rule3(net, structure)
     return _rule4(net, structure)
 
 
-def _rule2(inst: _Instance):
+def _rule2(net: UndirectedNet, inst: _Instance):
     """Three consecutive leaf-hung vertices plus a fourth path vertex, with a
     matching pendant triple in the tree: eliminate the path's leading edge.
 
@@ -597,22 +560,23 @@ def _rule2(inst: _Instance):
     leaf, no edge between internal vertices is a cut-edge, and no three
     leaf-hung vertices form a triangle (it would be the whole piece).
     """
-    net, bits, full = inst.net, inst.bits, inst.full
+    bits, full = inst.bits, inst.full
     tree_masks = set(inst.tree_masks.values())
-    leaf_at = {net.neighbors(v)[0]: lab for v, lab in net.leaf_labels.items()}
+    adj = net.adjacency()
+    leaf_at = {adj[v][0]: lab for v, lab in net.leaf_labels.items()}
     for v1 in sorted(net.vertices - net.leaves()):
-        for v2 in net.neighbors(v1):
+        for v2 in adj[v1]:
             x = leaf_at.get(v2)
             if x is None:
                 continue
-            for v3 in net.neighbors(v2):
+            for v3 in adj[v2]:
                 y = leaf_at.get(v3)
                 if y is None or v3 == v1:
                     continue
                 xy = bits[x] | bits[y]
                 if canonical_mask(xy, full) not in tree_masks:
                     continue
-                for v4 in net.neighbors(v3):
+                for v4 in adj[v3]:
                     z = leaf_at.get(v4)
                     if z is None or v4 == v2:
                         continue
@@ -722,6 +686,8 @@ def _solve(tree, net, trace):
 
     A branch decides its first half before its second; the second halves
     wait on an explicit stack, so depth is not bounded by the call stack.
+    An ELIM edits the piece in place, keeping its cut-edges with one search
+    of the edge's blob, and a BRANCH moves the smaller side out of it.
 
     The input's labels get ``label_bits``, and each fresh label of a branch
     the group of the labels it stands for (see ``_Instance``), so masks
@@ -759,9 +725,9 @@ def _solve(tree, net, trace):
         if outcome.verdict == "no":
             return False
         e = outcome.eliminated_edge
-        reduced = eliminate_edge(inst.net, e)
+        inst.net.eliminate(e)
         trace.append(TraceEvent("ELIM", f"{e[0]}-{e[1]}"))
-        masks = _cut_edge_masks(reduced, inst.bits, inst.full)
+        masks = _masks(inst.net, inst.bits, inst.full)
         old = set(inst.net_masks.values())
         conflict = _first_conflict(inst, [m for m in masks.values() if m not in old])
-        inst = inst._replace(net=reduced, net_masks=masks, branchable=_branchable(reduced))
+        inst = inst._replace(net_masks=masks, branchable=_branchable(inst.net))

@@ -8,8 +8,9 @@ implemented once, on the private mutable ``_WorkGraph``, which keeps the
 same counter: the public ``subdivide``, ``suppress`` and ``eliminate_edge``
 make one edit on a working graph of their input and freeze it, and longer
 chains of edits share one working graph and freeze once, where the result
-leaves its caller.  A working graph keeps its cut-edge set current through
-the edits that can do so cheaply and hands it to the network it freezes.
+leaves its caller; tree containment cuts at bridges with ``split_off``.  A
+working graph keeps its cut-edge set current through the edits that can do
+so cheaply and hands it to the network it freezes.
 """
 
 from __future__ import annotations
@@ -149,8 +150,7 @@ class UndirectedNet:
         self._by_label = None
 
     @classmethod
-    def _trusted(cls, vertices, edges, leaf_labels, next_id,
-                 cuts=None, adj=None) -> "UndirectedNet":
+    def _trusted(cls, vertices, edges, leaf_labels, next_id, cuts=None) -> "UndirectedNet":
         """A network from parts its caller vouches for, with no check and no copy.
 
         ``vertices`` and ``edges`` are frozensets, every edge is canonical
@@ -159,18 +159,15 @@ class UndirectedNet:
         afterwards.  A ``cuts`` frozenset, when given, seeds the cut-edge
         cache and must equal the network's bridges: ``_WorkGraph.freeze``
         passes the cut-edge set its edits kept, so the frozen network runs
-        no bridge search.  An ``adj`` dict, when given, seeds the adjacency
-        cache and must equal what ``adjacency()`` builds, sorted tuples
-        included: a containment half inherits its parent's.
+        no bridge search.
         """
         net = object.__new__(cls)
         net.vertices = vertices
         net.edges = edges
         net.leaf_labels = leaf_labels
         net.next_id = next_id
-        net._blob_list = net._chain_list = net._by_label = None
+        net._adj = net._blob_list = net._chain_list = net._by_label = None
         net._cuts = cuts
-        net._adj = adj
         return net
 
     @staticmethod
@@ -610,7 +607,8 @@ def splits_of(net: UndirectedNet) -> list[tuple[Edge, Split]]:
     agrees with.
     """
     bits = label_bits(net.labels())
-    masks = _cut_edge_masks(net, bits, (1 << len(bits)) - 1)
+    masks = _cut_edge_masks(net.adjacency(), net.cut_edges(), net.leaf_labels,
+                            bits, (1 << len(bits)) - 1)
     return [(e, split_of_mask(masks[e], bits)) for e in sorted(masks)]
 
 
@@ -642,7 +640,7 @@ def split_of_mask(mask: int, bits: dict[str, int]) -> Split:
     return Split.of(side_a, bits.keys() - side_a)
 
 
-def _cut_edge_masks(net: UndirectedNet, bits: dict[str, int], full: int) -> dict[Edge, int]:
+def _cut_edge_masks(adj, cuts, leaf_labels, bits: dict[str, int], full: int) -> dict[Edge, int]:
     """Mask of every split-inducing cut-edge, in one pass, under the
     numbering ``bits`` of the labels, whose union is ``full``; masks are
     canonical at the lowest bit of ``full``.
@@ -653,15 +651,13 @@ def _cut_edge_masks(net: UndirectedNet, bits: dict[str, int], full: int) -> dict
     rest.  Cut-edges with a leafless side are skipped, as in
     ``split_of_cut_edge``.  Leaf labels are assumed distinct.
     """
-    cuts = net.cut_edges()
-    adj = net.adjacency()
     parent: dict[VertexId, VertexId | None] = {}
     masks = {}
-    for root in sorted(net.vertices):
+    for root in adj:
         if root in parent:
             continue
         order = bfs_order(adj, [root], parent)
-        below = {v: bits[net.leaf_labels[v]] if v in net.leaf_labels else 0 for v in order}
+        below = {v: bits[leaf_labels[v]] if v in leaf_labels else 0 for v in order}
         for v in reversed(order[1:]):
             below[parent[v]] |= below[v]
         component = below[root]
@@ -929,7 +925,8 @@ class _WorkGraph:
     ``cuts`` is the graph's cut-edge set, or None when it is not known.
     ``of`` seeds it from the network's cut-edge cache, ``bridges()`` fills
     it when it is None, and ``freeze`` hands it to the frozen network.
-    ``subdivide`` and ``add_leaf`` keep it current in O(1), and
+    ``subdivide`` and ``add_leaf`` keep it current in O(1), ``split_off``
+    keeps it on both sides in the time of the side it moves, and
     ``eliminate`` keeps it current with one bridge search of the blob that
     held the edge.  ``add_edge``, ``remove_edge``, ``suppress`` and
     ``delete_leaf`` set it to None.
@@ -1076,6 +1073,32 @@ class _WorkGraph:
         if cuts is not None:
             cuts |= bridges(self.adj, first[0], cuts)
         self.cuts = cuts
+
+    def split_off(self, edge, side, labels) -> "_WorkGraph":
+        """Cut the cut-edge ``edge`` and move ``side``, the vertices on one
+        side of it with its endpoint first, out into a new working graph,
+        which is returned.  Each side hangs a fresh leaf with the same id,
+        ``next_id``, where ``edge`` was, labelled ``labels[0]`` on the side
+        that moves and ``labels[1]`` on the side that stays.  A cycle never
+        crosses a bridge, so both graphs keep their cut-edges: the old ones
+        on their side plus the pendant edge.  With them kept, the work is
+        about the size of ``side``."""
+        cuts = self.bridges()
+        cuts.remove(edge)   # a KeyError for a non-cut-edge, before any change
+        keep = side[0]
+        far = edge[edge[0] == keep]
+        adj = {v: self.adj.pop(v) for v in side}
+        adj[keep].remove(far)
+        self.adj[far].remove(keep)
+        inner = [(v, w) for v in side for w in adj[v] if v < w]
+        for e in inner + [edge]:
+            del self.edges[bisect_left(self.edges, e)]
+        moved_labels = {v: self.labels.pop(v) for v in side if v in self.labels}
+        half = _WorkGraph(adj, sorted(inner), moved_labels, self.next_id, cuts.intersection(inner))
+        cuts -= half.cuts
+        half.add_leaf(keep, labels[0])
+        self.add_leaf(far, labels[1])
+        return half
 
     def bridges(self) -> set[Edge]:
         """The graph's cut-edges, found only when they are not kept.  The

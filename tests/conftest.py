@@ -97,21 +97,23 @@ def spy_on_pieces(monkeypatch):
     Returns two lists that fill as ``three_cuttable_tc`` runs: the network
     of every BRANCH half, and (tree, network before, network after) of every
     ELIM.  The trace keeps no graphs, so checks on them watch production
-    here.
+    here.  The loop edits its working graphs in place, the larger half of a
+    BRANCH included, so each piece is frozen as it is recorded.
     """
     halves, eliminations = [], []
     real_branch, real_reduce = containment._branch, containment._reduce
 
     def branch(inst, e):
         out = real_branch(inst, e)
-        halves.extend(half.net for half in out)
+        halves.extend(half.net.freeze() for half in out)
         return out
 
     def reduce(inst):
         outcome = real_reduce(inst)
         if outcome.verdict == "reduced":
-            eliminations.append((inst.tree, inst.net,
-                                 eliminate_edge(inst.net, outcome.eliminated_edge)))
+            net = inst.net.freeze()
+            eliminations.append((inst.tree.freeze(), net,
+                                 eliminate_edge(net, outcome.eliminated_edge)))
         return outcome
 
     monkeypatch.setattr(containment, "_branch", branch)

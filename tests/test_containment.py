@@ -137,8 +137,9 @@ def reference_branch(tree, net, edge):
     e = canon_edge(*edge)
     bits = label_bits(net.labels())
     full = (1 << len(bits)) - 1
-    mask = _cut_edge_masks(net, bits, full)[e]
-    tree_edge = min(te for te, m in _cut_edge_masks(tree, bits, full).items() if m == mask)
+    mask = _cut_edge_masks(net.adjacency(), net.cut_edges(), net.leaf_labels, bits, full)[e]
+    tree_masks = _cut_edge_masks(tree.adjacency(), tree.cut_edges(), tree.leaf_labels, bits, full)
+    tree_edge = min(te for te, m in tree_masks.items() if m == mask)
     existing = net.labels()
     k = 1
     while f"x{k}" in existing or f"x{k + 1}" in existing:
@@ -204,11 +205,11 @@ def reference_solve(tree, net):
     return verdict, trace
 
 
-def reference_rule2(inst):
+def reference_rule2(net, inst):
     """Rule 2 as first written: every leaf-hung vertex quadruple, its leaf
     labels read at each step, the quadruple's edges checked for cut-edges
     and the three labels checked for distinctness."""
-    net, bits, full = inst.net, inst.bits, inst.full
+    bits, full = inst.bits, inst.full
     tree_masks = set(inst.tree_masks.values())
     leaves = net.leaves()
     cuts = net.cut_edges()
@@ -554,36 +555,40 @@ class TestAlgorithm:
         assert serialize_trace(trace) == serialize_trace(reference_solve(tree, net)[1])
 
     def test_branch_halves_carry_exact_state(self, monkeypatch):
-        # every half inherits its parent's cut-edges, masks, adjacency and
-        # indices; they must be what a fresh bridge search, mask pass and
-        # sort give under the half's label groups, which are pairwise
-        # disjoint with the parent's full as their union: input labels keep
-        # their groups and the fresh label takes the other side's union
+        # every half inherits its parent's cut-edges, masks and indices;
+        # they must be what a fresh bridge search and mask pass give under
+        # the half's label groups, which are pairwise disjoint with the
+        # parent's full as their union: input labels keep their groups and
+        # the fresh label takes the other side's union.  The larger half is
+        # the parent edited in place, so the parent's groups are read first.
         real_branch = containment._branch
         halves_checked = 0
 
         def checked_branch(inst, e):
             nonlocal halves_checked
+            parent_bits, parent_full = dict(inst.bits), inst.full
             halves = real_branch(inst, e)
             for half, other in (halves, halves[::-1]):
-                assert half.bits.keys() == half.net.labels() == half.tree.labels()
-                assert half.full == inst.full
+                assert half.bits.keys() == set(half.net.labels.values()) \
+                    == set(half.tree.labels.values())
+                assert half.full == parent_full
                 union = 0
                 for group in half.bits.values():
                     assert group and not group & union
                     union |= group
                 assert union == half.full
-                (fresh,) = half.bits.keys() - inst.bits.keys()
-                assert all(half.bits[lab] == inst.bits[lab] for lab in half.bits if lab != fresh)
+                (fresh,) = half.bits.keys() - parent_bits.keys()
+                assert all(half.bits[lab] == parent_bits[lab] for lab in half.bits if lab != fresh)
                 # disjoint groups: their sum is their union
-                assert half.bits[fresh] == sum(inst.bits[lab] for lab in other.bits
-                                               if lab in inst.bits)
+                assert half.bits[fresh] == sum(parent_bits[lab] for lab in other.bits
+                                               if lab in parent_bits)
                 for graph, masks in ((half.tree, half.tree_masks), (half.net, half.net_masks)):
-                    rebuilt = UndirectedNet(graph.vertices, graph.edges, graph.leaf_labels,
-                                            graph.next_id)
-                    assert graph.adjacency() == rebuilt.adjacency()
-                    assert graph.cut_edges() == bridges(graph.adjacency())
-                    assert masks == _cut_edge_masks(graph, half.bits, half.full)
+                    assert graph.edges == sorted(graph.edges)
+                    assert set(graph.edges) == {canon_edge(v, w) for v in graph.adj
+                                                for w in graph.adj[v]}
+                    assert graph.cuts == bridges(graph.adj)
+                    assert masks == _cut_edge_masks(graph.adj, graph.cuts, graph.labels,
+                                                    half.bits, half.full)
                 # the run-wide tree-edge index answers every split the half
                 # can branch on with the half's own smallest tree edge
                 smallest = {}
@@ -591,8 +596,8 @@ class TestAlgorithm:
                     smallest[half.tree_masks[te]] = te
                 for f in half.branchable:
                     assert half.tree_edges[half.net_masks[f]] == smallest[half.net_masks[f]]
-                assert half.branchable == sorted(half.net.cut_edges()
-                                                 - half.net.trivial_cut_edges())
+                frozen = half.net.freeze()
+                assert half.branchable == sorted(frozen.cut_edges() - frozen.trivial_cut_edges())
                 halves_checked += 1
             return halves
 
@@ -612,10 +617,10 @@ class TestAlgorithm:
         real_rule2 = containment._rule2
         compared = reduced = 0
 
-        def checked_rule2(inst):
+        def checked_rule2(net, inst):
             nonlocal compared, reduced
-            outcome = real_rule2(inst)
-            assert outcome == reference_rule2(inst)
+            outcome = real_rule2(net, inst)
+            assert outcome == reference_rule2(net, inst)
             compared += 1
             reduced += outcome is not None
             return outcome

@@ -95,6 +95,42 @@ def test_no_recursion_outside_the_budgeted_oracles():
     assert RECURSION_ALLOWED - found == set(), "stale allowlist entry"
 
 
+def callers_of(source: str, attr: str, module: str = "m") -> set[str]:
+    """Dotted names of the functions whose own body (not a nested def's)
+    calls a method or attribute named ``attr``, as ``<x>.<attr>(...)``."""
+    found = set()
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, path + [child.name])
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) \
+                    and child.func.attr == attr:
+                found.add(".".join([module] + path))
+            visit(child, path)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_checker_finds_attribute_callers():
+    source = ("class C:\n    def freeze(self):\n        return C._make(1)\n"
+              "def f():\n    def g():\n        return x._make()\n    return g\n"
+              "def h():\n    return _make()\n")
+    assert callers_of(source, "_make") == {"m.C.freeze", "m.f.g"}
+
+
+def test_trusted_networks_come_only_from_freezes():
+    # a network built from unchecked parts is built in two places: a
+    # working graph and the SAT gadget builder, each at the one point
+    # where its value leaves
+    found = set()
+    for path in MODULES:
+        found |= callers_of(path.read_text(encoding="utf-8"), "_trusted", path.stem)
+    assert found == {"nets._WorkGraph.freeze", "sat._Builder.freeze"}
+
+
 def traced_names() -> list[str]:
     """The ``module.function`` names the bench tracer wraps, read from the
     ``LAYERS`` literal in ``perfbench/tracing.py`` without running it."""

@@ -35,6 +35,7 @@ from cutnets.nets import (
     RootedNet,
     Split,
     _WorkGraph,
+    bfs_order,
     bridges,
     canon_edge,
     splits_of,
@@ -662,6 +663,39 @@ class TestWorkGraph:
                              "delete_leaf", "suppress", "eliminate"}
         assert min(kept[name] for name in ("subdivide", "add_leaf", "eliminate")) > 100
         assert new_bridges > 50
+
+    def test_split_off_matches_a_split_from_scratch(self):
+        """At every non-trivial cut-edge of seeded networks, each side moved
+        out in turn from a fresh working graph: both graphs must be the
+        network's edges and labels on their side plus the fresh leaf, with
+        the edges sorted and the kept cut-edges equal to a fresh search."""
+        def from_scratch(net, side, keep, label):
+            leaf = net.next_id
+            edges = [f for f in net.edges if f[0] in side and f[1] in side] + [(keep, leaf)]
+            labels = {v: lab for v, lab in net.leaf_labels.items() if v in side}
+            labels[leaf] = label
+            return UndirectedNet(side | {leaf}, edges, labels, leaf + 1)
+
+        splits = 0
+        for s in range(13):
+            leaves = 16 + 4 * s
+            net = random_q_cuttable(GenConfig(seed=4000 + s, leaf_count=leaves,
+                                              target_r=leaves // 8, target_q=1 + s % 3))
+            for e in sorted(net.cut_edges() - net.trivial_cut_edges()):
+                for keep, far in (e, e[::-1]):
+                    side = bfs_order(net.adjacency(), [keep], {far: None})
+                    g = _WorkGraph.of(net if s % 2 else net.replace())   # with and without a kept set
+                    half = g.split_off(e, side, ("moved", "stayed"))
+                    for graph, want in ((half, from_scratch(net, set(side), keep, "moved")),
+                                        (g, from_scratch(net, net.vertices - set(side), far,
+                                                         "stayed"))):
+                        assert graph.adj == {v: set(ns) for v, ns in want.adjacency().items()}
+                        assert graph.edges == sorted(graph.edges) == want.sorted_edges()
+                        assert graph.labels == want.leaf_labels
+                        assert graph.next_id == want.next_id
+                        assert graph.cuts == bridges(graph.adj)
+                    splits += 1
+        assert splits > 100
 
     def test_eliminating_a_cut_edge_drops_the_kept_set(self):
         # the graph splits in two, so a search from one side cannot renew it
