@@ -49,7 +49,7 @@ def is_q_cuttable(net: UndirectedNet, q: int) -> CuttabilityReport:
     for chain in net.maximal_chains():
         if chain.length >= q:
             doomed.update(chain.path_vertices)
-    cycle = _find_cycle_avoiding(net, doomed)
+    cycle = _find_cycle_avoiding(net.adjacency(), doomed)
     if cycle is None:
         return CuttabilityReport(q, True)
     return CuttabilityReport(q, False, _canon_cycle(list(cycle)))
@@ -135,21 +135,25 @@ def _is_forest(vertices, edges) -> bool:
     return all(sets.union(u, v) for u, v in edges)
 
 
-def _find_cycle_avoiding(net: UndirectedNet, doomed):
-    """A cycle in the subgraph induced by the surviving vertices, or None."""
-    adj = {v: [w for w in ns if w not in doomed]
-           for v, ns in net.adjacency().items() if v not in doomed}
+def _find_cycle_avoiding(adj, doomed):
+    """A cycle among the vertices not in ``doomed``, or None.
+
+    ``adj`` maps each vertex to its neighbours, in any order and in any
+    container; doomed vertices are skipped as the search meets them.  Roots
+    and neighbours are visited in sorted order, so a working graph's
+    adjacency sets give the same cycle as the frozen network's tuples.
+    """
     seen = set()
     for root in sorted(adj):
-        if root in seen:
+        if root in seen or root in doomed:
             continue
         stack = [(root, None)]
         parent = {root: None}
         seen.add(root)
         while stack:
             v, pv = stack.pop()
-            for w in adj[v]:
-                if w == pv:
+            for w in sorted(adj[v]):
+                if w == pv or w in doomed:
                     continue
                 if w in parent:
                     # non-tree edge: the tree path between its ends closes a cycle
@@ -158,4 +162,3 @@ def _find_cycle_avoiding(net: UndirectedNet, doomed):
                 seen.add(w)
                 stack.append((w, v))
     return None
-

@@ -191,10 +191,12 @@ class _NewickScanner:
     def parse_suffix(self, node: _Node) -> _Node:
         """The optional label and hybrid tag after a node's children."""
         c = self.peek()
-        if c and (c.isalnum() or c in "_.-"):
-            m = _LABEL_RE.match(self.text, self.pos)
+        m = _LABEL_RE.match(self.text, self.pos)
+        if m:
             node.label = m.group(0)
             self.pos = m.end()
+        elif c.isalnum():   # a letter or digit outside the label alphabet, such as 'é'
+            raise self.error(f"character {c!r} is not allowed in a label")
         if self.peek() == "#":
             if not self.allow_tags:
                 raise self.error("hybrid tags are not allowed in plain Newick trees")

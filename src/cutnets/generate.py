@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .cuttable import is_q_cuttable
+from .cuttable import _find_cycle_avoiding, is_q_cuttable
 from .errors import InvalidN, WouldCreateParallelEdge
 from .nets import UndirectedNet, _WorkGraph, canon_edge
 from .sat import CnfInstance, validate_2balanced
@@ -51,39 +51,58 @@ def _tree_graph(labels, seed: int) -> _WorkGraph:
 
 def make_q_cuttable(net: UndirectedNet, q: int) -> UndirectedNet:
     """Insert leaf-decorated q-vertex paths into witness cycles until the
-    recognizer accepts.  Insertions never create cycles, so this terminates;
-    fresh leaves use the reserved ``aug_`` prefix, numbered above every
-    ``aug_<k>`` label already present.  A q-cuttable input is returned
-    as it is."""
-    report = is_q_cuttable(net, q)
-    if report:
+    network is q-cuttable.  Insertions never create cycles, so this
+    terminates; fresh leaves use the reserved ``aug_`` prefix, numbered
+    above every ``aug_<k>`` label already present.  The input is recognized
+    once and a q-cuttable input is returned as it is; the rounds after that
+    recognize nothing (see ``_augment``)."""
+    if is_q_cuttable(net, q):
         return net
-    return _augment(_WorkGraph.of(net), q, report)
+    return _augment(_WorkGraph.of(net), q)
 
 
-def _augment(g: _WorkGraph, q: int, report=None) -> UndirectedNet:
-    """``make_q_cuttable`` on a working graph; ``report``, when given, is
-    ``is_q_cuttable`` of the graph as it is.  Subdividing and hanging leaves
-    keep the graph's cut-edge set, so each round freezes with it and the
-    recognizer runs no bridge search."""
+def _augment(g: _WorkGraph, q: int) -> UndirectedNet:
+    """``make_q_cuttable`` on a working graph.
+
+    ``is_q_cuttable`` dooms every vertex on a maximal chain of at least q
+    vertices and returns the first cycle that ``_find_cycle_avoiding``
+    closes among the other vertices.  The doomed set only grows from round
+    to round.  A round subdivides one non-cut edge, a cycle edge, q times
+    and hangs a leaf off each new vertex, which keeps the cut status of
+    every other edge.  So the only chain that changes is the one through
+    the new path, and it has at least q vertices: the q new ones and the
+    chain through each end of the old edge that has a cut-edge (both ends
+    are in the blob).
+
+    So the chains are read once, from one frozen copy.  Each round searches
+    the working graph itself, then dooms the new chain by a walk from the
+    new path over the cut-edge set that ``subdivide`` and ``add_leaf`` keep
+    current.  The graph is frozen again on return.
+    """
     taken = [int(lab[4:]) for lab in g.labels.values()
              if lab.startswith("aug_") and lab[4:].isdecimal()]
     counter = max(taken, default=0) + 1
-    g.bridges()   # kept from here on
-    while True:
-        if report is None:
-            net = g.freeze()
-            report = is_q_cuttable(net, q)
-            if report.is_cuttable:
-                return net
-        cycle = report.witness_cycle
+    cuts = g.bridges()   # kept from here on
+    doomed = {v for chain in g.freeze().maximal_chains() if chain.length >= q
+              for v in chain.path_vertices}
+    while (cycle := _find_cycle_avoiding(g.adj, doomed)) is not None:
         attach, far = min(canon_edge(cycle[i], cycle[(i + 1) % len(cycle)])
                           for i in range(len(cycle)))
+        stack = []
         for _ in range(q):
             attach = g.subdivide((attach, far))
             g.add_leaf(attach, f"aug_{counter}")
             counter += 1
-        report = None
+            stack.append(attach)
+        doomed.update(stack)
+        while stack:   # along non-cut edges to cut-edge-incident vertices
+            v = stack.pop()
+            for w in g.adj[v]:
+                if (w not in doomed and canon_edge(v, w) not in cuts
+                        and any(canon_edge(w, n) in cuts for n in g.adj[w])):
+                    doomed.add(w)
+                    stack.append(w)
+    return g.freeze()
 
 
 def random_q_cuttable(config: GenConfig) -> UndirectedNet:

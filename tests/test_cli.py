@@ -106,6 +106,12 @@ class TestStatsAndOrient:
         assert result.exit_code == 0
         assert "tree-child: yes" in result.output
 
+    def test_check_tree_child_non_ascii_label_exit_2(self, tmp_path):
+        path = write(tmp_path / "n.enwk", "((a,(b)#H1),(#H1,²));\n")
+        result = CliRunner().invoke(cli, ["check-tree-child", path])
+        assert result.exit_code == 2
+        assert "character '²' is not allowed in a label (line 1, col 18)" in result.output
+
     def test_internal_error_exit_4(self, tmp_path, monkeypatch):
         # a failure inside the library is neither "no" (1) nor bad input (2)
         def broken(rooted):
@@ -148,6 +154,13 @@ class TestContain:
         assert result.exit_code == 2
         assert "error: " in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    def test_non_ascii_label_exit_2(self, tmp_path, cycle4):
+        tpath = write(tmp_path / "t.nwk", "(é,b);\n")
+        npath = write(tmp_path / "u.upn", serialize_upn(cycle4))
+        result = CliRunner().invoke(cli, ["contain", tpath, npath])
+        assert result.exit_code == 2
+        assert "character 'é' is not allowed in a label (line 1, col 2)" in result.output
 
     def test_not_three_cuttable_exit_2(self, tmp_path, theta3):
         tpath = write(tmp_path / "t.nwk", "(a,b,c);\n")

@@ -157,11 +157,11 @@ class TestEquivalenceAndMonotonicity:
         assert witnesses > 100
 
     def test_fast_recognizers_agree_at_scale(self):
-        # |X| = 2264; parsed back from UPN/1, so the cut-edges the generator
+        # |X| = 4531; parsed back from UPN/1, so the cut-edges the generator
         # kept are not trusted and both recognizers see a fresh bridge search
         net = parse_upn(serialize_upn(random_q_cuttable(
-            GenConfig(seed=1, leaf_count=2048, target_r=256, target_q=3))))
-        assert net._cuts is None and len(net.leaf_labels) == 2264
+            GenConfig(seed=1, leaf_count=4096, target_r=512, target_q=3))))
+        assert net._cuts is None and len(net.leaf_labels) == 4531
         answers = [is_q_cuttable(net, q).is_cuttable for q in (2, 3, 4)]
         assert answers == [is_q_cuttable_via_chain_deletion(net, q) for q in (2, 3, 4)]
         assert answers == [True, True, False]

@@ -164,6 +164,21 @@ class TestNewickTree:
             assert serialize_newick_tree(back) == text
 
 
+class TestNonAsciiLabels:
+    # str.isalnum is true for these, but labels are ASCII letters, digits and _.-
+    @pytest.mark.parametrize("parse", [parse_newick_tree, parse_enewick])
+    @pytest.mark.parametrize("text, char, line, col", [
+        ("(é,b);", "é", 1, 2),
+        ("(a,\n  (b,²));", "²", 2, 6),
+        ("((a,b)ß,c);", "ß", 1, 7),
+    ])
+    def test_parse_error_names_the_character(self, parse, text, char, line, col):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert f"character {char!r} is not allowed in a label" in str(info.value)
+        assert (info.value.line, info.value.col) == (line, col)
+
+
 class TestDimacs:
     def test_phi_bench_doc(self, phi_bench):
         text = "c phi\np cnf 3 4\n1 -2 3 0\n-1 2 -3 0\n1 2 -3 0\n-1 -2 3 0\n"

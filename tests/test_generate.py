@@ -1,7 +1,10 @@
+from collections import Counter
+
 import pytest
 
 from cutnets import (
     GenConfig,
+    UndirectedNet,
     display_oracle,
     is_q_cuttable,
     is_q_cuttable_bruteforce,
@@ -14,8 +17,31 @@ from cutnets import (
     validate_2balanced,
     validate_unrooted,
 )
+from cutnets import generate
 from cutnets.errors import InvalidN
 from cutnets.formats import serialize_upn
+from cutnets.nets import _WorkGraph, canon_edge
+
+
+def reference_augment(g, q):
+    """The loop ``_augment`` replaced: freeze and recognize after every
+    inserted path.  Kept only as the reference it is tested against."""
+    taken = [int(lab[4:]) for lab in g.labels.values()
+             if lab.startswith("aug_") and lab[4:].isdecimal()]
+    counter = max(taken, default=0) + 1
+    g.bridges()
+    while True:
+        net = g.freeze()
+        report = is_q_cuttable(net, q)
+        if report:
+            return net
+        cycle = report.witness_cycle
+        attach, far = min(canon_edge(cycle[i], cycle[(i + 1) % len(cycle)])
+                          for i in range(len(cycle)))
+        for _ in range(q):
+            attach = g.subdivide((attach, far))
+            g.add_leaf(attach, f"aug_{counter}")
+            counter += 1
 
 
 class TestRandomTree:
@@ -106,6 +132,89 @@ class TestLargeInstance:
         assert tree.reticulation_number() == 0
         assert tree.is_connected()
         assert tree.labels() == net.labels()
+
+
+class TestAugment:
+    DESK = [GenConfig(seed=s, leaf_count=4 + s % 61, target_r=1 + s % 13, target_q=1 + s % 4)
+            for s in range(244)]
+
+    @pytest.fixture
+    def outputs(self, monkeypatch):
+        """Runs ``reference_augment`` on a copy of each graph ``_augment``
+        gets; collects (output, reference output) as UPN text."""
+        pairs = []
+        real = generate._augment
+
+        def both(g, q):
+            ref = reference_augment(_WorkGraph.of(g.freeze()), q)
+            out = real(g, q)
+            pairs.append((serialize_upn(out), serialize_upn(ref)))
+            return out
+
+        monkeypatch.setattr(generate, "_augment", both)
+        return pairs
+
+    def test_matches_reference_at_desk_scale(self, outputs):
+        for cfg in self.DESK:
+            random_q_cuttable(cfg)
+        assert len(outputs) == len(self.DESK)
+        assert all(out == ref for out, ref in outputs)
+
+    def test_make_q_cuttable_matches_reference(self, outputs):
+        # q=1 outputs carry aug_ labels and are mostly not 2- to 4-cuttable
+        for cfg in self.DESK[:60]:
+            net = random_q_cuttable(GenConfig(cfg.seed, cfg.leaf_count, cfg.target_r, 1))
+            make_q_cuttable(net, 2 + cfg.seed % 3)
+        assert len(outputs) > 60
+        assert all(out == ref for out, ref in outputs)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_matches_reference_at_scale(self, outputs, q):
+        random_q_cuttable(GenConfig(seed=1, leaf_count=2048, target_r=256, target_q=q))
+        ((out, ref),) = outputs
+        assert out == ref
+
+    def test_kept_doomed_set_is_the_long_chains(self, monkeypatch):
+        real = generate._find_cycle_avoiding
+        rounds = Counter()
+
+        def checked(adj, doomed):
+            net = UndirectedNet.build([(u, w) for u in adj for w in adj[u] if u < w], {})
+            assert doomed == {v for chain in net.maximal_chains() if chain.length >= q
+                              for v in chain.path_vertices}
+            rounds[q] += 1
+            return real(adj, doomed)
+
+        monkeypatch.setattr(generate, "_find_cycle_avoiding", checked)
+        for cfg in self.DESK[:120] + [GenConfig(seed=5, leaf_count=256, target_r=32, target_q=3)]:
+            q = cfg.target_q   # read by checked
+            random_q_cuttable(cfg)
+        assert sum(rounds.values()) > 2 * 121 and set(rounds) == {1, 2, 3, 4}
+
+    def test_whole_network_work_is_constant_per_call(self, monkeypatch):
+        # counts, not seconds: chains are found and the graph frozen a fixed
+        # number of times however many paths are inserted
+        counts = Counter()
+
+        def count(owner, name):
+            real = getattr(owner, name)
+
+            def counted(*args):
+                counts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(UndirectedNet, "maximal_chains")
+        count(_WorkGraph, "freeze")
+        count(generate, "_find_cycle_avoiding")
+        rounds = []
+        for q in (2, 4):
+            counts.clear()
+            random_q_cuttable(GenConfig(seed=1, leaf_count=512, target_r=64, target_q=q))
+            rounds.append(counts.pop("_find_cycle_avoiding"))
+            assert counts == {"maximal_chains": 1, "freeze": 2}
+        assert rounds[0] > 5 and rounds[1] > 30
 
 
 class TestSampleDisplayedTree:
