@@ -32,6 +32,7 @@ from .nets import (
     bfs_order,
     canon_edge,
     canonical_mask,
+    check_binary_tree,
     label_bits,
     split_of_mask,
     tree_path,
@@ -203,7 +204,7 @@ def _edge_order(tree: UndirectedNet) -> list[tuple[int, int]]:
 # --- instances -------------------------------------------------------------------
 
 class _Instance(NamedTuple):
-    """A tree and a network on the same labels, with their split masks.
+    """A tree and a network on the same labels, with their label groups.
 
     ``tree`` and ``net`` are working graphs, thawed once by
     ``_fresh_instance`` and edited in place: an ELIM edits ``net``, and
@@ -215,26 +216,23 @@ class _Instance(NamedTuple):
     of groups, so masks compare and intersect as the label sets they stand
     for.  An input label's group is one bit (``label_bits``); the fresh
     label of a BRANCH half stands for the other side's labels and takes the
-    union of their groups.  Both mask dicts map every split-inducing
-    cut-edge to its mask, canonical at the lowest bit of ``full``.  Each
-    instance carries its own ``bits`` because fresh labels are named per
-    instance: ``x2`` can close a half waiting on the stack and, with
-    another group, a half of its sibling.
+    union of their groups.  Masks are canonical at the lowest bit of
+    ``full``.  Each instance carries its own ``bits`` because fresh labels
+    are named per instance: ``x2`` can close a half waiting on the stack
+    and, with another group, a half of its sibling.
 
     ``tree_edges`` maps each mask of the input tree to the smallest edge
-    that has it; one dict serves the whole run.  A tree edge keeps its mask
-    and lies in one half, and the mask of a tree edge outside a half splits
-    one of the half's groups, so it is no mask of the half.  The exception
-    is the severed edge's mask, which both pendant edges take; it is never
-    looked up, as no non-trivial cut-edge of a binary 3-cuttable network
-    separates one leaf from the rest.  ``branchable`` lists the network's
-    non-trivial cut-edges in sorted order.
+    that has it; one dict serves the whole run, and it is also the set of
+    the instance's tree masks.  A tree edge keeps its mask and lies in one
+    half, and the mask of a tree edge outside a half splits one of the
+    half's groups, so it is no union of them and never equals a mask of
+    the half.  The exception is the severed edge's mask, which both
+    pendant edges take, so it is a mask of both halves.  ``branchable`` lists the network's non-trivial
+    cut-edges in sorted order.
     """
 
     tree: _WorkGraph
     net: _WorkGraph
-    tree_masks: dict[Edge, int]
-    net_masks: dict[Edge, int]
     bits: dict[str, int]
     full: int
     tree_edges: dict[int, Edge]
@@ -244,7 +242,7 @@ class _Instance(NamedTuple):
 def _fresh_instance(tree: UndirectedNet, net: UndirectedNet) -> _Instance:
     """The instance numbered on its own: bit i is the i-th smallest label.
 
-    The tree gets no masks when the label sets differ: then no tree split
+    ``tree_edges`` is empty when the label sets differ: then no tree split
     equals a network split.
     """
     bits = label_bits(net.labels())
@@ -254,8 +252,7 @@ def _fresh_instance(tree: UndirectedNet, net: UndirectedNet) -> _Instance:
     tree_edges: dict[int, Edge] = {}
     for e in sorted(tree_masks, reverse=True):   # the smallest edge writes last
         tree_edges[tree_masks[e]] = e
-    return _Instance(t, n, tree_masks, _masks(n, bits, full), bits, full,
-                     tree_edges, _branchable(n))
+    return _Instance(t, n, bits, full, tree_edges, _branchable(n))
 
 
 def _masks(graph: _WorkGraph, bits, full) -> dict[Edge, int]:
@@ -272,46 +269,39 @@ def _branchable(graph: _WorkGraph) -> list[Edge]:
 def conflicting_split(tree: UndirectedNet, net: UndirectedNet) -> tuple[Split, Split] | None:
     """First (canonical order) incompatible pair of a network split and a tree split.
 
-    Fast path: when every network split mask is also a tree split mask there
-    is no conflict, because the splits of a tree are pairwise compatible.
-    Otherwise the network split that is smallest in canonical order among
-    those incompatible with some tree split is paired with the smallest
-    tree split it is incompatible with.  On a non-binary tree there can be
-    none.
+    The network split that is smallest in canonical order among those
+    incompatible with some tree split is paired with the smallest tree
+    split it is incompatible with.  ``tree`` must be a binary phylogenetic
+    tree.
     """
+    check_binary_tree(tree)
     if tree.labels() != net.labels():
         raise LabelSetMismatch(f"{sorted(tree.labels())} vs {sorted(net.labels())}")
-    inst = _fresh_instance(tree, net)
-    return _first_conflict(inst, inst.net_masks.values())
+    return _first_conflict(_fresh_instance(tree, net))
 
 
-def _first_conflict(inst: _Instance, net_masks) -> tuple[Split, Split] | None:
-    """``conflicting_split`` over the network masks ``net_masks`` only.
+def _first_conflict(inst: _Instance) -> tuple[Split, Split] | None:
+    """``conflicting_split`` on an instance whose tree is binary.
 
-    A network mask that is also a tree mask is compatible with every tree
-    split, so only the others are tested.  The tests run on masks;
-    ``Split`` values are built only for the network masks that clash and
-    for the partners of the first of them.
+    The splits of a binary phylogenetic tree form a maximal compatible set
+    (Semple & Steel, *Phylogenetics*, OUP 2003), so a network split is
+    incompatible with some tree split exactly when it is not a tree split:
+    the network's masks are looked up in ``tree_edges``, and the smallest
+    foreign split is reported.  Only then are the tree's own masks
+    computed, to name its smallest partner.  ``Split`` values are built
+    only for the foreign masks and for the partners.
     """
-    tree_set = set(inst.tree_masks.values())
-    foreign = [m for m in net_masks if m not in tree_set]
+    bits, full = inst.bits, inst.full
+    foreign = [m for m in _masks(inst.net, bits, full).values() if m not in inst.tree_edges]
     if not foreign:
         return None
-    full = inst.full
-
-    def clash(um, tm):
-        # both masks hold the lowest bit of full, so the sides holding it
-        # always meet; incompatible when each of the other three
-        # intersections is nonempty
-        return um & ~tm and tm & ~um and um | tm != full
-
-    clashing = [um for um in foreign if any(clash(um, tm) for tm in tree_set)]
-    if not clashing:
-        return None
-    bits = inst.bits
-    us, um = min(((split_of_mask(m, bits), m) for m in clashing),
+    us, um = min(((split_of_mask(m, bits), m) for m in foreign),
                  key=lambda pair: pair[0].sort_key())
-    ts = min((split_of_mask(tm, bits) for tm in tree_set if clash(um, tm)),
+    # both masks hold the lowest bit of full, so the sides holding it
+    # always meet; incompatible when each of the other three intersections
+    # is nonempty
+    ts = min((split_of_mask(tm, bits) for tm in _masks(inst.tree, bits, full).values()
+              if um & ~tm and tm & ~um and um | tm != full),
              key=Split.sort_key)
     return us, ts
 
@@ -341,34 +331,36 @@ def _branch(inst: _Instance, e: Edge) -> tuple[_Instance, _Instance]:
 
     The smaller side of each graph moves out into a new working graph
     (``_WorkGraph.split_off``), and ``inst`` becomes the larger half in
-    place: its graphs, masks, label groups and ``branchable`` list lose
-    what moved, so ``inst`` is used up.  A cycle never crosses the severed
-    bridge, so a half's cut-edges are the parent's on that side plus the
-    new pendant edge.  A half keeps its parent's ``full``, and its fresh
-    label's group is the union of the other side's groups, so each cut-edge
-    on the side keeps its parent's mask and the pendant edge takes the mask
-    of the severed edge: no mask is rewritten.
+    place: its graphs, label groups and ``branchable`` list lose what
+    moved, so ``inst`` is used up.  The mask of ``e`` is the union of the
+    groups of the labels on the network's smaller side, and ``tree_edges``
+    names its tree edge.  A cycle never crosses the severed bridge, so a
+    half's cut-edges are the parent's on that side plus the new pendant
+    edge.  A half keeps its parent's ``full``, and its fresh label's group
+    is the union of the other side's groups, so each cut-edge on the side
+    keeps its parent's mask and the pendant edge takes the mask of the
+    severed edge.
     """
-    mask = inst.net_masks.get(e)
-    if mask is None:
+    tree, net, bits, full = inst.tree, inst.net, inst.bits, inst.full
+    small = _smaller_side(net.adj, e)
+    # disjoint groups: their sum is their union
+    side = sum(bits[net.labels[v]] for v in small if v in net.labels)
+    if not side or side == full:
         raise AssertionError("a non-trivial cut-edge of a 3-cuttable network must induce a split")
+    mask = canonical_mask(side, full)
     tree_edge = inst.tree_edges.get(mask)
     if tree_edge is None:
-        raise NoMatchingTreeEdge(f"tree has no edge inducing {split_of_mask(mask, inst.bits)}; "
+        raise NoMatchingTreeEdge(f"tree has no edge inducing {split_of_mask(mask, bits)}; "
                                  "instance has a conflicting split")
-    tree, net, bits, full = inst.tree, inst.net, inst.bits, inst.full
     k = 1
     while f"x{k}" in bits or f"x{k + 1}" in bits:
         k += 1
-
-    small = _smaller_side(net.adj, e)
     i = e.index(small[0])
     fresh = (f"x{k + i}", f"x{k + 1 - i}")   # x{k} closes the side of e[0]
     small_bits = {net.labels[v]: bits.pop(net.labels[v]) for v in small if v in net.labels}
-    side = sum(small_bits.values())   # disjoint groups: their sum is their union
     small_bits[fresh[0]] = full ^ side
     bits[fresh[1]] = side
-    s_net, s_net_masks = _peel(net, inst.net_masks, e, small, fresh)
+    s_net = net.split_off(e, small, fresh)
     s_branchable = _branchable(s_net)
     for f in s_branchable + [e]:
         del inst.branchable[bisect_left(inst.branchable, f)]
@@ -376,12 +368,10 @@ def _branch(inst: _Instance, e: Edge) -> tuple[_Instance, _Instance]:
     # the tree's smaller side can hold either side's labels
     t_small = _smaller_side(tree.adj, tree_edge)
     same = any(tree.labels.get(v) in small_bits for v in t_small)
-    trees = (_peel(tree, inst.tree_masks, tree_edge, t_small, fresh if same else fresh[::-1]),
-             (tree, inst.tree_masks))
-    (s_tree, s_tree_masks), (l_tree, l_tree_masks) = trees if same else trees[::-1]
-    small_half = _Instance(s_tree, s_net, s_tree_masks, s_net_masks, small_bits, full,
+    s_tree = tree.split_off(tree_edge, t_small, fresh if same else fresh[::-1])
+    small_half = _Instance(s_tree if same else tree, s_net, small_bits, full,
                            inst.tree_edges, s_branchable)
-    large_half = inst._replace(tree=l_tree, tree_masks=l_tree_masks)
+    large_half = inst if same else inst._replace(tree=s_tree)
     return (small_half, large_half) if i == 0 else (large_half, small_half)
 
 
@@ -402,23 +392,6 @@ def _smaller_side(adj, e: Edge) -> list[int]:
                     seen.add(w)
                     side.append(w)
         pos += 1
-
-
-def _peel(graph: _WorkGraph, masks, severed: Edge, small, labels):
-    """Cut ``graph`` at the cut-edge ``severed`` and move ``small``, the
-    smaller side's vertices with its endpoint first, out with the masks of
-    its edges: returns the moved half and its masks, and ``graph`` and
-    ``masks`` become the other half in place.  Each half hangs a fresh leaf
-    where ``severed`` was, named by ``labels`` in the same order, and both
-    pendant edges take the severed edge's mask.
-    """
-    half = graph.split_off(severed, small, labels)
-    half_masks = {f: masks.pop(f) for f in half.edges if f in masks}
-    mask = masks.pop(severed)
-    leaf = graph.next_id - 1
-    half_masks[(small[0], leaf)] = mask
-    masks[(severed[severed[0] == small[0]], leaf)] = mask
-    return half, half_masks
 
 
 # --- entangled paths ----------------------------------------------------------------
@@ -535,9 +508,9 @@ def apply_reduction(tree: UndirectedNet, net: UndirectedNet) -> RuleOutcome:
 
 
 def _reduce(inst: _Instance) -> RuleOutcome:
-    """``apply_reduction`` on an instance with its masks, minus the input
-    checks: ``_solve`` calls it only on pieces with no non-trivial cut-edge,
-    and halves and eliminations of a 3-cuttable network are 3-cuttable.
+    """``apply_reduction`` on an instance, minus the input checks:
+    ``_solve`` calls it only on pieces with no non-trivial cut-edge, and
+    halves and eliminations of a 3-cuttable network are 3-cuttable.
     The rules read the piece frozen, so their picks follow sorted neighbours."""
     if len(inst.net.labels) <= 3:
         return RuleOutcome("yes", 1)
@@ -559,9 +532,10 @@ def _rule2(net: UndirectedNet, inst: _Instance):
     each internal vertex holds at most one leaf, no leaf-hung vertex is a
     leaf, no edge between internal vertices is a cut-edge, and no three
     leaf-hung vertices form a triangle (it would be the whole piece).
+    The unions of the piece's label groups in ``tree_edges`` are the
+    piece's tree masks (see ``_Instance``).
     """
-    bits, full = inst.bits, inst.full
-    tree_masks = set(inst.tree_masks.values())
+    bits, full, tree_masks = inst.bits, inst.full, inst.tree_edges
     adj = net.adjacency()
     leaf_at = {adj[v][0]: lab for v, lab in net.leaf_labels.items()}
     for v1 in sorted(net.vertices - net.leaves()):
@@ -670,7 +644,9 @@ def serialize_trace(events) -> str:
 
 
 def three_cuttable_tc(tree: UndirectedNet, net: UndirectedNet) -> tuple[bool, list[TraceEvent]]:
-    """Polynomial-time tree containment on a 3-cuttable network, with a trace."""
+    """Polynomial-time tree containment on a 3-cuttable network, with a trace.
+    ``tree`` must be a binary phylogenetic tree."""
+    check_binary_tree(tree)
     if tree.labels() != net.labels():
         raise LabelSetMismatch(f"{sorted(tree.labels())} vs {sorted(net.labels())}")
     if not is_q_cuttable(net, 3):
@@ -691,17 +667,16 @@ def _solve(tree, net, trace):
 
     The input's labels get ``label_bits``, and each fresh label of a branch
     the group of the labels it stands for (see ``_Instance``), so masks
-    stay |X| bits wide for the whole run.  A half's cut-edges and masks are
-    its parent's on its side, with no new bridge search or renumbering, and
+    stay |X| bits wide for the whole run.  A half's cut-edges are its
+    parent's on its side, with no new bridge search or renumbering, and
     ``_branch`` costs about the smaller side.  Split conflicts are looked
-    for once on the input and then only among the splits an elimination
-    creates.  A half needs no check: its splits match its parent's on that
-    side one to one, and a pair of them is compatible exactly when the
-    parent's pair is.  An elimination keeps every old split, so the first
-    conflict in canonical order can only be a new one.
+    for on the input and after each elimination, with one mask pass over
+    the piece.  A half needs no check: its splits match its parent's on
+    that side one to one, and a pair of them is compatible exactly when
+    the parent's pair is.
     """
     inst = _fresh_instance(tree, net)
-    conflict = _first_conflict(inst, inst.net_masks.values())
+    conflict = _first_conflict(inst)
     pending = []
     while True:
         if conflict is not None:
@@ -727,7 +702,5 @@ def _solve(tree, net, trace):
         e = outcome.eliminated_edge
         inst.net.eliminate(e)
         trace.append(TraceEvent("ELIM", f"{e[0]}-{e[1]}"))
-        masks = _masks(inst.net, inst.bits, inst.full)
-        old = set(inst.net_masks.values())
-        conflict = _first_conflict(inst, [m for m in masks.values() if m not in old])
-        inst = inst._replace(net_masks=masks, branchable=_branchable(inst.net))
+        conflict = _first_conflict(inst)
+        inst = inst._replace(branchable=_branchable(inst.net))

@@ -29,7 +29,14 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .nets import RootedNet, UndirectedNet, canon_edge, validate_rooted, validate_unrooted
+from .nets import (
+    RootedNet,
+    UndirectedNet,
+    canon_edge,
+    check_binary_tree,
+    validate_rooted,
+    validate_unrooted,
+)
 from .sat import CnfInstance
 
 _LABEL_RE = re.compile(r"[A-Za-z0-9_.\-]+")
@@ -301,7 +308,7 @@ def parse_enewick(text: str) -> RootedNet:
     net = RootedNet(vertices, arcs, root, labels)
     report = validate_rooted(net)
     if not report.ok:
-        if any("cycle" in v for v in report.violations):
+        if not net.is_acyclic():
             raise CycleError("; ".join(report.violations))
         if any("label" in v for v in report.violations):
             raise ValidationError(report.violations)
@@ -387,11 +394,7 @@ def parse_newick_tree(text: str) -> UndirectedNet:
         raise NotBinary(f"root has {len(top.children)} children, expected 2 or 3")
 
     net = UndirectedNet.build(edges, labels)
-    report = validate_unrooted(net)
-    if not report.ok:
-        raise ValidationError(report.violations)
-    if net.reticulation_number() != 0:
-        raise NotBinary("input is not a tree")
+    check_binary_tree(net)
     return net
 
 

@@ -23,10 +23,12 @@ from .errors import (
     EndpointIsLeaf,
     IsCutEdge,
     LabelSetMismatch,
+    NotBinary,
     NotCutEdge,
     NotDegreeTwo,
     TooLarge,
     UnknownEdge,
+    ValidationError,
     WouldCreateParallelEdge,
 )
 
@@ -492,6 +494,18 @@ def validate_unrooted(net: UndirectedNet) -> ValidationReport:
     if not net.leaf_labels:
         bad.append("network has no labeled leaves")
     return ValidationReport(tuple(bad))
+
+
+def check_binary_tree(net: UndirectedNet) -> None:
+    """Raise unless ``net`` is a binary phylogenetic tree: ``ValidationError``
+    with every violation of the unrooted invariants, else ``NotBinary``
+    naming a vertex on a cycle."""
+    report = validate_unrooted(net)
+    if not report.ok:
+        raise ValidationError(report.violations)
+    if net.reticulation_number() != 0:
+        u, _ = min(net.edges - net.cut_edges())
+        raise NotBinary(f"input is not a tree: vertex {u} lies on a cycle")
 
 
 def validate_rooted(net: RootedNet) -> ValidationReport:

@@ -1,6 +1,10 @@
+import hashlib
 import inspect
 import json
+import random
+import re
 import sys
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -26,7 +30,8 @@ from cutnets import (
     validate_unrooted,
     verify_embedding,
 )
-from cutnets import containment
+from cutnets import containment, nets
+from cutnets.cli import _INPUT_ERRORS
 from cutnets.containment import RuleOutcome, TraceEvent, serialize_trace
 from cutnets.errors import (
     BudgetExceeded,
@@ -50,6 +55,7 @@ from cutnets.nets import (
     label_bits,
     split_of_cut_edge,
     splits_of,
+    subdivide,
 )
 
 from conftest import build_simple_3cuttable, spy_on_pieces
@@ -208,9 +214,11 @@ def reference_solve(tree, net):
 def reference_rule2(net, inst):
     """Rule 2 as first written: every leaf-hung vertex quadruple, its leaf
     labels read at each step, the quadruple's edges checked for cut-edges
-    and the three labels checked for distinctness."""
-    bits, full = inst.bits, inst.full
-    tree_masks = set(inst.tree_masks.values())
+    and the three labels checked for distinctness, against the masks of the
+    piece's own tree."""
+    bits, full, tree = inst.bits, inst.full, inst.tree
+    tree_masks = set(_cut_edge_masks(tree.adj, bridges(tree.adj), tree.labels,
+                                     bits, full).values())
     leaves = net.leaves()
     cuts = net.cut_edges()
 
@@ -300,15 +308,61 @@ class TestConflictingSplit:
                 outcomes.add(got is None)
         assert outcomes == {True, False}
 
-    def test_star_tree_has_no_conflict(self, conflicting_pair):
+    def test_star_tree_is_rejected(self, conflicting_pair):
         # a star's splits are all trivial, so the network's split abc|dfg is
-        # not among them, yet it is compatible with every one of them
+        # not among them, yet it is compatible with every one of them: the
+        # foreign-split test needs a binary tree
         _, net = conflicting_pair
-        labels = sorted(net.labels())
-        star = UndirectedNet.build([(0, i) for i in range(1, len(labels) + 1)],
-                                   {i: lab for i, lab in enumerate(labels, 1)})
-        assert conflicting_split(star, net) is None
+        star = star_tree(sorted(net.labels()))
+        with pytest.raises(_INPUT_ERRORS, match="vertex 0 has degree 6"):
+            conflicting_split(star, net)
         assert reference_conflicting_split(star, net) is None
+
+    def test_matches_reference_on_desk_networks(self):
+        # against random trees and displayed trees with two leaves swapped,
+        # so that many instances have foreign splits, each of which must
+        # clash with a tree split
+        conflicts = compared = 0
+        for seed in range(400):
+            net = random_q_cuttable(GenConfig(seed=7000 + seed, leaf_count=4 + seed % 29,
+                                              target_r=1 + seed % 5, target_q=3))
+            labels = sorted(net.labels())
+            swapped = swap_labels(sample_displayed_tree(net, seed),
+                                  *random.Random(seed).sample(labels, 2))
+            for tree in (random_tree(labels, seed), swapped):
+                got = conflicting_split(tree, net)
+                assert got == reference_conflicting_split(tree, net), seed
+                conflicts += got is not None
+                compared += 1
+        assert conflicts > compared // 4
+
+
+def star_tree(labels):
+    """The star on ``labels``: one centre, vertex 0, joined to every leaf."""
+    return UndirectedNet.build([(0, i) for i in range(1, len(labels) + 1)],
+                               {i: lab for i, lab in enumerate(labels, 1)})
+
+
+def non_binary_trees(net):
+    """(name, tree, the vertex the error must name) on the labels of ``net``:
+    a star, a binary tree with a degree-2 vertex, and ``net`` itself, whose
+    smallest edge (1, 2) lies on a cycle."""
+    labels = sorted(net.labels())
+    tree = parse_newick_tree(f"((({labels[0]},{labels[1]}),{labels[2]}),"
+                             f"(({labels[3]},{labels[4]}),{labels[5]}));")
+    inner = min(e for e in tree.edges if not tree.leaves() & set(e))
+    subdivided, middle = subdivide(tree, inner)
+    return [("star", star_tree(labels), 0), ("degree 2", subdivided, middle), ("cyclic", net, 1)]
+
+
+class TestBinaryTreePrecondition:
+    @pytest.mark.parametrize("run", [three_cuttable_tc, conflicting_split])
+    def test_non_binary_tree_is_an_input_error(self, conflicting_pair, run):
+        _, net = conflicting_pair
+        for name, tree, vertex in non_binary_trees(net):
+            with pytest.raises(_INPUT_ERRORS) as info:
+                run(tree, net)
+            assert re.search(rf"\bvertex {vertex}\b", str(info.value)), name
 
 
 class TestBranching:
@@ -555,12 +609,12 @@ class TestAlgorithm:
         assert serialize_trace(trace) == serialize_trace(reference_solve(tree, net)[1])
 
     def test_branch_halves_carry_exact_state(self, monkeypatch):
-        # every half inherits its parent's cut-edges, masks and indices;
-        # they must be what a fresh bridge search and mask pass give under
-        # the half's label groups, which are pairwise disjoint with the
-        # parent's full as their union: input labels keep their groups and
-        # the fresh label takes the other side's union.  The larger half is
-        # the parent edited in place, so the parent's groups are read first.
+        # every half inherits its parent's cut-edges and indices; they must
+        # be what a fresh bridge search and mask pass give under the half's
+        # label groups, which are pairwise disjoint with the parent's full
+        # as their union: input labels keep their groups and the fresh
+        # label takes the other side's union.  The larger half is the
+        # parent edited in place, so the parent's groups are read first.
         real_branch = containment._branch
         halves_checked = 0
 
@@ -582,20 +636,26 @@ class TestAlgorithm:
                 # disjoint groups: their sum is their union
                 assert half.bits[fresh] == sum(parent_bits[lab] for lab in other.bits
                                                if lab in parent_bits)
-                for graph, masks in ((half.tree, half.tree_masks), (half.net, half.net_masks)):
+                for graph in (half.tree, half.net):
                     assert graph.edges == sorted(graph.edges)
                     assert set(graph.edges) == {canon_edge(v, w) for v in graph.adj
                                                 for w in graph.adj[v]}
                     assert graph.cuts == bridges(graph.adj)
-                    assert masks == _cut_edge_masks(graph.adj, graph.cuts, graph.labels,
-                                                    half.bits, half.full)
-                # the run-wide tree-edge index answers every split the half
-                # can branch on with the half's own smallest tree edge
+                tree_masks, net_masks = (
+                    _cut_edge_masks(graph.adj, graph.cuts, graph.labels, half.bits, half.full)
+                    for graph in (half.tree, half.net))
+                # the run-wide tree-edge index holds every tree mask of the
+                # half and no other network mask of it, and answers every
+                # split the half can branch on with the half's own smallest
+                # tree edge
+                assert set(tree_masks.values()) <= half.tree_edges.keys()
+                for m in net_masks.values():
+                    assert (m in half.tree_edges) == (m in tree_masks.values())
                 smallest = {}
-                for te in sorted(half.tree_masks, reverse=True):
-                    smallest[half.tree_masks[te]] = te
+                for te in sorted(tree_masks, reverse=True):
+                    smallest[tree_masks[te]] = te
                 for f in half.branchable:
-                    assert half.tree_edges[half.net_masks[f]] == smallest[half.net_masks[f]]
+                    assert half.tree_edges[net_masks[f]] == smallest[net_masks[f]]
                 frozen = half.net.freeze()
                 assert half.branchable == sorted(frozen.cut_edges() - frozen.trivial_cut_edges())
                 halves_checked += 1
@@ -719,6 +779,69 @@ class TestAlgorithm:
             assert va == vb
             checked += 1
         assert checked > 10
+
+
+@cache
+def scale_instance(n, swapped):
+    """The seed-1 instance at N leaves of the scale recipe: the displayed
+    tree, or that tree with the smallest label on each side of the
+    network's first non-trivial cut-edge swapped, which is no tree the
+    network displays."""
+    net = random_q_cuttable(GenConfig(seed=1, leaf_count=n, target_r=n // 8, target_q=3))
+    tree = sample_displayed_tree(net, 1)
+    if swapped:
+        split = split_of_cut_edge(net, min(net.cut_edges() - net.trivial_cut_edges()))
+        tree = swap_labels(tree, min(split.side_a), min(split.side_b))
+    return tree, net
+
+
+SCALE_CASES = [(256, False), (1024, False), (1024, True)]
+
+
+class TestScale:
+    # SHA-256 of the TCTRACE/1 text, recorded when each ELIM still rebuilt
+    # the network's mask table and searched all mask pairs for a clash
+    TRACE_SHA256 = {
+        (256, False): "b7d67e7be1c79c8e477ebf880f8fce596cbe7d43ab95fdf9c55e52c04abea7a0",
+        (1024, False): "6373a19f90e2117aadca7fe05fb8e82ae82841f92df4f732f46734f96ce51cbb",
+        (1024, True): "404ba893e56582f54f02c7f4b59cf968b464aad6032f7ca626837cab77a9da94",
+    }
+
+    @pytest.mark.parametrize("n, swapped", SCALE_CASES)
+    def test_trace_hash_is_pinned(self, n, swapped):
+        verdict, trace = three_cuttable_tc(*scale_instance(n, swapped))
+        assert verdict is not swapped
+        assert trace[-2].kind == ("SPLIT-CONFLICT" if swapped else "RULE")
+        text = serialize_trace(trace)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.TRACE_SHA256[n, swapped]
+
+    @pytest.mark.parametrize("n, swapped", SCALE_CASES)
+    def test_whole_graph_work_does_not_grow_with_branching(self, monkeypatch, n, swapped):
+        # one mask pass for the tree and one for the network up front, one
+        # per ELIM and one for the tree to name a conflict's partner; at
+        # most one whole-graph bridge search per input graph.  A BRANCH
+        # inherits both, so neither count depends on the number of them.
+        tree, net = scale_instance(n, swapped)
+        calls = {"masks": 0, "bridges": 0}
+        real_masks, real_bridges = containment._cut_edge_masks, nets.bridges
+
+        def masks(*args):
+            calls["masks"] += 1
+            return real_masks(*args)
+
+        def whole_bridges(adj, start=None, skip=()):
+            calls["bridges"] += start is None
+            return real_bridges(adj, start, skip)
+
+        monkeypatch.setattr(containment, "_cut_edge_masks", masks)
+        monkeypatch.setattr(nets, "bridges", whole_bridges)
+        # fresh copies, so no cut-edge cache of an earlier run is reused
+        _, trace = three_cuttable_tc(UndirectedNet(tree.vertices, tree.edges, tree.leaf_labels),
+                                     UndirectedNet(net.vertices, net.edges, net.leaf_labels))
+        kinds = [ev.kind for ev in trace]
+        assert calls["masks"] == 2 + kinds.count("ELIM") + kinds.count("SPLIT-CONFLICT")
+        assert calls["bridges"] <= 2
+        assert swapped or kinds.count("BRANCH") > n // 8
 
 
 class TestOracle:

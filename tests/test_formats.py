@@ -117,6 +117,12 @@ class TestENewick:
                 parse_enewick(text)
             assert str(info.value) == message
 
+    def test_label_named_cycle_is_no_cycle_error(self):
+        # violations are sorted by kind, not by the words in their messages
+        with pytest.raises(ValidationError) as info:
+            parse_enewick("((cycle,cycle),b);")
+        assert "duplicate label 'cycle'" in str(info.value)
+
     def test_roundtrip_rooted_fixtures(self):
         for seed in range(20):
             net = random_q_cuttable(GenConfig(seed=seed, leaf_count=3 + seed % 7,
