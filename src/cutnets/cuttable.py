@@ -95,17 +95,28 @@ def max_cuttability(net: UndirectedNet) -> int | None:
 
     None means unbounded (the net is a tree); 0 means not even 1-cuttable,
     a case the definition itself does not name.
+
+    The net is q-cuttable when the vertices on no chain of q or more
+    vertices span a forest, so one pass answers for every q: it grows a
+    forest from the vertices on no chain, adds the chains in ascending
+    length, and the length of the chain that closes the first cycle is the
+    answer (0 when the vertices on no chain already hold one).
     """
     if net.reticulation_number() == 0:
         return None
-    best = 0
-    q = 1
-    while is_q_cuttable(net, q).is_cuttable:
-        best = q
-        q += 1
-        if q > len(net.vertices) + 1:
-            raise AssertionError("q-cuttability failed to turn false on a non-tree")
-    return best
+    adj = net.adjacency()
+    chains = sorted(net.maximal_chains(), key=lambda c: c.length)
+    on_chain = {v for c in chains for v in c.path_vertices}
+    groups = [(0, [v for v in net.vertices if v not in on_chain])]
+    groups += [(c.length, c.path_vertices) for c in chains]
+    sets = UnionFind(())
+    for length, vertices in groups:
+        for v in vertices:
+            sets.add(v)
+            for w in adj[v]:
+                if w in sets.parent and not sets.union(v, w):
+                    return length
+    raise AssertionError("q-cuttability failed to turn false on a non-tree")
 
 
 def _check_q(q: int) -> None:

@@ -319,11 +319,11 @@ def parse_enewick(text: str) -> RootedNet:
 def serialize_enewick(net: RootedNet) -> str:
     """Canonical eNewick: children ordered by smallest reachable leaf label,
     hybrid tags numbered in traversal order."""
-    labels = net.leaf_labels
+    labels, succ, pred = net.leaf_labels, net.succ, net.pred
     # smallest reachable leaf label, children first; None marks a vertex
     # whose children are still on the stack
     min_leaf: dict[int, str | None] = {}
-    stack = list(net.children(net.root))
+    stack = list(succ[net.root])
     while stack:
         v = stack[-1]
         if v not in min_leaf:
@@ -332,11 +332,11 @@ def serialize_enewick(net: RootedNet) -> str:
                 stack.pop()
             else:
                 min_leaf[v] = None
-                stack.extend(c for c in net.children(v) if c not in min_leaf)
+                stack.extend(c for c in succ[v] if c not in min_leaf)
             continue
         stack.pop()
         if min_leaf[v] is None:
-            keys = [min_leaf[c] for c in net.children(v)]
+            keys = [min_leaf[c] for c in succ[v]]
             if None in keys:   # a child still open is an ancestor
                 raise CycleError(f"directed cycle through vertex {v}")
             min_leaf[v] = min(keys)
@@ -344,7 +344,7 @@ def serialize_enewick(net: RootedNet) -> str:
     hybrid_no: dict[int, int] = {}
 
     def expand(v: int):
-        if net.in_degree(v) >= 2:
+        if len(pred[v]) >= 2:
             if v in hybrid_no:
                 return f"#H{hybrid_no[v]}"
             hybrid_no[v] = len(hybrid_no) + 1
@@ -353,7 +353,7 @@ def serialize_enewick(net: RootedNet) -> str:
             return labels[v]
         else:
             close = ")"
-        return sorted(net.children(v), key=lambda c: (min_leaf[c], c)), close
+        return sorted(succ[v], key=lambda c: (min_leaf[c], c)), close
 
     return _render(net.root, expand) + ";"
 

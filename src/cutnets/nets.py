@@ -16,7 +16,6 @@ so cheaply and hands it to the network it freezes.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import (
@@ -255,9 +254,8 @@ class UndirectedNet:
                     continue
                 comp = _component_of(adj, v)
                 seen |= comp
-                if len(comp) > 1:
-                    edges = frozenset(e for e in self.edges
-                                      if e not in cuts and e[0] in comp and e[1] in comp)
+                if len(comp) > 1:   # its edges are the non-cut edges at its vertices
+                    edges = frozenset((u, w) for u in comp for w in adj[u] if u <= w)
                     out.append(Blob(frozenset(comp), edges))
             self._blob_list = tuple(out)
         return self._blob_list
@@ -332,10 +330,19 @@ class UndirectedNet:
 
 
 class RootedNet:
-    """Rooted binary phylogenetic network: a DAG container with labeled sinks."""
+    """Rooted binary phylogenetic network: a DAG container with labeled sinks.
+
+    ``succ[v]`` and ``pred[v]`` are the children and parents of ``v`` as
+    sorted tuples, and ``topo`` is the Kahn order from the sorted sources,
+    or None when the digraph has a cycle.  They are built once, in the loop
+    that checks each arc, because every rooted network is read through
+    them at once (by ``validate_rooted``, ``is_acyclic`` or an orientation
+    check); ``UndirectedNet`` builds its adjacency lazily instead, because
+    frozen working graphs often never read it.
+    """
 
     __slots__ = ("vertices", "arcs", "root", "leaf_labels", "next_id",
-                 "_succ", "_pred", "_by_label", "_topo")
+                 "succ", "pred", "topo", "_by_label")
 
     def __init__(self, vertices, arcs, root, leaf_labels, next_id=None):
         self.vertices = frozenset(vertices)
@@ -344,15 +351,30 @@ class RootedNet:
         self.leaf_labels = dict(leaf_labels)
         if root not in self.vertices:
             raise ValueError("root is not a vertex")
+        succ = {v: [] for v in self.vertices}
+        pred = {v: [] for v in self.vertices}
         for u, v in self.arcs:
-            if u not in self.vertices or v not in self.vertices:
+            if u not in succ or v not in succ:
                 raise ValueError(f"arc ({u},{v}) references an undeclared vertex")
+            succ[u].append(v)
+            pred[v].append(u)
+        for ends in (succ, pred):   # in place, so no second copy of a map is made
+            for v, ns in ends.items():
+                ns.sort()
+                ends[v] = tuple(ns)
+        indeg = {v: len(ps) for v, ps in pred.items()}
+        order = sorted(v for v, d in indeg.items() if d == 0)
+        for v in order:   # the loop also visits what it appends
+            for w in succ[v]:
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    order.append(w)
+        self.succ: dict[VertexId, tuple[VertexId, ...]] = succ
+        self.pred: dict[VertexId, tuple[VertexId, ...]] = pred
+        self.topo = tuple(order) if len(order) == len(self.vertices) else None
         top = max(self.vertices, default=0) + 1
         self.next_id = top if next_id is None else max(next_id, top)
-        self._succ = None
-        self._pred = None
         self._by_label = None
-        self._topo = None
 
     @staticmethod
     def build(arcs, root, leaf_labels) -> "RootedNet":
@@ -361,29 +383,6 @@ class RootedNet:
             vertices.add(u)
             vertices.add(v)
         return RootedNet(vertices, arcs, root, leaf_labels)
-
-    def _maps(self):
-        if self._succ is None:
-            succ = {v: [] for v in self.vertices}
-            pred = {v: [] for v in self.vertices}
-            for u, v in self.arcs:
-                succ[u].append(v)
-                pred[v].append(u)
-            self._succ = {v: tuple(sorted(c)) for v, c in succ.items()}
-            self._pred = {v: tuple(sorted(p)) for v, p in pred.items()}
-        return self._succ, self._pred
-
-    def children(self, v: VertexId) -> tuple[VertexId, ...]:
-        return self._maps()[0][v]
-
-    def parents(self, v: VertexId) -> tuple[VertexId, ...]:
-        return self._maps()[1][v]
-
-    def out_degree(self, v: VertexId) -> int:
-        return len(self.children(v))
-
-    def in_degree(self, v: VertexId) -> int:
-        return len(self.parents(v))
 
     def leaves(self) -> frozenset[VertexId]:
         return frozenset(self.leaf_labels)
@@ -397,37 +396,19 @@ class RootedNet:
         return self._by_label[label]
 
     def reticulations(self) -> frozenset[VertexId]:
-        return frozenset(v for v in self.vertices if self.in_degree(v) >= 2)
+        return frozenset(v for v, ps in self.pred.items() if len(ps) >= 2)
 
     def reticulation_number(self) -> int:
         return len(self.reticulations())
 
-    def topological_order(self):
-        """Vertices in topological order, or None if the digraph has a cycle."""
-        if self._topo is None:
-            succ, pred = self._maps()
-            indeg = {v: len(pred[v]) for v in self.vertices}
-            ready = sorted(v for v in self.vertices if indeg[v] == 0)
-            queue = deque(ready)
-            order = []
-            while queue:
-                v = queue.popleft()
-                order.append(v)
-                for w in succ[v]:
-                    indeg[w] -= 1
-                    if indeg[w] == 0:
-                        queue.append(w)
-            self._topo = tuple(order) if len(order) == len(self.vertices) else ("<cyclic>",)
-        return None if self._topo == ("<cyclic>",) else self._topo
-
     def is_acyclic(self) -> bool:
-        return self.topological_order() is not None
+        return self.topo is not None
 
     def find_directed_cycle(self):
         """Some directed cycle as a vertex tuple, or None."""
-        if self.is_acyclic():
+        if self.topo is not None:
             return None
-        succ, _ = self._maps()
+        succ = self.succ
         color = {}   # 1 while on the DFS path, 2 once finished
         for start in sorted(self.vertices):
             if start in color:
@@ -512,18 +493,16 @@ def validate_rooted(net: RootedNet) -> ValidationReport:
     """Report every violation of the rooted-network invariants; never raises.
 
     A rooted network always holds its root, so it is never empty."""
-    bad = []
-    for u, v in sorted(net.arcs):
-        if u == v:
-            bad.append(f"self-arc at vertex {u}")
-    sources = sorted(v for v in net.vertices if net.in_degree(v) == 0)
+    succ, pred = net.succ, net.pred
+    bad = [f"self-arc at vertex {u}" for u, _ in sorted(a for a in net.arcs if a[0] == a[1])]
+    sources = sorted(v for v, ps in pred.items() if not ps)
     if sources != [net.root]:
         bad.append(f"in-degree-0 vertices are {sources}, expected exactly the root {net.root}")
-    if net.out_degree(net.root) != 2:
-        bad.append(f"root has out-degree {net.out_degree(net.root)} (expected 2)")
+    if len(succ[net.root]) != 2:
+        bad.append(f"root has out-degree {len(succ[net.root])} (expected 2)")
     labeled = net.leaves()
     for v in sorted(net.vertices):
-        indeg, outdeg = net.in_degree(v), net.out_degree(v)
+        indeg, outdeg = len(pred[v]), len(succ[v])
         if v == net.root:
             continue
         if outdeg == 0:
@@ -534,7 +513,7 @@ def validate_rooted(net: RootedNet) -> ValidationReport:
         elif (indeg, outdeg) not in ((1, 2), (2, 1)):
             bad.append(f"vertex {v} has degrees (in={indeg}, out={outdeg})")
     for v in sorted(labeled):
-        if net.out_degree(v) != 0:
+        if succ[v]:
             bad.append(f"labeled vertex {v} is not a sink")
     seen: dict[str, VertexId] = {}
     for v in sorted(net.leaf_labels):
@@ -543,7 +522,7 @@ def validate_rooted(net: RootedNet) -> ValidationReport:
             bad.append(f"duplicate label {lab!r} on vertices {seen[lab]} and {v}")
         else:
             seen[lab] = v
-    if not net.is_acyclic():
+    if net.topo is None:
         bad.append(f"digraph has a directed cycle: {list(net.find_directed_cycle())}")
     return ValidationReport(tuple(bad))
 
@@ -571,11 +550,10 @@ def subdivide(net, edge):
 def suppress(net, vertex):
     """Delete a degree-2 (or in-1/out-1) vertex and join its neighbors."""
     if isinstance(net, RootedNet):
-        if net.in_degree(vertex) != 1 or net.out_degree(vertex) != 1:
-            raise NotDegreeTwo(f"vertex {vertex} has degrees "
-                               f"(in={net.in_degree(vertex)}, out={net.out_degree(vertex)})")
-        p = net.parents(vertex)[0]
-        c = net.children(vertex)[0]
+        ps, cs = net.pred[vertex], net.succ[vertex]
+        if len(ps) != 1 or len(cs) != 1:
+            raise NotDegreeTwo(f"vertex {vertex} has degrees (in={len(ps)}, out={len(cs)})")
+        (p,), (c,) = ps, cs
         if (p, c) in net.arcs:
             raise WouldCreateParallelEdge(f"arc ({p},{c}) already exists")
         if p == c:
@@ -845,16 +823,15 @@ def rooted_isomorphic(a: RootedNet, b: RootedNet) -> bool:
         w = b.vertex_of_label(lab)
         mapping[v] = w
         used.add(w)
-    order = [v for v in (a.topological_order() or sorted(a.vertices))
-             if v not in mapping]
+    order = [v for v in (a.topo or sorted(a.vertices)) if v not in mapping]
     b_pool = sorted(b.vertices - used)
 
     def consistent(v, w):
-        for n in a.children(v):
-            if n in mapping and mapping[n] not in b.children(w):
+        for n in a.succ[v]:
+            if n in mapping and mapping[n] not in b.succ[w]:
                 return False
-        for n in a.parents(v):
-            if n in mapping and mapping[n] not in b.parents(w):
+        for n in a.pred[v]:
+            if n in mapping and mapping[n] not in b.pred[w]:
                 return False
         return True
 
@@ -865,7 +842,7 @@ def rooted_isomorphic(a: RootedNet, b: RootedNet) -> bool:
         for w in b_pool:
             if w in used:
                 continue
-            if b.in_degree(w) != a.in_degree(v) or b.out_degree(w) != a.out_degree(v):
+            if len(b.pred[w]) != len(a.pred[v]) or len(b.succ[w]) != len(a.succ[v]):
                 continue
             if not consistent(v, w):
                 continue

@@ -77,17 +77,13 @@ def apply_orientation(net: UndirectedNet, spec: OrientationSpec) -> RootedNet:
 
     rho = net.next_id
     arcs = set(directions.values()) | {(rho, root_edge[0]), (rho, root_edge[1])}
-    indeg = {v: 0 for v in net.vertices | {rho}}
-    outdeg = {v: 0 for v in net.vertices | {rho}}
-    for a, b in arcs:
-        outdeg[a] += 1
-        indeg[b] += 1
+    rooted = RootedNet(net.vertices | {rho}, arcs, rho, net.leaf_labels, next_id=rho + 1)
     leaves = net.leaves()
     for v in sorted(net.vertices):
+        indeg, outdeg = len(rooted.pred[v]), len(rooted.succ[v])
         want = ((1, 0),) if v in leaves else ((1, 2), (2, 1))
-        if (indeg[v], outdeg[v]) not in want:
-            raise DegreeViolation(v, f"vertex {v} has degrees (in={indeg[v]}, out={outdeg[v]})")
-    rooted = RootedNet(net.vertices | {rho}, arcs, rho, net.leaf_labels, next_id=rho + 1)
+        if (indeg, outdeg) not in want:
+            raise DegreeViolation(v, f"vertex {v} has degrees (in={indeg}, out={outdeg})")
     if not rooted.is_acyclic():
         raise CyclicOrientation(rooted.find_directed_cycle())
     report = validate_rooted(rooted)
@@ -106,21 +102,10 @@ def underlying_unrooted(net: RootedNet) -> UndirectedNet:
 
 
 def is_tree_child(net: RootedNet) -> bool:
-    """Both characterizations, cross-checked: every non-leaf vertex has a
-    non-reticulation child, equivalently no stack and no sibling reticulations."""
-    retics = net.reticulations()
-    direct = all(
-        any(c not in retics for c in net.children(v))
-        for v in net.vertices if net.out_degree(v) > 0
-    )
-    no_stack = not any(a in retics and b in retics for a, b in net.arcs)
-    no_siblings = all(
-        sum(1 for c in net.children(v) if c in retics) < 2
-        for v in net.vertices
-    )
-    if direct != (no_stack and no_siblings):
-        raise AssertionError("tree-child characterizations disagree; input is not a valid network")
-    return direct
+    """Every non-leaf vertex has a child that is not a reticulation
+    (Cardona, Rosselló & Valiente, *IEEE/ACM TCBB* 6(4), 2009)."""
+    pred = net.pred
+    return all(any(len(pred[c]) < 2 for c in cs) for cs in net.succ.values() if cs)
 
 
 # --- constructive orientation for 2-cuttable networks -----------------------------
@@ -198,11 +183,16 @@ def tree_child_orient_2cuttable(net: UndirectedNet) -> RootedNet:
         raise AssertionError("spanning tree does not reach every vertex")
     arcs = {(parent_of[v], v) for v in order if parent_of[v] is not None}
 
-    for blob in net.blobs():
+    blobs = net.blobs()
+    blob_of = {v: i for i, blob in enumerate(blobs) for v in blob.vertices}
+    leftovers = [[] for _ in blobs]   # per blob, sorted; a chain edge is a blob edge
+    for e in sorted(s_prime):
+        leftovers[blob_of[e[0]]].append(e)
+    for blob, local in zip(blobs, leftovers):
         entry = [v for v in blob.vertices if parent_of[v] not in blob.vertices]
         if len(entry) != 1:
             raise AssertionError(f"blob has {len(entry)} entry vertices, expected 1")
-        arcs |= _orient_blob_leftovers(net, blob, s_prime, entry[0])
+        arcs |= _orient_blob_leftovers(net, blob, local, s_prime, entry[0])
 
     rooted = RootedNet(net.vertices | {rho}, arcs, rho, net.leaf_labels, next_id=rho + 1)
     report = validate_rooted(rooted)
@@ -213,15 +203,15 @@ def tree_child_orient_2cuttable(net: UndirectedNet) -> RootedNet:
     return rooted
 
 
-def _orient_blob_leftovers(net, blob, s_prime, entry):
-    """Direct the blob's leftover chain edges along traversal paths.
+def _orient_blob_leftovers(net, blob, local, s_prime, entry):
+    """Direct the blob's leftover chain edges ``local``, sorted, along
+    traversal paths.
 
     The auxiliary multigraph joins two leftover edges whenever a five-vertex
     path runs end-to-end between them; its components are paths and cycles,
     each realized as a walk through the blob that is reversed, if necessary,
     so the blob's entry vertex comes first along its own leftover edge.
     """
-    local = sorted(e for e in s_prime if e[0] in blob.vertices and e[1] in blob.vertices)
     if not local:
         return set()
     s_at = {}

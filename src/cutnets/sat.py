@@ -176,12 +176,6 @@ class GadgetMap:
     gadgets: tuple[Gadget, ...]
     named: dict[str, int]   # p<k>, z<j>, lit<j>_<k>, r<i>_<h>, lr, lrp
 
-    def gadget(self, name: str) -> Gadget:
-        for g in self.gadgets:
-            if g.name == name:
-                return g
-        raise KeyError(name)
-
     @property
     def variable_count(self) -> int:
         best = 0
@@ -479,10 +473,7 @@ def extract_assignment(net: RootedNet, gmap: GadgetMap) -> Assignment:
     if not is_tree_child(net):
         raise NotTreeChild("input is not a tree-child network")
 
-    undirected = {v: set() for v in net.vertices}
-    for a, b in net.arcs:
-        undirected[a].add(b)
-        undirected[b].add(a)
+    undirected = {v: {*cs, *net.pred[v]} for v, cs in net.succ.items()}
 
     def locate_terminals(gadget_name: str) -> tuple[int, int]:
         try:
@@ -511,8 +502,8 @@ def extract_assignment(net: RootedNet, gmap: GadgetMap) -> Assignment:
         t_retic = []
         for h in (1, 2):
             s, t = locate_terminals(f"G{i}_{h}")
-            s_retic.append(net.in_degree(s) >= 2)
-            t_retic.append(net.in_degree(t) >= 2)
+            s_retic.append(len(net.pred[s]) >= 2)
+            t_retic.append(len(net.pred[t]) >= 2)
         if all(t_retic) and not any(s_retic):
             assignment[i] = True
         elif all(s_retic) and not any(t_retic):

@@ -1,10 +1,12 @@
 import random
+from collections import Counter
+from functools import cache
 
 import pytest
 
-from cutnets import UndirectedNet, CnfInstance, containment, make_q_cuttable
+from cutnets import UndirectedNet, CnfInstance, containment, make_q_cuttable, random_tree
 from cutnets.formats import parse_newick_tree
-from cutnets.nets import canon_edge, eliminate_edge, subdivide
+from cutnets.nets import _WorkGraph, canon_edge, eliminate_edge, subdivide
 
 
 @pytest.fixture
@@ -71,6 +73,20 @@ def conflicting_pair():
     return tree, net
 
 
+@cache
+def triangle_net(leaves: int = 4000) -> UndirectedNet:
+    """A random tree with a triangle hung at every other internal vertex:
+    two of the vertex's edges are subdivided and the midpoints joined.  At
+    4000 leaves it has 1999 blobs and 13994 edges, enough that work per
+    blob that scans the whole network shows."""
+    tree = random_tree([f"t{i}" for i in range(leaves)], 3)
+    g = _WorkGraph.of(tree)
+    for v in sorted(tree.internal_vertices())[::2]:
+        a, b = sorted(g.adj[v])[:2]
+        g.add_edge(g.subdivide((v, a)), g.subdivide((v, b)))
+    return g.freeze()
+
+
 def build_simple_3cuttable(seed: int) -> UndirectedNet:
     """Simple 3-cuttable network: leaf-decorated ring, a few in-blob handles,
     then chain insertion; every step preserves simpleness."""
@@ -119,3 +135,33 @@ def spy_on_pieces(monkeypatch):
     monkeypatch.setattr(containment, "_branch", branch)
     monkeypatch.setattr(containment, "_reduce", reduce)
     return halves, eliminations
+
+
+def count_calls(monkeypatch, *targets):
+    """Count the calls a pipeline makes to the functions in ``targets``.
+
+    Counts, not seconds, show whether whole-graph work grows with the
+    input.  Each target is ``(owner, name)`` or ``(owner, name, counts)``:
+    the attribute ``name`` of the module or class ``owner`` is wrapped for
+    the rest of the test, and each call adds one to ``calls[name]`` of the
+    returned Counter, or, with ``counts``, only when ``counts(*args,
+    **kwargs)`` is true.  A name wrapped on several owners, such as a
+    function imported into several modules, adds to one count.
+    """
+    calls = Counter()
+
+    def wrap(real, name, counts=None):
+        def counted(*args, **kwargs):
+            if counts is None or counts(*args, **kwargs):
+                calls[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    for owner, name, *counts in targets:
+        monkeypatch.setattr(owner, name, wrap(getattr(owner, name), name, *counts))
+    return calls
+
+
+def whole_graph(adj, start=None, skip=()) -> bool:
+    """For ``count_calls`` on ``nets.bridges``: the call searches the whole graph."""
+    return start is None

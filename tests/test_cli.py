@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import click
@@ -16,6 +17,8 @@ from cutnets.formats import (
 )
 from cutnets.generate import random_tree
 from cutnets.orient import is_tree_child
+
+from conftest import triangle_net
 
 PHI = CnfInstance(3, ((1, -2, 3), (-1, 2, -3), (1, 2, -3), (-1, -2, 3)))
 
@@ -81,6 +84,15 @@ class TestStatsAndOrient:
         assert "leaves: 4" in result.output
         assert "reticulation number: 1" in result.output
         assert "max cuttability: 4" in result.output
+
+    def test_stats_on_many_blobs(self, tmp_path):
+        # recorded when each blob's edges came from a scan of every edge
+        path = write(tmp_path / "tri.upn", serialize_upn(triangle_net()))
+        result = CliRunner().invoke(cli, ["stats", path])
+        assert result.exit_code == 0
+        assert result.output.startswith("leaves: 4000\nvertices: 11996\nedges: 13994\n")
+        assert hashlib.sha256(result.output.encode()).hexdigest() == (
+            "aab0f7075ea968b2c686bfd3f9db9720a670e256a627ee3b121810b691ae74e2")
 
     def test_orient_constructive(self, tmp_path, cycle4):
         path = write(tmp_path / "c4.upn", serialize_upn(cycle4))

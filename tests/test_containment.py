@@ -58,7 +58,7 @@ from cutnets.nets import (
     subdivide,
 )
 
-from conftest import build_simple_3cuttable, spy_on_pieces
+from conftest import build_simple_3cuttable, count_calls, spy_on_pieces, whole_graph
 
 
 def ring_of_leaves(k):
@@ -822,24 +822,13 @@ class TestScale:
         # most one whole-graph bridge search per input graph.  A BRANCH
         # inherits both, so neither count depends on the number of them.
         tree, net = scale_instance(n, swapped)
-        calls = {"masks": 0, "bridges": 0}
-        real_masks, real_bridges = containment._cut_edge_masks, nets.bridges
-
-        def masks(*args):
-            calls["masks"] += 1
-            return real_masks(*args)
-
-        def whole_bridges(adj, start=None, skip=()):
-            calls["bridges"] += start is None
-            return real_bridges(adj, start, skip)
-
-        monkeypatch.setattr(containment, "_cut_edge_masks", masks)
-        monkeypatch.setattr(nets, "bridges", whole_bridges)
+        calls = count_calls(monkeypatch, (containment, "_cut_edge_masks"),
+                            (nets, "bridges", whole_graph))
         # fresh copies, so no cut-edge cache of an earlier run is reused
         _, trace = three_cuttable_tc(UndirectedNet(tree.vertices, tree.edges, tree.leaf_labels),
                                      UndirectedNet(net.vertices, net.edges, net.leaf_labels))
         kinds = [ev.kind for ev in trace]
-        assert calls["masks"] == 2 + kinds.count("ELIM") + kinds.count("SPLIT-CONFLICT")
+        assert calls["_cut_edge_masks"] == 2 + kinds.count("ELIM") + kinds.count("SPLIT-CONFLICT")
         assert calls["bridges"] <= 2
         assert swapped or kinds.count("BRANCH") > n // 8
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,23 @@ from cutnets.errors import InvalidQ, TooLarge
 from cutnets.formats import parse_upn, serialize_upn
 from cutnets.generate import _tree_graph
 from cutnets.nets import simple_cycles
+
+from conftest import triangle_net
+
+
+def reference_max_cuttability(net):
+    """The loop ``max_cuttability`` replaced: recognize q = 1, 2, ... until
+    one fails.  Kept only as the reference it is tested against."""
+    if net.reticulation_number() == 0:
+        return None
+    best = 0
+    q = 1
+    while is_q_cuttable(net, q).is_cuttable:
+        best = q
+        q += 1
+        if q > len(net.vertices) + 1:
+            raise AssertionError("q-cuttability failed to turn false on a non-tree")
+    return best
 
 
 def cut_incident_vertices(net):
@@ -176,6 +194,18 @@ class TestMaxCuttability:
 
     def test_cut_edge_free_blob_cycle(self, k4_sub):
         assert max_cuttability(k4_sub) == 0
+
+    def test_matches_the_loop_over_q(self, two_leaf, cycle4, theta3, k4_sub):
+        answers = Counter()
+        for s in range(2400):
+            net = random_q_cuttable(GenConfig(seed=s, leaf_count=4 + s % 30, target_r=s % 7,
+                                              target_q=1 + s % 4))
+            got = max_cuttability(net)
+            assert got == reference_max_cuttability(net), s
+            answers[got] += 1
+        for net in (two_leaf, cycle4, theta3, k4_sub, triangle_net()):
+            assert max_cuttability(net) == reference_max_cuttability(net)
+        assert answers[None] > 100 and {1, 2, 3, 4, 5} <= answers.keys()
 
     def test_definition_check_on_cycles(self, cycle4):
         # every simple cycle of the 4-cycle fixture is the square itself

@@ -22,6 +22,8 @@ from cutnets.errors import InvalidN
 from cutnets.formats import serialize_upn
 from cutnets.nets import _WorkGraph, canon_edge
 
+from conftest import count_calls
+
 
 def reference_augment(g, q):
     """The loop ``_augment`` replaced: freeze and recognize after every
@@ -194,20 +196,8 @@ class TestAugment:
     def test_whole_network_work_is_constant_per_call(self, monkeypatch):
         # counts, not seconds: chains are found and the graph frozen a fixed
         # number of times however many paths are inserted
-        counts = Counter()
-
-        def count(owner, name):
-            real = getattr(owner, name)
-
-            def counted(*args):
-                counts[name] += 1
-                return real(*args)
-
-            monkeypatch.setattr(owner, name, counted)
-
-        count(UndirectedNet, "maximal_chains")
-        count(_WorkGraph, "freeze")
-        count(generate, "_find_cycle_avoiding")
+        counts = count_calls(monkeypatch, (UndirectedNet, "maximal_chains"),
+                             (_WorkGraph, "freeze"), (generate, "_find_cycle_avoiding"))
         rounds = []
         for q in (2, 4):
             counts.clear()

@@ -1,5 +1,5 @@
 import random
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +30,7 @@ from cutnets.errors import (
     UnknownEdge,
     WouldCreateParallelEdge,
 )
-from cutnets.formats import serialize_upn
+from cutnets.formats import parse_enewick, serialize_upn
 from cutnets.nets import (
     RootedNet,
     Split,
@@ -41,6 +41,9 @@ from cutnets.nets import (
     splits_of,
     validate_rooted,
 )
+from cutnets.orient import OrientationSpec, apply_orientation, brute_force_tree_child_orientation
+
+from conftest import triangle_net
 
 
 def brute_force_bridges(net):
@@ -281,6 +284,16 @@ class TestBridgesBlobsChains:
     def test_tree_has_no_chains(self, two_leaf):
         assert two_leaf.maximal_chains() == ()
 
+    def test_blob_edges_on_many_blobs(self):
+        net = triangle_net()
+        cuts = net.cut_edges()
+        blobs = net.blobs()
+        assert (len(blobs), len(net.edges)) == (1999, 13994)
+        for blob in blobs:   # each blob's edges, read at its own vertices
+            assert blob.edges == {canon_edge(u, w) for u in blob.vertices for w in net.neighbors(u)
+                                  if w in blob.vertices and canon_edge(u, w) not in cuts}
+        assert frozenset().union(*(b.edges for b in blobs)) == net.edges - cuts
+
 
 class TestSplitsAndNumbers:
     def test_pendant_split(self, cycle4):
@@ -412,11 +425,91 @@ class TestRootedValidation:
     def test_violations_name_the_vertex(self, arcs, labels, violations):
         assert validate_rooted(RootedNet.build(arcs, 1, labels)).violations == violations
 
+    @pytest.mark.parametrize("arcs, root, labels, violations", [
+        ([(1, 2), (1, 3), (1, 4), (2, 2), (5, 3), (3, 6), (6, 3), (4, 7), (4, 8)], 1,
+         {2: "a", 7: "b", 8: "a", 9: "c"},
+         ("self-arc at vertex 2",
+          "in-degree-0 vertices are [1, 5, 9], expected exactly the root 1",
+          "root has out-degree 3 (expected 2)",
+          "vertex 3 has degrees (in=3, out=1)",
+          "vertex 5 has degrees (in=0, out=1)",
+          "vertex 6 has degrees (in=1, out=1)",
+          "leaf 9 has in-degree 0 (expected 1)",
+          "labeled vertex 2 is not a sink",
+          "duplicate label 'a' on vertices 2 and 8",
+          "digraph has a directed cycle: [2]")),
+        ([(1, 2), (2, 3), (3, 1), (1, 4)], 1, {4: "x"},
+         ("in-degree-0 vertices are [], expected exactly the root 1",
+          "vertex 2 has degrees (in=1, out=1)",
+          "vertex 3 has degrees (in=1, out=1)",
+          "digraph has a directed cycle: [1, 2, 3]")),
+        ([(0, 1), (1, 1), (1, 2), (0, 3)], 0, {2: "a", 3: "b", 1: "c"},
+         ("self-arc at vertex 1",
+          "vertex 1 has degrees (in=2, out=2)",
+          "labeled vertex 1 is not a sink",
+          "digraph has a directed cycle: [1]")),
+    ])
+    def test_every_violation_in_order(self, arcs, root, labels, violations):
+        assert validate_rooted(RootedNet.build(arcs, root, labels)).violations == violations
+
     def test_empty_network_has_no_root(self):
         # a rooted network holds at least its root, so the empty one is
         # refused at construction
         with pytest.raises(ValueError, match="^root is not a vertex$"):
             RootedNet(set(), set(), None, {})
+
+
+def kahn_order(net):
+    """Kahn's topological order read off the arcs: the sorted sources
+    first, then first in, first out; None when the digraph has a cycle."""
+    indeg = Counter(w for _, w in net.arcs)
+    queue = deque(sorted(v for v in net.vertices if not indeg[v]))
+    order = []
+    while queue:
+        v = queue.popleft()
+        order.append(v)
+        for w in sorted(w for u, w in net.arcs if u == v):
+            indeg[w] -= 1
+            if not indeg[w]:
+                queue.append(w)
+    return tuple(order) if len(order) == len(net.vertices) else None
+
+
+def assert_maps_match_arcs(net):
+    assert net.succ == {v: tuple(sorted(w for u, w in net.arcs if u == v)) for v in net.vertices}
+    assert net.pred == {v: tuple(sorted(u for u, w in net.arcs if w == v)) for v in net.vertices}
+    assert net.topo == kahn_order(net)
+    assert net.is_acyclic() is (net.topo is not None)
+
+
+class TestRootedMaps:
+    def test_parse_enewick(self):
+        for text in ("((c,(b)#H1), (#H1 ,a));", "(((a,#H7),(b)#H7),(c,d));", "(x,y);"):
+            assert_maps_match_arcs(parse_enewick(text))
+
+    def test_apply_orientation(self, two_leaf, cycle4):
+        assert_maps_match_arcs(apply_orientation(two_leaf, OrientationSpec((1, 2), {})))
+        assert_maps_match_arcs(brute_force_tree_child_orientation(cycle4))
+
+    def test_rooted_edits(self):
+        rooted = RootedNet.build([(1, 2), (1, 3), (2, 4), (2, 5)], 1, {3: "a", 4: "b", 5: "c"})
+        out, mid = subdivide(rooted, (1, 2))
+        assert_maps_match_arcs(out)
+        back = suppress(out, mid)
+        assert_maps_match_arcs(back)
+        assert (back.succ, back.pred, back.topo) == (rooted.succ, rooted.pred, rooted.topo)
+        assert_maps_match_arcs(rooted.replace(arcs=rooted.arcs - {(2, 5)} | {(3, 5)}))
+
+    def test_several_sources(self):
+        net = RootedNet.build([(5, 2), (3, 2), (2, 6), (2, 4), (3, 7), (7, 1), (4, 1)], 5, {})
+        assert_maps_match_arcs(net)
+        assert net.topo == (3, 5, 7, 2, 4, 6, 1)
+
+    def test_cyclic_digraph(self):
+        net = RootedNet.build([(1, 2), (2, 3), (3, 4), (4, 2), (3, 5), (5, 3)], 1, {})
+        assert_maps_match_arcs(net)
+        assert net.topo is None
+        assert net.find_directed_cycle() == (2, 3, 4)
 
 
 def differential_nets():

@@ -1,3 +1,6 @@
+import itertools
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,13 +15,17 @@ from cutnets import (
     choose_s_prime,
     is_tree_child,
     labeled_isomorphic,
+    build_n_phi,
+    random_2balanced_cnf,
     random_q_cuttable,
     random_tree,
     reduce_pair,
     replay_sequence,
+    sat_bruteforce,
     tree_child_orient_2cuttable,
     underlying_unrooted,
 )
+from cutnets import nets, orient
 from cutnets.errors import (
     CyclicOrientation,
     DegreeViolation,
@@ -30,10 +37,39 @@ from cutnets.formats import parse_newick_tree
 from cutnets.nets import UndirectedNet, canon_edge
 from cutnets.orient import chain_edge_set
 
+from conftest import count_calls, triangle_net, whole_graph
+
+
+def reference_is_tree_child(net):
+    """No stack (an arc between two reticulations) and no sibling
+    reticulations (two reticulation children of one vertex).  On a
+    degree-valid binary network this equals the definition that
+    ``is_tree_child`` checks, every non-leaf vertex having a child that is
+    not a reticulation."""
+    retics = net.reticulations()
+    return (not any(a in retics and b in retics for a, b in net.arcs)
+            and all(sum(c in retics for c in cs) < 2 for cs in net.succ.values()))
+
+
+def all_orientations(net):
+    """Every acyclic, degree-valid orientation of ``net``: each root edge
+    with each direction of the other edges that ``apply_orientation`` takes."""
+    out = []
+    for root_edge in sorted(net.edges):
+        rest = sorted(net.edges - {root_edge})
+        for flips in itertools.product((False, True), repeat=len(rest)):
+            spec = OrientationSpec(root_edge, {e: e[::-1] if flip else e
+                                               for e, flip in zip(rest, flips)})
+            try:
+                out.append(apply_orientation(net, spec))
+            except (DegreeViolation, CyclicOrientation):
+                pass
+    return out
+
 
 def spec_of(net, rooted):
     """Recover the orientation spec that produced `rooted` from `net`."""
-    kids = rooted.children(rooted.root)
+    kids = rooted.succ[rooted.root]
     root_edge = canon_edge(*kids)
     directions = {}
     for a, b in rooted.arcs:
@@ -46,7 +82,7 @@ def spec_of(net, rooted):
 class TestApplyOrientation:
     def test_two_leaf_rooted_cherry(self, two_leaf):
         rooted = apply_orientation(two_leaf, OrientationSpec((1, 2), {}))
-        assert rooted.out_degree(rooted.root) == 2
+        assert len(rooted.succ[rooted.root]) == 2
         assert rooted.labels() == {"a", "b"}
         assert is_tree_child(rooted)
 
@@ -67,6 +103,19 @@ class TestApplyOrientation:
         )
         with pytest.raises(DegreeViolation):
             apply_orientation(cycle4, spec)
+
+    @pytest.mark.parametrize("flipped, error, message", [
+        ({(1, 2), (2, 3), (1, 4)}, DegreeViolation, "vertex 1 has degrees (in=3, out=0)"),
+        ({(1, 4)}, CyclicOrientation, "orientation contains the directed cycle [1, 2, 3, 4]"),
+        ({(2, 6)}, DegreeViolation, "vertex 6 has degrees (in=0, out=1)"),
+        ({(3, 4), (4, 8)}, DegreeViolation, "vertex 8 has degrees (in=0, out=1)"),
+    ])
+    def test_messages(self, cycle4, flipped, error, message):
+        edges = sorted(cycle4.edges - {(1, 5)})
+        spec = OrientationSpec((1, 5), {e: e[::-1] if e in flipped else e for e in edges})
+        with pytest.raises(error) as caught:
+            apply_orientation(cycle4, spec)
+        assert str(caught.value) == message
 
     def test_incomplete_spec_rejected(self, cycle4):
         with pytest.raises(ValueError):
@@ -92,17 +141,46 @@ class TestTreeChild:
         rooted = RootedNet.build([(1, 2), (1, 3), (2, 4), (2, 5)], 1,
                                  {3: "a", 4: "b", 5: "c"})
         assert is_tree_child(rooted)
+        assert reference_is_tree_child(rooted)
 
     def test_stack_is_not_tree_child(self):
         # reticulations 4 and 5 both feed reticulation 6: arcs (4,6),(5,6) are stacks
         arcs = [(1, 2), (1, 3), (2, 4), (2, 5), (3, 5), (3, 4), (4, 6), (5, 6), (6, 7)]
         rooted = RootedNet.build(arcs, 1, {7: "a"})
         assert not is_tree_child(rooted)
+        assert not reference_is_tree_child(rooted)
 
     def test_sibling_reticulations_not_tree_child(self):
         arcs = [(1, 2), (1, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 6), (5, 7)]
         rooted = RootedNet.build(arcs, 1, {6: "a", 7: "b"})
         assert not is_tree_child(rooted)
+        assert not reference_is_tree_child(rooted)
+
+    def test_reference_agrees_on_every_orientation_of_desk_networks(
+            self, two_leaf, cycle4, theta3, k4_sub):
+        desk = [two_leaf, cycle4, theta3, k4_sub, parse_newick_tree("((a,b),(c,d),e);")]
+        desk += [random_q_cuttable(GenConfig(seed=s, leaf_count=3 + s % 3, target_r=s % 3,
+                                             target_q=1 + s % 3)) for s in range(60)]
+        verdicts = Counter()
+        for net in desk:
+            if len(net.edges) > 10:
+                continue
+            for rooted in all_orientations(net):
+                verdict = is_tree_child(rooted)
+                assert verdict == reference_is_tree_child(rooted)
+                verdicts[verdict] += 1
+        assert verdicts[True] > 50 and verdicts[False] > 50
+
+    def test_reference_agrees_on_sat_networks(self, phi_bench):
+        checked = 0
+        for cnf in [phi_bench] + [random_2balanced_cnf(n, 500 + s) for n in (3, 6, 9)
+                                  for s in range(3)]:
+            beta = sat_bruteforce(cnf)
+            if beta is not None:
+                rooted = build_n_phi(cnf, beta)
+                assert is_tree_child(rooted) and reference_is_tree_child(rooted)
+                checked += 1
+        assert checked >= 5
 
 
 class TestChooseSPrime:
@@ -163,6 +241,24 @@ class TestConstructiveOrientation:
         assert labeled_isomorphic(underlying_unrooted(rooted), net)
         assert rooted.reticulation_number() == net.reticulation_number()
         assert net.reticulation_number() <= len(net.leaf_labels) - 1
+
+
+    def test_many_blobs(self):
+        net = triangle_net()
+        rooted = tree_child_orient_2cuttable(net)
+        assert is_tree_child(rooted) and reference_is_tree_child(rooted)
+        assert rooted.reticulation_number() == net.reticulation_number() == 1999
+
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_whole_graph_work_is_constant(self, monkeypatch, n):
+        net = random_q_cuttable(GenConfig(seed=1, leaf_count=n, target_r=n // 8, target_q=2))
+        calls = count_calls(monkeypatch, (nets, "bridges", whole_graph),
+                            (UndirectedNet, "maximal_chains"), (UndirectedNet, "blobs"),
+                            (RootedNet, "__init__"), (orient, "validate_rooted"))
+        # a fresh copy, so no cache the generator filled is reused
+        tree_child_orient_2cuttable(UndirectedNet(net.vertices, net.edges, net.leaf_labels))
+        assert calls == {"bridges": 1, "maximal_chains": 1, "blobs": 1, "__init__": 1,
+                         "validate_rooted": 1}
 
 
 class TestBruteForce:

@@ -17,6 +17,7 @@ from cutnets import (
     validate_rooted,
     validate_unrooted,
 )
+from cutnets import formats, sat
 from cutnets.errors import (
     InvalidN,
     NotTreeChild,
@@ -25,6 +26,10 @@ from cutnets.errors import (
     UnsatisfiedAssignment,
 )
 from cutnets.formats import parse_enewick, serialize_enewick
+from cutnets.nets import RootedNet
+
+from conftest import count_calls
+from test_formats_golden import satisfying
 
 
 def truth_table_satisfiable(cnf):
@@ -143,7 +148,7 @@ class TestBuildNPhi:
             rooted = build_n_phi(phi_bench, beta)
             _, gmap = build_u_phi(phi_bench)
             for j in range(1, phi_bench.m + 1):
-                assert rooted.in_degree(gmap.named[f"z{j}"]) <= 2
+                assert len(rooted.pred[gmap.named[f"z{j}"]]) <= 2
 
 
 class TestExtract:
@@ -225,3 +230,18 @@ class TestRandomCnf:
 
     def test_reproducible(self):
         assert random_2balanced_cnf(6, 42) == random_2balanced_cnf(6, 42)
+
+
+class TestRoundTripWork:
+    @pytest.mark.parametrize("n", [60, 120])
+    def test_one_validation_per_rooted_network(self, monkeypatch, n):
+        cnf = random_2balanced_cnf(n, 700 + n)
+        beta = satisfying(cnf, n)
+        _, gmap = build_u_phi(cnf)
+        calls = count_calls(monkeypatch, (sat, "validate_rooted"), (formats, "validate_rooted"),
+                            (RootedNet, "__init__"))
+        rooted = build_n_phi(cnf, beta)
+        assert calls == {"validate_rooted": 1, "__init__": 1}
+        back = parse_enewick(serialize_enewick(rooted))
+        assert extract_assignment(back, gmap) == beta
+        assert calls == {"validate_rooted": 2, "__init__": 2}
