@@ -41,6 +41,8 @@ from .sat import CnfInstance
 
 _LABEL_RE = re.compile(r"[A-Za-z0-9_.\-]+")
 _TAG_RE = re.compile(r"#H?(\d+)")
+_WS_RE = re.compile(r"\s*")
+_TOKEN_RE = re.compile(r"\S+")
 
 
 # --- UPN/1 ---------------------------------------------------------------------
@@ -68,26 +70,26 @@ def parse_upn(text: str) -> UndirectedNet:
         if kind == "V":
             if len(tokens) != 2:
                 raise ParseError("V record takes exactly one id", lineno, 1)
-            v = _parse_id(tokens[1], lineno, _token_col(raw, tokens[1]))
+            v = _parse_id(raw, tokens, 1, lineno)
             if v in vertices:
                 raise ParseError(f"vertex {v} declared twice", lineno, 1)
             vertices.add(v)
         elif kind == "L":
             if len(tokens) != 3:
                 raise ParseError("L record takes an id and a label", lineno, 1)
-            v = _parse_id(tokens[1], lineno, _token_col(raw, tokens[1]))
+            v = _parse_id(raw, tokens, 1, lineno)
             if v not in vertices:
                 raise ParseError(f"label references undeclared vertex {v}", lineno, 1)
             if v in labels:
                 raise ParseError(f"vertex {v} labeled twice", lineno, 1)
             if not _LABEL_RE.fullmatch(tokens[2]):
-                raise ParseError(f"bad label {tokens[2]!r}", lineno, _token_col(raw, tokens[2]))
+                raise ParseError(f"bad label {tokens[2]!r}", lineno, _column(raw, 2))
             labels[v] = tokens[2]
         elif kind == "E":
             if len(tokens) != 3:
                 raise ParseError("E record takes exactly two ids", lineno, 1)
-            u = _parse_id(tokens[1], lineno, _token_col(raw, tokens[1]))
-            v = _parse_id(tokens[2], lineno, _token_col(raw, tokens[2]))
+            u = _parse_id(raw, tokens, 1, lineno)
+            v = _parse_id(raw, tokens, 2, lineno)
             for x in (u, v):
                 if x not in vertices:
                     raise ParseError(f"edge references undeclared vertex {x}", lineno, 1)
@@ -97,7 +99,7 @@ def parse_upn(text: str) -> UndirectedNet:
             edge_set.add(e)
             edges.append(e)
         else:
-            raise ParseError(f"unknown record type {kind!r}", lineno, _token_col(raw, kind))
+            raise ParseError(f"unknown record type {kind!r}", lineno, _column(raw, 0))
 
     if not header_seen:
         raise ParseError("empty document (missing 'UPN/1' header)", 1, 1)
@@ -116,122 +118,93 @@ def serialize_upn(net: UndirectedNet) -> str:
     return "\n".join(out) + "\n"
 
 
-def _parse_id(token: str, line: int, col: int) -> int:
+def _parse_id(raw: str, tokens: list[str], i: int, line: int) -> int:
+    """The id in ``tokens[i]``, the ``i``-th token of the line ``raw``."""
+    token = tokens[i]
     if not token.isdigit() or int(token) <= 0:
-        raise ParseError(f"expected a positive integer id, found {token!r}", line, col)
+        raise ParseError(f"expected a positive integer id, found {token!r}", line,
+                         _column(raw, i))
     return int(token)
 
 
-def _token_col(raw: str, token: str) -> int:
-    idx = raw.find(token)
-    return idx + 1 if idx >= 0 else 1
+def _column(raw: str, i: int) -> int:
+    """The column where the ``i``-th white-space separated token of ``raw`` starts."""
+    return [m.start() for m in _TOKEN_RE.finditer(raw)][i] + 1
 
 
-# --- Newick scanning ------------------------------------------------------------
+# --- Newick reading -------------------------------------------------------------
 
-class _Node:
-    __slots__ = ("children", "label", "tag")
-
-    def __init__(self):
-        self.children = []
-        self.label = None
-        self.tag = None
+def _syntax_error(text: str, message: str, pos: int) -> ParseError:
+    """A ParseError at ``pos``, clamped to the last character of ``text``."""
+    idx = min(pos, max(len(text) - 1, 0))
+    return ParseError(message, text.count("\n", 0, idx) + 1, idx - text.rfind("\n", 0, idx))
 
 
-def _linecol(text: str, idx: int) -> tuple[int, int]:
-    line = text.count("\n", 0, idx) + 1
-    last = text.rfind("\n", 0, idx)
-    return line, idx - last
+def _read_newick(text: str, allow_tags: bool):
+    """Read one Newick document in a single pass.
 
-
-class _NewickScanner:
-    def __init__(self, text: str, allow_tags: bool):
-        self.text = text
-        self.pos = 0
-        self.allow_tags = allow_tags
-
-    def error(self, message: str) -> ParseError:
-        line, col = _linecol(self.text, min(self.pos, max(len(self.text) - 1, 0)))
-        return ParseError(message, line, col)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            raise self.error(f"expected {ch!r}, found {self.peek()!r}")
-        self.pos += 1
-
-    def parse_document(self) -> _Node:
-        root = self.parse_node()
-        self.expect(";")
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise self.error("trailing text after ';'")
-        return root
-
-    def parse_node(self) -> _Node:
-        """One node and its subtree; the nodes whose ``(`` is read and whose
-        ``)`` is not yet are kept on a stack, innermost last."""
-        open_nodes: list[_Node] = []
-        while True:
-            if self.peek() == "(":
-                self.pos += 1
-                open_nodes.append(_Node())
-                continue
-            node = self.parse_suffix(_Node())
-            while open_nodes:
-                open_nodes[-1].children.append(node)
-                if self.peek() == ",":
-                    self.pos += 1
-                    break
-                self.expect(")")
-                node = self.parse_suffix(open_nodes.pop())
-            else:
-                return node
-
-    def parse_suffix(self, node: _Node) -> _Node:
-        """The optional label and hybrid tag after a node's children."""
-        c = self.peek()
-        m = _LABEL_RE.match(self.text, self.pos)
-        if m:
-            node.label = m.group(0)
-            self.pos = m.end()
-        elif c.isalnum():   # a letter or digit outside the label alphabet, such as 'é'
-            raise self.error(f"character {c!r} is not allowed in a label")
-        if self.peek() == "#":
-            if not self.allow_tags:
-                raise self.error("hybrid tags are not allowed in plain Newick trees")
-            m = _TAG_RE.match(self.text, self.pos)
-            if not m:
-                raise self.error("malformed hybrid tag")
-            node.tag = m.group(1)
-            self.pos = m.end()
-        if not node.children and node.label is None and node.tag is None:
-            raise self.error("empty node")
-        return node
-
-
-def _materialize(spec: _Node, vid: int, enter, link) -> int:
-    """Walk the subtree below ``spec`` (vertex ``vid``) as a recursive
-    preorder would: ``enter(child)`` hands out each child's vertex on the way
-    down, and ``link(parent, child, cid)`` runs once the child's own subtree
-    is done.  Returns ``vid``."""
-    stack = [(spec, vid, iter(spec.children))]
-    while stack:
-        child = next(stack[-1][2], None)
-        if child is None:
-            node, nid, _ = stack.pop()
-            if stack:
-                link(stack[-1][1], node, nid)
-        else:
-            stack.append((child, enter(child), iter(child.children)))
-    return vid
+    Returns ``(labels, tags, degrees, arcs)``.  The first three list the
+    label, hybrid tag (its digits) and child count of every node in
+    preorder, so a node's index is the order of its ``(`` or its leaf label
+    in the text and the root is node 0.  ``arcs`` lists ``(parent, child,
+    stamp)`` in the order the children's subtrees close, where ``stamp`` is
+    the number of nodes read at that moment.  The nodes whose ``(`` is read
+    and whose ``)`` is not yet are kept on a stack, innermost last.  A
+    syntax error names the first non-blank character at or after the
+    point of failure.
+    """
+    labels: list[str | None] = []
+    tags: list[str | None] = []
+    degrees: list[int] = []
+    arcs: list[tuple[int, int, int]] = []
+    open_nodes: list[int] = []
+    skip = _WS_RE.match
+    pos = skip(text).end()
+    while True:
+        node = len(labels)
+        labels.append(None)
+        tags.append(None)
+        degrees.append(0)
+        if text.startswith("(", pos):
+            open_nodes.append(node)
+            pos = skip(text, pos + 1).end()
+            continue
+        while True:   # the suffix of ``node``, then the ``,`` or ``)`` after it
+            m = _LABEL_RE.match(text, pos)
+            if m:
+                labels[node] = m.group()
+                pos = skip(text, m.end()).end()
+            elif text[pos:pos + 1].isalnum():   # outside the label alphabet, such as 'é'
+                raise _syntax_error(text, f"character {text[pos]!r} is not allowed in a label",
+                                    pos)
+            if text.startswith("#", pos):
+                if not allow_tags:
+                    raise _syntax_error(text, "hybrid tags are not allowed in plain Newick trees",
+                                        pos)
+                m = _TAG_RE.match(text, pos)
+                if not m:
+                    raise _syntax_error(text, "malformed hybrid tag", pos)
+                tags[node] = m.group(1)
+                pos = skip(text, m.end()).end()
+            if not degrees[node] and labels[node] is None and tags[node] is None:
+                raise _syntax_error(text, "empty node", pos)
+            if not open_nodes:
+                if not text.startswith(";", pos):
+                    raise _syntax_error(text, f"expected ';', found {text[pos:pos + 1]!r}", pos)
+                pos = skip(text, pos + 1).end()
+                if pos != len(text):
+                    raise _syntax_error(text, "trailing text after ';'", pos)
+                return labels, tags, degrees, arcs
+            parent = open_nodes[-1]
+            degrees[parent] += 1
+            arcs.append((parent, node, len(labels)))
+            if text.startswith(",", pos):
+                pos = skip(text, pos + 1).end()
+                break
+            if not text.startswith(")", pos):
+                raise _syntax_error(text, f"expected ')', found {text[pos:pos + 1]!r}", pos)
+            pos = skip(text, pos + 1).end()
+            node = open_nodes.pop()
 
 
 def _render(root: int, expand) -> str:
@@ -263,49 +236,8 @@ def _render(root: int, expand) -> str:
 
 def parse_enewick(text: str) -> RootedNet:
     """Parse an extended-Newick rooted network with #H hybrid tags."""
-    top = _NewickScanner(text, allow_tags=True).parse_document()
-    if len(top.children) != 2:
-        raise DegreeError(f"root must have exactly two children, found {len(top.children)}")
-
-    ids = iter(range(1, 10**9))
-    tag_ids: dict[str, int] = {}
-    tag_defined: dict[str, bool] = {}
-    arcs: list[tuple[int, int]] = []
-    # an untagged child always gets a fresh vertex, so only an arc into a
-    # hybrid can repeat
-    hybrid_arcs: set[tuple[int, int]] = set()
-    labels: dict[int, str] = {}
-
-    def enter(spec: _Node) -> int:
-        if spec.tag is not None:
-            if spec.tag not in tag_ids:
-                tag_ids[spec.tag] = next(ids)
-                tag_defined[spec.tag] = False
-            vid = tag_ids[spec.tag]
-            if spec.children or spec.label is not None:
-                if tag_defined[spec.tag]:
-                    raise DegreeError(f"hybrid #{spec.tag} defined twice")
-                tag_defined[spec.tag] = True
-        else:
-            vid = next(ids)
-        if spec.label is not None:
-            labels[vid] = spec.label
-        return vid
-
-    def link(vid: int, child: _Node, cid: int) -> None:
-        if child.tag is not None:
-            if (vid, cid) in hybrid_arcs:
-                raise DegreeError(f"parallel arcs ({vid},{cid})")
-            hybrid_arcs.add((vid, cid))
-        arcs.append((vid, cid))
-
-    root = _materialize(top, next(ids), enter, link)
-    for tag, defined in tag_defined.items():
-        if not defined:
-            raise DegreeError(f"hybrid #{tag} is referenced but never defined")
-
-    vertices = {root} | {u for a in arcs for u in a}
-    net = RootedNet(vertices, arcs, root, labels)
+    count, arcs, labels = _enewick_arcs(text)
+    net = RootedNet(range(1, count + 1), arcs, 1, labels)
     report = validate_rooted(net)
     if not report.ok:
         if not net.is_acyclic():
@@ -314,6 +246,62 @@ def parse_enewick(text: str) -> RootedNet:
             raise ValidationError(report.violations)
         raise DegreeError("; ".join(report.violations))
     return net
+
+
+def _enewick_arcs(text: str) -> tuple[int, list[tuple[int, int]], dict[int, str]]:
+    """The vertex count, arcs and leaf labels of an eNewick text.  Apart
+    from ``parse_enewick`` so that the reader's node lists are freed before
+    the network is built and validated.
+
+    Vertex ids are handed out in preorder from 1 for the root, one per
+    untagged node and one per tag at its first occurrence.  Each node is
+    checked as it is reached in preorder and each arc once its child's
+    subtree has closed, so of two faults the one a preorder walk meets
+    first is reported.
+    """
+    labels, tags, degrees, arcs = _read_newick(text, allow_tags=True)
+    if degrees[0] != 2:
+        raise DegreeError(f"root must have exactly two children, found {degrees[0]}")
+    if tags[0] is not None:
+        raise DegreeError(f"hybrid #{tags[0]} is the root")
+
+    vid: list[int] = []   # the vertex of each node reached so far
+    count = 0   # vertices handed out
+    tag_ids: dict[str, int] = {}
+    defined: set[str] = set()
+    vertex_labels: dict[int, str] = {}
+    out: list[tuple[int, int]] = []
+    # an untagged child always gets a fresh vertex, so only an arc into a
+    # hybrid can repeat
+    hybrid_arcs: set[tuple[int, int]] = set()
+    for parent, child, stamp in arcs:
+        for node in range(len(vid), stamp):   # the nodes read before this arc closed
+            tag, label = tags[node], labels[node]
+            if tag is None:
+                count += 1
+                v = count
+            else:
+                v = tag_ids.get(tag)
+                if v is None:
+                    count += 1
+                    v = tag_ids[tag] = count
+                if degrees[node] or label is not None:
+                    if tag in defined:
+                        raise DegreeError(f"hybrid #{tag} defined twice")
+                    defined.add(tag)
+            vid.append(v)
+            if label is not None:
+                vertex_labels[v] = label
+        arc = (vid[parent], vid[child])
+        if tags[child] is not None:
+            if arc in hybrid_arcs:
+                raise DegreeError(f"parallel arcs ({arc[0]},{arc[1]})")
+            hybrid_arcs.add(arc)
+        out.append(arc)
+    for tag in tag_ids:
+        if tag not in defined:
+            raise DegreeError(f"hybrid #{tag} is referenced but never defined")
+    return count, out, vertex_labels
 
 
 def serialize_enewick(net: RootedNet) -> str:
@@ -364,36 +352,28 @@ def parse_newick_tree(text: str) -> UndirectedNet:
     """Read a Newick tree as an unrooted binary tree (r = 0).
 
     A two-child artificial root is suppressed; a three-child root becomes an
-    internal vertex.  Any other child count is not binary.
+    internal vertex.  Any other child count is not binary.  Vertex ids are
+    handed out in preorder from 1; a suppressed root takes none.
     """
-    top = _NewickScanner(text, allow_tags=False).parse_document()
-    ids = iter(range(1, 10**9))
-    edges: list[tuple[int, int]] = []
-    labels: dict[int, str] = {}
-
-    def enter(spec: _Node) -> int:
-        vid = next(ids)
-        if spec.children:
-            if len(spec.children) != 2:
-                raise NotBinary(f"internal node has {len(spec.children)} children, expected 2")
-            if spec.label is not None:
+    labels, _, degrees, arcs = _read_newick(text, allow_tags=False)
+    if degrees[0] not in (2, 3):
+        raise NotBinary(f"root has {degrees[0]} children, expected 2 or 3")
+    shift = 0 if degrees[0] == 2 else 1   # vertex id minus preorder index
+    leaf_labels: dict[int, str] = {}
+    for node, (label, degree) in enumerate(zip(labels, degrees)):
+        if degree:
+            if node and degree != 2:
+                raise NotBinary(f"internal node has {degree} children, expected 2")
+            if label is not None:
                 raise NotBinary("internal node labels are not supported")
         else:
-            labels[vid] = spec.label
-        return vid
+            leaf_labels[node + shift] = label
 
-    def link(vid: int, child: _Node, cid: int) -> None:
-        edges.append(canon_edge(vid, cid))
-
-    if len(top.children) == 2:
-        a, b = (_materialize(child, enter(child), enter, link) for child in top.children)
-        edges.append(canon_edge(a, b))
-    elif len(top.children) == 3:
-        _materialize(top, next(ids), enter, link)
-    else:
-        raise NotBinary(f"root has {len(top.children)} children, expected 2 or 3")
-
-    net = UndirectedNet.build(edges, labels)
+    edges = [(parent + shift, child + shift) for parent, child, _ in arcs if parent or shift]
+    if not shift:   # the suppressed root's two children are joined
+        a, b = (child for parent, child, _ in arcs if not parent)
+        edges.append((a, b))
+    net = UndirectedNet.build(edges, leaf_labels)
     check_binary_tree(net)
     return net
 
@@ -459,15 +439,15 @@ def parse_dimacs_cnf(text: str) -> CnfInstance:
             continue
         if n is None:
             raise ParseError("clause before problem line", lineno, 1)
-        for token in line.split():
+        for i, token in enumerate(line.split()):
             try:
                 lit = int(token)
             except ValueError:
                 raise ParseError(f"expected a literal, found {token!r}",
-                                 lineno, _token_col(raw, token)) from None
+                                 lineno, _column(raw, i)) from None
             if lit != 0 and not (1 <= abs(lit) <= n):
                 raise ParseError(f"literal {lit} out of range 1..{n}",
-                                 lineno, _token_col(raw, token))
+                                 lineno, _column(raw, i))
             literals.append(lit)
     if n is None:
         raise ParseError("empty document (missing problem line)", 1, 1)

@@ -124,6 +124,16 @@ class TestStatsAndOrient:
         assert result.exit_code == 2
         assert "character '²' is not allowed in a label (line 1, col 18)" in result.output
 
+    @pytest.mark.parametrize("text, message", [
+        ("((a,b),c)x;", "labeled vertex 1 is not a sink"),
+        ("((a,b),c)#H1;", "hybrid #1 is the root"),
+    ])
+    def test_root_label_or_tag_exit_2(self, tmp_path, text, message):
+        path = write(tmp_path / "n.enwk", text + "\n")
+        result = CliRunner().invoke(cli, ["check-tree-child", path])
+        assert result.exit_code == 2
+        assert f"error: {message}" in result.output
+
     def test_internal_error_exit_4(self, tmp_path, monkeypatch):
         # a failure inside the library is neither "no" (1) nor bad input (2)
         def broken(rooted):
@@ -173,6 +183,13 @@ class TestContain:
         result = CliRunner().invoke(cli, ["contain", tpath, npath])
         assert result.exit_code == 2
         assert "character 'é' is not allowed in a label (line 1, col 2)" in result.output
+
+    def test_root_label_exit_2(self, tmp_path, cycle4):
+        tpath = write(tmp_path / "t.nwk", "((a,b),c,d)x;\n")
+        npath = write(tmp_path / "u.upn", serialize_upn(cycle4))
+        result = CliRunner().invoke(cli, ["contain", tpath, npath])
+        assert result.exit_code == 2
+        assert "error: internal node labels are not supported" in result.output
 
     def test_not_three_cuttable_exit_2(self, tmp_path, theta3):
         tpath = write(tmp_path / "t.nwk", "(a,b,c);\n")

@@ -18,9 +18,10 @@ from cutnets.cuttable import _cycle_has_q_chain
 from cutnets.errors import InvalidQ, TooLarge
 from cutnets.formats import parse_upn, serialize_upn
 from cutnets.generate import _tree_graph
+from cutnets import nets
 from cutnets.nets import simple_cycles
 
-from conftest import triangle_net
+from conftest import count_calls, triangle_net, whole_graph
 
 
 def reference_max_cuttability(net):
@@ -210,3 +211,20 @@ class TestMaxCuttability:
     def test_definition_check_on_cycles(self, cycle4):
         # every simple cycle of the 4-cycle fixture is the square itself
         assert simple_cycles(cycle4) == [(1, 2, 3, 4)]
+
+
+class TestWholeGraphWork:
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_parse_then_recognize_is_constant(self, monkeypatch, n):
+        text = serialize_upn(random_q_cuttable(GenConfig(seed=1, leaf_count=n, target_r=n // 8,
+                                                         target_q=2)))
+        # a call that finds the cache empty is the one that computes the chains
+        computed = count_calls(monkeypatch, (UndirectedNet, "maximal_chains",
+                                             lambda net: net._chain_list is None))
+        calls = count_calls(monkeypatch, (nets, "bridges", whole_graph),
+                            (UndirectedNet, "maximal_chains"))
+        net = parse_upn(text)
+        assert is_q_cuttable(net, 2) and not is_q_cuttable(net, 3)
+        assert max_cuttability(net) == 2
+        assert calls == {"bridges": 1, "maximal_chains": 3}
+        assert computed == {"maximal_chains": 1}

@@ -66,6 +66,8 @@ class TestUpn:
         ("UPN/1\nV 1\nE 1 2\n", "edge references undeclared vertex 2", 3, 1),
         ("UPN/1\nV 1\nV 2\nE 1 2\nE 2 1\n", "duplicate edge (1, 2)", 5, 1),
         ("UPN/1\nV 1\n  X 1\n", "unknown record type 'X'", 3, 3),
+        # the token's own place, not where its text first occurs in the line
+        ("UPN/1\nV 10\nE 10 0\n", "expected a positive integer id, found '0'", 3, 6),
     ])
     def test_record_errors_name_line_and_column(self, text, message, line, col):
         with pytest.raises(ParseError) as err:
@@ -117,6 +119,18 @@ class TestENewick:
                 parse_enewick(text)
             assert str(info.value) == message
 
+    def test_root_label_or_tag_is_an_input_error(self):
+        # the root is checked like any other node: a label must sit on a
+        # leaf, and a hybrid has parents, which the root has not
+        with pytest.raises(ValidationError) as info:
+            parse_enewick("((a,b),c)x;")
+        assert str(info.value) == "labeled vertex 1 is not a sink"
+        for text, message in [("((a,b),c)#H1;", "hybrid #1 is the root"),
+                              ("((a,(b)#H2),(#H2,c))x#H7;", "hybrid #7 is the root")]:
+            with pytest.raises(DegreeError) as info:
+                parse_enewick(text)
+            assert str(info.value) == message
+
     def test_label_named_cycle_is_no_cycle_error(self):
         # violations are sorted by kind, not by the words in their messages
         with pytest.raises(ValidationError) as info:
@@ -157,6 +171,14 @@ class TestNewickTree:
     def test_tags_rejected(self):
         with pytest.raises(ParseError):
             parse_newick_tree("((a)#H1,(#H1,b));")
+
+    @pytest.mark.parametrize("text", ["((a,b),c,d)x;", "((a,b),c)x;", "((a,b),c)\n x ;"])
+    def test_root_label_is_not_binary(self, text):
+        # a three-child root is an inner vertex; a suppressed root's label
+        # would have no vertex to sit on
+        with pytest.raises(NotBinary) as info:
+            parse_newick_tree(text)
+        assert str(info.value) == "internal node labels are not supported"
 
     def test_roundtrip(self):
         for seed in range(20):

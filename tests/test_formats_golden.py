@@ -1,9 +1,11 @@
 """Newick and eNewick I/O, pinned to a recorded file.
 
-``tests/data/formats_golden.json`` was recorded when the Newick scanner,
-both ``materialize`` walks and both serializers still recursed.  They now
-walk explicit stacks, and nothing they return or raise may move: the same
-text, the same vertex ids, the same exception type and message.  Each
+``tests/data/formats_golden.json`` was recorded when the Newick readers
+and both serializers still recursed.  Now one reader makes a single pass
+over the text with an explicit stack of open nodes and hands both parsers
+flat preorder lists, the serializers walk explicit stacks, and nothing
+they return or raise may move: the same text, the same vertex ids, the
+same exception type and message.  Each
 network entry keeps the SHA-256 and length of the serialized text and the
 SHA-256 of the sorted arcs (or edges) and labels that parsing that text
 gives back; each malformed input keeps its exception in full.  The inputs
