@@ -44,9 +44,7 @@ from .sat import (
     assignment_satisfies,
     build_n_phi,
     build_u_phi,
-    connection_gadget,
     extract_assignment,
-    reticulation_gadget,
     sat_bruteforce,
     validate_2balanced,
 )

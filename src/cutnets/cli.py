@@ -15,27 +15,11 @@ import click
 from . import containment, cuttable, formats, generate, orient, sat
 from .errors import (
     BudgetExceeded,
-    CutnetsError,
-    CycleError,
-    DegreeError,
-    InconsistentGadgetState,
-    InvalidN,
-    InvalidQ,
-    LabelSetMismatch,
-    NotBinary,
-    NotThreeCuttable,
-    NotTreeChild,
-    NotTwoBalanced,
+    InputError,
     NotTwoCuttable,
-    ParseError,
     TooLarge,
-    ValidationError,
+    UnsatisfiedAssignment,
 )
-
-# Bad input or an unmet precondition: exit 2, never 1, which means "no".
-_INPUT_ERRORS = (ParseError, ValidationError, DegreeError, CycleError, NotBinary,
-                 LabelSetMismatch, NotThreeCuttable, InvalidQ, InvalidN, NotTwoBalanced,
-                 NotTreeChild, InconsistentGadgetState)
 
 # a directory where a file belongs is a usage error (exit 2), caught by click
 _INPUT_FILE = click.Path(exists=True, dir_okay=False)
@@ -74,7 +58,7 @@ class _Cli(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except _INPUT_ERRORS as exc:
+        except InputError as exc:   # exit 2, never 1, which means "no"
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
         except (TooLarge, BudgetExceeded) as exc:
@@ -218,7 +202,7 @@ def sat_orient(cnf_file, assignment, output, gmap_file):
     _, gmap = sat.build_u_phi(cnf)   # exit 2 on a formula that is not 2-balanced
     try:
         rooted = sat.build_n_phi(cnf, beta)
-    except CutnetsError as exc:
+    except UnsatisfiedAssignment as exc:
         click.echo(f"no orientation produced: {exc}")
         sys.exit(1)
     _write(output, formats.serialize_enewick(rooted) + "\n")

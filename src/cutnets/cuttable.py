@@ -25,7 +25,6 @@ from .nets import (
 
 @dataclass(frozen=True)
 class CuttabilityReport:
-    q: int
     is_cuttable: bool
     witness_cycle: tuple[VertexId, ...] | None = None
 
@@ -51,8 +50,8 @@ def is_q_cuttable(net: UndirectedNet, q: int) -> CuttabilityReport:
             doomed.update(chain.path_vertices)
     cycle = _find_cycle_avoiding(net.adjacency(), doomed)
     if cycle is None:
-        return CuttabilityReport(q, True)
-    return CuttabilityReport(q, False, _canon_cycle(list(cycle)))
+        return CuttabilityReport(True)
+    return CuttabilityReport(False, _canon_cycle(list(cycle)))
 
 
 def is_q_cuttable_via_chain_deletion(net: UndirectedNet, q: int) -> bool:

@@ -5,6 +5,11 @@ class CutnetsError(Exception):
     """Base class for all library errors."""
 
 
+class InputError(CutnetsError):
+    """Bad input or an unmet precondition; the CLI exits 2 on it, never 1,
+    which means "no"."""
+
+
 # --- graph surgery -----------------------------------------------------------
 
 class UnknownEdge(CutnetsError):
@@ -31,13 +36,13 @@ class NotCutEdge(CutnetsError):
     pass
 
 
-class LabelSetMismatch(CutnetsError):
+class LabelSetMismatch(InputError):
     pass
 
 
 # --- recognition and budgets -------------------------------------------------
 
-class InvalidQ(CutnetsError):
+class InvalidQ(InputError):
     pass
 
 
@@ -52,15 +57,11 @@ class BudgetExceeded(CutnetsError):
 # --- orientations ------------------------------------------------------------
 
 class DegreeViolation(CutnetsError):
-    def __init__(self, vertex, message=None):
-        super().__init__(message or f"vertex {vertex} violates the degree rules")
-        self.vertex = vertex
+    pass
 
 
 class CyclicOrientation(CutnetsError):
-    def __init__(self, cycle, message=None):
-        super().__init__(message or f"orientation contains the directed cycle {list(cycle)}")
-        self.cycle = tuple(cycle)
+    pass
 
 
 class NotTwoCuttable(CutnetsError):
@@ -73,7 +74,7 @@ class NotReducible(CutnetsError):
 
 # --- SAT gadgetry ------------------------------------------------------------
 
-class NotTwoBalanced(CutnetsError):
+class NotTwoBalanced(InputError):
     pass
 
 
@@ -81,15 +82,15 @@ class UnsatisfiedAssignment(CutnetsError):
     pass
 
 
-class InconsistentGadgetState(CutnetsError):
+class InconsistentGadgetState(InputError):
     pass
 
 
-class NotTreeChild(CutnetsError):
+class NotTreeChild(InputError):
     pass
 
 
-class InvalidN(CutnetsError):
+class InvalidN(InputError):
     pass
 
 
@@ -107,7 +108,7 @@ class NotSimple(CutnetsError):
     pass
 
 
-class NotThreeCuttable(CutnetsError):
+class NotThreeCuttable(InputError):
     pass
 
 
@@ -117,7 +118,7 @@ class TooFewLeaves(CutnetsError):
 
 # --- parsing -----------------------------------------------------------------
 
-class ParseError(CutnetsError):
+class ParseError(InputError):
     """Syntax error with a 1-based line/column position."""
 
     def __init__(self, message, line=None, col=None):
@@ -135,17 +136,16 @@ class NotBinary(ParseError):
     pass
 
 
-class DegreeError(CutnetsError):
+class DegreeError(InputError):
     pass
 
 
-class CycleError(CutnetsError):
+class CycleError(InputError):
     pass
 
 
-class ValidationError(CutnetsError):
+class ValidationError(InputError):
     """The file was well formed but describes an invalid network."""
 
     def __init__(self, violations):
         super().__init__("; ".join(violations))
-        self.violations = tuple(violations)

@@ -144,7 +144,7 @@ def _read_newick(text: str, allow_tags: bool):
     """Read one Newick document in a single pass.
 
     Returns ``(labels, tags, degrees, arcs)``.  The first three list the
-    label, hybrid tag (its digits) and child count of every node in
+    label, hybrid tag (its number) and child count of every node in
     preorder, so a node's index is the order of its ``(`` or its leaf label
     in the text and the root is node 0.  ``arcs`` lists ``(parent, child,
     stamp)`` in the order the children's subtrees close, where ``stamp`` is
@@ -154,7 +154,7 @@ def _read_newick(text: str, allow_tags: bool):
     point of failure.
     """
     labels: list[str | None] = []
-    tags: list[str | None] = []
+    tags: list[int | None] = []
     degrees: list[int] = []
     arcs: list[tuple[int, int, int]] = []
     open_nodes: list[int] = []
@@ -184,7 +184,10 @@ def _read_newick(text: str, allow_tags: bool):
                 m = _TAG_RE.match(text, pos)
                 if not m:
                     raise _syntax_error(text, "malformed hybrid tag", pos)
-                tags[node] = m.group(1)
+                try:   # hybrids are numbered, so #H01 is #H1
+                    tags[node] = int(m.group(1))
+                except ValueError:   # more digits than int() takes
+                    raise _syntax_error(text, "hybrid tag number is too long", pos) from None
                 pos = skip(text, m.end()).end()
             if not degrees[node] and labels[node] is None and tags[node] is None:
                 raise _syntax_error(text, "empty node", pos)
@@ -267,8 +270,8 @@ def _enewick_arcs(text: str) -> tuple[int, list[tuple[int, int]], dict[int, str]
 
     vid: list[int] = []   # the vertex of each node reached so far
     count = 0   # vertices handed out
-    tag_ids: dict[str, int] = {}
-    defined: set[str] = set()
+    tag_ids: dict[int, int] = {}
+    defined: set[int] = set()
     vertex_labels: dict[int, str] = {}
     out: list[tuple[int, int]] = []
     # an untagged child always gets a fresh vertex, so only an arc into a

@@ -74,10 +74,6 @@ class Split:
             a, b = b, a
         return Split(a, b)
 
-    @property
-    def labels(self) -> frozenset[str]:
-        return self.side_a | self.side_b
-
     def is_compatible_with(self, other: "Split") -> bool:
         # Compatible iff one of the four pairwise side intersections is empty.
         return (
@@ -110,12 +106,10 @@ class Blob:
 class Chain:
     """A path of same-blob vertices, each incident to a cut-edge.
 
-    ``incident_cut_edges`` holds, per path vertex, the cut-edge hanging off
-    it.  Length is the number of vertices.
+    Length is the number of vertices.
     """
 
     path_vertices: tuple[VertexId, ...]
-    incident_cut_edges: tuple[Edge, ...]
 
     @property
     def length(self) -> int:
@@ -220,9 +214,6 @@ class UndirectedNet:
         seen = _component_of(self.adjacency(), next(iter(self.vertices)))
         return len(seen) == len(self.vertices)
 
-    def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
-
     # -- bridges, blobs, chains -----------------------------------------------
 
     def cut_edges(self) -> frozenset[Edge]:
@@ -275,12 +266,9 @@ class UndirectedNet:
         if self._chain_list is not None:
             return self._chain_list
         cuts = self.cut_edges()
-        cut_at = {}
-        for e in sorted(cuts):
-            for v in e:
-                cut_at.setdefault(v, e)
+        cut_incident = {v for e in cuts for v in e}
         blob_edges = self.edges - cuts
-        marked = {v for u, w in blob_edges if u != w for v in (u, w) if v in cut_at}
+        marked = {v for u, w in blob_edges if u != w for v in (u, w) if v in cut_incident}
         adj = {v: [] for v in marked}
         for u, v in blob_edges:
             if u in marked and v in marked:
@@ -303,7 +291,7 @@ class UndirectedNet:
                 first = ends[0]
                 nxt = adj[first][0] if adj[first] else None
                 path = _walk_path(adj, first, nxt, len(comp))
-            chains.append(Chain(tuple(path), tuple(cut_at[v] for v in path)))
+            chains.append(Chain(tuple(path)))
         chains.sort(key=lambda c: c.path_vertices)
         self._chain_list = tuple(chains)
         return self._chain_list
@@ -908,9 +896,9 @@ class _WorkGraph:
     ``subdivide``, ``suppress`` and ``eliminate_edge`` thaw their network
     into a working graph, make one edit and freeze it, and longer chains of
     edits run on one working graph and freeze once.  Fresh vertices come
-    from the network's monotone ``next_id``.  ``edges`` is kept sorted, the
-    order of ``sorted_edges()``, so seeded draws from it match draws from
-    the frozen network.  ``subdivide``, ``suppress`` and ``eliminate`` check
+    from the network's monotone ``next_id``.  ``edges`` is kept sorted, so
+    seeded draws from it match draws from the frozen network's sorted
+    edges.  ``subdivide``, ``suppress`` and ``eliminate`` check
     everything before they change the graph, so a raise leaves it as it was.
 
     ``cuts`` is the graph's cut-edge set, or None when it is not known.

@@ -83,9 +83,10 @@ def apply_orientation(net: UndirectedNet, spec: OrientationSpec) -> RootedNet:
         indeg, outdeg = len(rooted.pred[v]), len(rooted.succ[v])
         want = ((1, 0),) if v in leaves else ((1, 2), (2, 1))
         if (indeg, outdeg) not in want:
-            raise DegreeViolation(v, f"vertex {v} has degrees (in={indeg}, out={outdeg})")
+            raise DegreeViolation(f"vertex {v} has degrees (in={indeg}, out={outdeg})")
     if not rooted.is_acyclic():
-        raise CyclicOrientation(rooted.find_directed_cycle())
+        cycle = list(rooted.find_directed_cycle())
+        raise CyclicOrientation(f"orientation contains the directed cycle {cycle}")
     report = validate_rooted(rooted)
     if not report.ok:
         raise AssertionError("orientation slipped through checks: " + "; ".join(report.violations))

@@ -15,6 +15,7 @@ survives serialization round trips.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import product
 
@@ -102,16 +103,12 @@ def sat_bruteforce(cnf: CnfInstance, max_vars: int = 24) -> Assignment | None:
 
 
 # --- gadget shapes --------------------------------------------------------------
+#
+# Each gadget is its vertex names, in the order its ids are handed out, and
+# one arc table; its edges are the arcs with the direction dropped.
 
-CONNECTION_EDGES = (
-    ("s", "u"), ("u", "v"), ("u", "w"), ("w", "wp"),
-    ("wp", "v"), ("v", "t"), ("w", "l"), ("wp", "lp"),
-)
-
-RETICULATION_EDGES = (
-    ("s", "u"), ("u", "v"), ("u", "vp"), ("v", "vp"), ("v", "w"),
-    ("vp", "wp"), ("w", "l"), ("wp", "lp"), ("w", "r"), ("wp", "r"), ("r", "t"),
-)
+CONNECTION_VERTICES = ("s", "t", "u", "v", "w", "wp", "l", "lp")
+RETICULATION_VERTICES = ("s", "t", "u", "v", "vp", "w", "wp", "r", "l", "lp")
 
 # Orientation with flow s -> t; the internal reticulation is w, whose child is
 # the leaf, so the t-terminal may safely become a reticulation outside.
@@ -120,11 +117,10 @@ CONNECTION_FORWARD_ARCS = (
     ("wp", "w"), ("v", "t"), ("w", "l"), ("wp", "lp"),
 )
 
-# Mirror image with flow t -> s.
-CONNECTION_BACKWARD_ARCS = (
-    ("t", "v"), ("v", "u"), ("v", "wp"), ("u", "w"),
-    ("w", "wp"), ("u", "s"), ("w", "l"), ("wp", "lp"),
-)
+# Mirror image with flow t -> s, under the automorphism that swaps the two
+# terminals and the two sides of the 4-cycle.
+_MIRROR = {"s": "t", "t": "s", "u": "v", "v": "u", "w": "wp", "wp": "w", "l": "lp", "lp": "l"}
+CONNECTION_BACKWARD_ARCS = tuple((_MIRROR[a], _MIRROR[b]) for a, b in CONNECTION_FORWARD_ARCS)
 
 # The single admissible pattern (one of the two mirror images): reticulations
 # at vp and r, with the forced arcs (w,r), (wp,r), (r,t), (s,u).
@@ -132,34 +128,6 @@ RETICULATION_ARCS = (
     ("s", "u"), ("u", "v"), ("u", "vp"), ("v", "vp"), ("v", "w"), ("vp", "wp"),
     ("w", "r"), ("wp", "r"), ("r", "t"), ("w", "l"), ("wp", "lp"),
 )
-
-
-@dataclass(frozen=True)
-class GadgetFragment:
-    kind: str
-    vertices: tuple[str, ...]
-    edges: frozenset[tuple[str, str]]
-    s: str
-    t: str
-    leaves: tuple[str, str]
-
-
-def connection_gadget() -> GadgetFragment:
-    return GadgetFragment(
-        "connection",
-        ("s", "t", "u", "v", "w", "wp", "l", "lp"),
-        frozenset(tuple(sorted(e)) for e in CONNECTION_EDGES),
-        "s", "t", ("l", "lp"),
-    )
-
-
-def reticulation_gadget() -> GadgetFragment:
-    return GadgetFragment(
-        "reticulation",
-        ("s", "t", "u", "v", "vp", "w", "wp", "r", "l", "lp"),
-        frozenset(tuple(sorted(e)) for e in RETICULATION_EDGES),
-        "s", "t", ("l", "lp"),
-    )
 
 
 # --- gadget map -------------------------------------------------------------------
@@ -184,14 +152,6 @@ class GadgetMap:
                 best = max(best, int(g.name[1:].split("_")[0]))
         return best
 
-    @property
-    def clause_count(self) -> int:
-        best = 0
-        for g in self.gadgets:
-            if g.name.startswith("C"):
-                best = max(best, int(g.name[1:].split("_")[0]))
-        return best
-
 
 def serialize_gmap(gmap: GadgetMap) -> str:
     out = ["GMAP/1"]
@@ -203,26 +163,34 @@ def serialize_gmap(gmap: GadgetMap) -> str:
     return "\n".join(out) + "\n"
 
 
+# the gadget names ``build_u_phi`` gives: Rr, R<k>, C<j>_<k> and G<i>_<h>
+_GADGET_NAME_RE = re.compile(r"Rr|R[0-9]+|[CG][0-9]+_[0-9]+")
+
+
 def parse_gmap(text: str) -> GadgetMap:
-    lines = [ln for ln in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if ln]
-    if not lines or lines[0] != "GMAP/1":
-        raise ParseError("expected header 'GMAP/1'", 1, 1)
+    # (line number, text) of each line that is not blank once its comment is cut
+    lines = [(lineno, line) for lineno, raw in enumerate(text.splitlines(), start=1)
+             if (line := raw.split("#", 1)[0].strip())]
+    if not lines or lines[0][1] != "GMAP/1":
+        raise ParseError("expected header 'GMAP/1'", lines[0][0] if lines else 1, 1)
     gadgets = []
     named = {}
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         tokens = line.split()
         if tokens[0] == "G":
             if len(tokens) < 4:
                 raise ParseError("G record takes a name, a kind and vertex pairs", lineno, 1)
+            if not _GADGET_NAME_RE.fullmatch(tokens[1]):
+                raise ParseError(f"bad gadget name {tokens[1]!r}", lineno, 1)
             vertex_ids = {}
             for pair in tokens[3:]:
                 name, _, vid = pair.partition("=")
-                if not vid.isdigit():
+                if not vid.isdecimal():
                     raise ParseError(f"bad vertex pair {pair!r}", lineno, 1)
                 vertex_ids[name] = int(vid)
             gadgets.append(Gadget(tokens[1], tokens[2], vertex_ids))
         elif tokens[0] == "N":
-            if len(tokens) != 3 or not tokens[2].isdigit():
+            if len(tokens) != 3 or not tokens[2].isdecimal():
                 raise ParseError("N record takes a role and an id", lineno, 1)
             named[tokens[1]] = int(tokens[2])
         else:
@@ -278,9 +246,12 @@ class _Builder(UnionFind):
 
 
 def _instantiate(builder: _Builder, kind: str, name: str, records: list) -> dict[str, int]:
-    fragment = connection_gadget() if kind == "connection" else reticulation_gadget()
-    ids = {vn: builder.fresh() for vn in fragment.vertices}
-    for a, b in (CONNECTION_EDGES if kind == "connection" else RETICULATION_EDGES):
+    if kind == "connection":
+        vertices, arcs = CONNECTION_VERTICES, CONNECTION_FORWARD_ARCS
+    else:
+        vertices, arcs = RETICULATION_VERTICES, RETICULATION_ARCS
+    ids = {vn: builder.fresh() for vn in vertices}
+    for a, b in arcs:
         builder.edge(ids[a], ids[b])
     builder.labels[ids["l"]] = f"{name}_l"
     builder.labels[ids["lp"]] = f"{name}_lp"

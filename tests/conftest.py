@@ -100,7 +100,7 @@ def build_simple_3cuttable(seed: int) -> UndirectedNet:
         labels[leaf] = f"t{i}"
     net = UndirectedNet.build(edges, labels)
     for _ in range(rng.randint(0, 2)):
-        e1, e2 = rng.sample(net.sorted_edges(), 2)
+        e1, e2 = rng.sample(sorted(net.edges), 2)
         net, m1 = subdivide(net, e1)
         net, m2 = subdivide(net, e2)
         net = net.replace(edges=net.edges | {canon_edge(m1, m2)})

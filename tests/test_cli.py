@@ -5,9 +5,26 @@ import click
 import pytest
 from click.testing import CliRunner
 
-from cutnets import CnfInstance, orient
+from cutnets import CnfInstance, orient, sat, sat_bruteforce
 from cutnets.cli import cli
+from cutnets.errors import (
+    CutnetsError,
+    CycleError,
+    DegreeError,
+    InconsistentGadgetState,
+    InputError,
+    InvalidN,
+    InvalidQ,
+    LabelSetMismatch,
+    NotBinary,
+    NotThreeCuttable,
+    NotTreeChild,
+    NotTwoBalanced,
+    ParseError,
+    ValidationError,
+)
 from cutnets.formats import (
+    parse_dimacs_cnf,
     parse_enewick,
     parse_upn,
     serialize_dimacs_cnf,
@@ -236,6 +253,20 @@ class TestSatCommands:
                                           "--gmap", str(tmp_path / "x.gmap")])
         assert result.exit_code == 1
 
+    def test_orient_failure_other_than_unsatisfied_is_not_exit_1(self, tmp_path, monkeypatch):
+        # exit 1 says the assignment does not satisfy the formula, nothing else
+        def broken(cnf, assignment):
+            raise CutnetsError("broken gadget")
+
+        monkeypatch.setattr(sat, "build_n_phi", broken)
+        cnf_path = write(tmp_path / "phi.cnf", serialize_dimacs_cnf(PHI))
+        result = CliRunner().invoke(cli, ["sat", "orient", cnf_path, "--assignment", "TFF",
+                                          "-o", str(tmp_path / "x.enwk"),
+                                          "--gmap", str(tmp_path / "x.gmap")])
+        assert result.exit_code == 4
+        assert "internal error: CutnetsError: broken gadget" in result.stderr
+        assert "no orientation produced" not in result.output
+
     @pytest.mark.parametrize("command", [
         ["sat", "reduce"],
         ["sat", "orient", "--assignment", "TTT"],
@@ -284,6 +315,30 @@ class TestSatCommands:
         assert result.exit_code == 2, result.output
         assert f"error: {message}" in result.output
         assert isinstance(result.exception, SystemExit)
+
+    def test_extract_bad_gadget_name_exit_2(self, tmp_path):
+        # a generated formula reduced and oriented, then one G record of the
+        # gadget map renamed to a name no gadget has
+        runner = CliRunner()
+        cnf_path, gmap_path = tmp_path / "phi.cnf", tmp_path / "phi.gmap"
+        rooted_path = tmp_path / "nphi.enwk"
+        assert runner.invoke(cli, ["gen", "cnf", "--vars", "6", "--seed", "1",
+                                   "-o", str(cnf_path)]).exit_code == 0
+        assert runner.invoke(cli, ["sat", "reduce", str(cnf_path), "-o", str(tmp_path / "u.upn"),
+                                   "--gmap", str(gmap_path)]).exit_code == 0
+        beta = sat_bruteforce(parse_dimacs_cnf(cnf_path.read_text()))
+        truth = "".join("T" if beta[i] else "F" for i in sorted(beta))
+        assert runner.invoke(cli, ["sat", "orient", str(cnf_path), "--assignment", truth,
+                                   "-o", str(rooted_path),
+                                   "--gmap", str(tmp_path / "o.gmap")]).exit_code == 0
+        lines = gmap_path.read_text().splitlines(keepends=True)
+        lineno = next(i for i, line in enumerate(lines, 1) if line.startswith("G G1_1 "))
+        lines[lineno - 1] = lines[lineno - 1].replace("G G1_1 ", "G Gx_1 ")
+        gmap_path.write_text("".join(lines))
+        result = runner.invoke(cli, ["sat", "extract", str(rooted_path), "--gmap", str(gmap_path),
+                                     "--cnf", str(cnf_path)])
+        assert result.exit_code == 2, result.output
+        assert f"error: bad gadget name 'Gx_1' (line {lineno}, col 1)" in result.stderr
 
     def test_extract_not_tree_child_exit_2(self, tmp_path):
         _, gmap, cnf = self.oriented(tmp_path)
@@ -449,6 +504,15 @@ def test_exit_code_matrix(tmp_path, command, cycle4, k4_sub, theta3, displayed_p
         assert result.exception is None or isinstance(result.exception, SystemExit), case
         if code == 2:
             assert "error" in result.output.lower(), case   # click's "Error:" or ours
+
+
+@pytest.mark.parametrize("error", [
+    ParseError, ValidationError, DegreeError, CycleError, NotBinary, LabelSetMismatch,
+    NotThreeCuttable, InvalidQ, InvalidN, NotTwoBalanced, NotTreeChild, InconsistentGadgetState,
+], ids=lambda error: error.__name__)
+def test_bad_input_errors_are_input_errors(error):
+    # the CLI exits 2 on an InputError, so each of these is bad input, never "no"
+    assert issubclass(error, InputError)
 
 
 def test_every_subcommand_is_in_the_matrix():

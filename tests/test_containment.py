@@ -31,10 +31,10 @@ from cutnets import (
     verify_embedding,
 )
 from cutnets import containment, nets
-from cutnets.cli import _INPUT_ERRORS
 from cutnets.containment import RuleOutcome, TraceEvent, serialize_trace
 from cutnets.errors import (
     BudgetExceeded,
+    InputError,
     LabelSetMismatch,
     NoMatchingTreeEdge,
     NotSimple,
@@ -314,7 +314,7 @@ class TestConflictingSplit:
         # foreign-split test needs a binary tree
         _, net = conflicting_pair
         star = star_tree(sorted(net.labels()))
-        with pytest.raises(_INPUT_ERRORS, match="vertex 0 has degree 6"):
+        with pytest.raises(InputError, match="vertex 0 has degree 6"):
             conflicting_split(star, net)
         assert reference_conflicting_split(star, net) is None
 
@@ -360,7 +360,7 @@ class TestBinaryTreePrecondition:
     def test_non_binary_tree_is_an_input_error(self, conflicting_pair, run):
         _, net = conflicting_pair
         for name, tree, vertex in non_binary_trees(net):
-            with pytest.raises(_INPUT_ERRORS) as info:
+            with pytest.raises(InputError) as info:
                 run(tree, net)
             assert re.search(rf"\bvertex {vertex}\b", str(info.value)), name
 

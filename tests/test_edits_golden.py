@@ -106,10 +106,10 @@ def record_net(net) -> dict:
     except FAILURES as exc:
         pairs = failure(exc)
     return {
-        "subdivide": summary((e, lambda e=e: subdivide(net, e)) for e in net.sorted_edges()),
+        "subdivide": summary((e, lambda e=e: subdivide(net, e)) for e in sorted(net.edges)),
         "suppress": summary((v, lambda v=v: suppress(net, v)) for v in sorted(net.vertices)),
         "eliminate_edge": summary((e, lambda e=e: eliminate_edge(net, e))
-                                  for e in net.sorted_edges()),
+                                  for e in sorted(net.edges)),
         "reduce_pair": summary((p, lambda p=p: reduce_pair(net, p))
                                for p in permutations(labels, 2)),
         "cherry_picking_sequence": pairs,

@@ -105,6 +105,19 @@ class TestENewick:
         assert net.reticulation_number() == 1
         assert net.labels() == {"a", "b", "c"}
 
+    def test_hybrid_tags_are_numbers(self):
+        # #H01 is #H1, and the bare form #1 is accepted as #H1
+        expected = serialize_enewick(parse_enewick("((a,(b)#H1),(#H1,c));"))
+        for text in ["((a,(b)#H01),(#H1,c));", "((a,(b)#H1),(#H001,c));", "((a,(b)#1),(#H1,c));"]:
+            assert serialize_enewick(parse_enewick(text)) == expected, text
+        with pytest.raises(DegreeError, match="hybrid #1 defined twice"):
+            parse_enewick("((a,(b)#H01),((c)#H1,d));")
+
+    def test_overlong_hybrid_tag_is_a_parse_error(self):
+        # more digits than int() converts is a syntax error, not a crash
+        with pytest.raises(ParseError, match="hybrid tag number is too long"):
+            parse_enewick(f"((a,(b)#H{'1' * 5000}),(#H1,c));")
+
     def test_undefined_hybrid(self):
         with pytest.raises(DegreeError):
             parse_enewick("((a,#H1),(b,c));")
@@ -266,12 +279,25 @@ class TestGmap:
         assert [g.name for g in back.gadgets] == [g.name for g in gmap.gadgets]
         assert all(a.vertex_ids == b.vertex_ids for a, b in zip(back.gadgets, gmap.gadgets))
         assert serialize_gmap(back) == text
+        assert back == gmap
         assert back.variable_count == 3
-        assert back.clause_count == 4
 
     def test_bad_header(self):
         with pytest.raises(ParseError):
             parse_gmap("GMAP/2\n")
+
+    @pytest.mark.parametrize("name", ["Gx_1", "G1", "R", "Rr1", "C1_", "g1_1", "G1_1_l", "G٣_1"])
+    def test_bad_gadget_name_names_its_line(self, name):
+        # the bad name is on line 5: comment and blank lines count
+        text = f"GMAP/1\n# a comment\n\nG Rr reticulation s=1\nG {name} connection s=2\n"
+        with pytest.raises(ParseError, match=rf"bad gadget name '{name}' \(line 5, col 1\)"):
+            parse_gmap(text)
+
+    def test_non_ascii_digit_id_is_a_parse_error(self):
+        # '²' is a digit to str.isdigit but not to int
+        for text in ["GMAP/1\nG Rr reticulation s=²\n", "GMAP/1\nN lr ²\n"]:
+            with pytest.raises(ParseError, match="line 2"):
+                parse_gmap(text)
 
 
 def caterpillar_edges(n):

@@ -37,6 +37,42 @@ def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def unread_fields(sources: dict[str, str]) -> list[str]:
+    """``module.Class.name`` of each annotated class-body field and each
+    ``@property`` in ``sources`` (module name to source) whose name no
+    source reads as an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    found = []
+    for module, tree in trees.items():
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for item in cls.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    name = item.target.id
+                elif isinstance(item, ast.FunctionDef) and any(
+                        isinstance(d, ast.Name) and d.id == "property"
+                        for d in item.decorator_list):
+                    name = item.name
+                else:
+                    continue
+                if name not in read:
+                    found.append(f"{module}.{cls.name}.{name}")
+    return found
+
+
+def test_checker_flags_an_unread_field():
+    source = ("class A:\n    x: int\n    y: int\n    @property\n    def z(self):\n"
+              "        return 1\n    @property\n    def w(self):\n        return self.x\n"
+              "def f(a):\n    a.y = 1\n    return a.w\n")
+    assert unread_fields({"m": source}) == ["m.A.y", "m.A.z"]
+
+
+def test_no_unread_fields():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert unread_fields(sources) == []
+
+
 # Exhaustive oracles with a node or size budget: their depth is bounded by
 # the budget, not by the input, so they may recurse.
 RECURSION_ALLOWED = {

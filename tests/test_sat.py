@@ -7,11 +7,9 @@ from cutnets import (
     assignment_satisfies,
     build_n_phi,
     build_u_phi,
-    connection_gadget,
     extract_assignment,
     is_tree_child,
     random_2balanced_cnf,
-    reticulation_gadget,
     sat_bruteforce,
     validate_2balanced,
     validate_rooted,
@@ -54,35 +52,65 @@ class TestValidate2Balanced:
         assert any("occurrence count mismatch" in v for v in validate_2balanced(cnf).violations)
 
 
+def undirected(arcs):
+    return {frozenset(arc) for arc in arcs}
+
+
+def degrees(vertices, arcs):
+    deg = dict.fromkeys(vertices, 0)
+    for a, b in arcs:
+        deg[a] += 1
+        deg[b] += 1
+    return deg
+
+
 class TestGadgets:
+    # the gadgets' edge lists as the paper draws them
+    CONNECTION_EDGES = (
+        ("s", "u"), ("u", "v"), ("u", "w"), ("w", "wp"),
+        ("wp", "v"), ("v", "t"), ("w", "l"), ("wp", "lp"),
+    )
+    RETICULATION_EDGES = (
+        ("s", "u"), ("u", "v"), ("u", "vp"), ("v", "vp"), ("v", "w"),
+        ("vp", "wp"), ("w", "l"), ("wp", "lp"), ("w", "r"), ("wp", "r"), ("r", "t"),
+    )
+
+    def test_arc_tables_orient_the_gadget_edges(self):
+        assert undirected(sat.CONNECTION_FORWARD_ARCS) == undirected(self.CONNECTION_EDGES)
+        assert undirected(sat.CONNECTION_BACKWARD_ARCS) == undirected(self.CONNECTION_EDGES)
+        assert undirected(sat.RETICULATION_ARCS) == undirected(self.RETICULATION_EDGES)
+        for arcs in (sat.CONNECTION_FORWARD_ARCS, sat.CONNECTION_BACKWARD_ARCS,
+                     sat.RETICULATION_ARCS):
+            assert len(undirected(arcs)) == len(arcs)
+
+    def test_backward_arcs_are_the_mirror_image(self):
+        assert set(sat.CONNECTION_BACKWARD_ARCS) == {
+            ("t", "v"), ("v", "u"), ("v", "wp"), ("u", "w"),
+            ("w", "wp"), ("u", "s"), ("w", "l"), ("wp", "lp"),
+        }
+
     def test_connection_gadget_shape(self):
-        g = connection_gadget()
-        deg = {v: 0 for v in g.vertices}
-        for a, b in g.edges:
-            deg[a] += 1
-            deg[b] += 1
+        deg = degrees(sat.CONNECTION_VERTICES, sat.CONNECTION_FORWARD_ARCS)
         assert deg["s"] == deg["t"] == 1
         assert deg["l"] == deg["lp"] == 1
         assert all(deg[v] == 3 for v in ("u", "v", "w", "wp"))
         # the forbidden-cycle square from the pinning argument
         for e in (("u", "v"), ("wp", "v"), ("w", "wp"), ("u", "w")):
-            assert tuple(sorted(e)) in g.edges
+            assert frozenset(e) in undirected(sat.CONNECTION_FORWARD_ARCS)
 
     def test_reticulation_gadget_shape(self):
-        g = reticulation_gadget()
-        deg = {v: 0 for v in g.vertices}
-        for a, b in g.edges:
-            deg[a] += 1
-            deg[b] += 1
+        deg = degrees(sat.RETICULATION_VERTICES, sat.RETICULATION_ARCS)
         assert deg["s"] == deg["t"] == deg["l"] == deg["lp"] == 1
         assert all(deg[v] == 3 for v in ("u", "v", "vp", "w", "wp", "r"))
         # r is adjacent to w, wp and the t-terminal
-        assert {tuple(sorted(("w", "r"))), tuple(sorted(("wp", "r"))),
-                tuple(sorted(("r", "t")))} <= set(g.edges)
+        assert {frozenset(("w", "r")), frozenset(("wp", "r")),
+                frozenset(("r", "t"))} <= undirected(sat.RETICULATION_ARCS)
 
     def test_each_gadget_has_two_leaves(self):
-        assert len(connection_gadget().leaves) == 2
-        assert len(reticulation_gadget().leaves) == 2
+        for vertices, arcs in ((sat.CONNECTION_VERTICES, sat.CONNECTION_FORWARD_ARCS),
+                               (sat.RETICULATION_VERTICES, sat.RETICULATION_ARCS)):
+            deg = degrees(vertices, arcs)
+            assert [v for v in vertices if deg[v] == 1 and v not in ("s", "t")] == ["l", "lp"]
 
 
 class TestBuildUPhi:
