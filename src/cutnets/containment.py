@@ -662,8 +662,9 @@ def _solve(tree, net, trace):
 
     A branch decides its first half before its second; the second halves
     wait on an explicit stack, so depth is not bounded by the call stack.
-    An ELIM edits the piece in place, keeping its cut-edges with one search
-    of the edge's blob, and a BRANCH moves the smaller side out of it.
+    An ELIM edits the piece in place, keeping its cut-edges with the
+    cycle-space labels of ``_WorkGraph.eliminate``, and a BRANCH moves the
+    smaller side out of it.
 
     The input's labels get ``label_bits``, and each fresh label of a branch
     the group of the labels it stands for (see ``_Instance``), so masks

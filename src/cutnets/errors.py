@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the id check that the
+line-oriented parsers raise them from."""
+
+import re
 
 
 class CutnetsError(Exception):
@@ -126,6 +129,33 @@ class ParseError(InputError):
         super().__init__(f"{message}{where}")
         self.line = line
         self.col = col
+
+
+_TOKEN_RE = re.compile(r"\S+")
+
+
+def token_column(raw: str, i: int) -> int:
+    """The column where the ``i``-th white-space separated token of ``raw`` starts."""
+    return [m.start() for m in _TOKEN_RE.finditer(raw)][i] + 1
+
+
+def parse_id(token: str, raw: str, i: int, line: int, offset: int = 0) -> int:
+    """The positive integer id ``token``, which starts ``offset`` characters
+    into the ``i``-th token of the line ``raw``, the ``line``-th; a
+    ParseError names the line and the id's column otherwise.
+
+    Only ASCII decimal digits pass: ``str.isdigit`` is true for '²', which
+    ``int`` rejects, and ``int`` also refuses a token of more than 4300
+    digits (Python's limit on converting a string to an int).
+    """
+    if token.isascii() and token.isdecimal():
+        try:
+            if (value := int(token)) > 0:
+                return value
+        except ValueError:
+            pass
+    raise ParseError(f"expected a positive integer id, found {token!r}", line,
+                     token_column(raw, i) + offset)
 
 
 class ClauseArityError(ParseError):

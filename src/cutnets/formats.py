@@ -5,9 +5,10 @@ Four formats live here:
 * UPN/1 -- a line-oriented edge list for unrooted networks.  Newick cannot
   express unrooted reticulate graphs, so the package carries its own format:
   ``V <id>`` declares a vertex, ``L <id> <label>`` labels a leaf, and
-  ``E <id> <id>`` declares an edge.  Ids are positive integers, labels match
-  ``[A-Za-z0-9_.-]+``, ``#`` starts a comment, and the first significant
-  line must be the header ``UPN/1``.
+  ``E <id> <id>`` declares an edge.  Ids are positive integers in ASCII
+  digits (``errors.parse_id``), labels match ``[A-Za-z0-9_.-]+``, ``#``
+  starts a comment, and the first significant line must be the header
+  ``UPN/1``.
 * extended Newick for rooted networks, with ``#H<k>`` hybrid tags.
 * plain Newick for unrooted trees (the artificial root is suppressed when
   it has two children, kept when it has three).
@@ -28,6 +29,8 @@ from .errors import (
     NotBinary,
     ParseError,
     ValidationError,
+    parse_id,
+    token_column,
 )
 from .nets import (
     RootedNet,
@@ -42,7 +45,6 @@ from .sat import CnfInstance
 _LABEL_RE = re.compile(r"[A-Za-z0-9_.\-]+")
 _TAG_RE = re.compile(r"#H?(\d+)")
 _WS_RE = re.compile(r"\s*")
-_TOKEN_RE = re.compile(r"\S+")
 
 
 # --- UPN/1 ---------------------------------------------------------------------
@@ -70,26 +72,26 @@ def parse_upn(text: str) -> UndirectedNet:
         if kind == "V":
             if len(tokens) != 2:
                 raise ParseError("V record takes exactly one id", lineno, 1)
-            v = _parse_id(raw, tokens, 1, lineno)
+            v = parse_id(tokens[1], raw, 1, lineno)
             if v in vertices:
                 raise ParseError(f"vertex {v} declared twice", lineno, 1)
             vertices.add(v)
         elif kind == "L":
             if len(tokens) != 3:
                 raise ParseError("L record takes an id and a label", lineno, 1)
-            v = _parse_id(raw, tokens, 1, lineno)
+            v = parse_id(tokens[1], raw, 1, lineno)
             if v not in vertices:
                 raise ParseError(f"label references undeclared vertex {v}", lineno, 1)
             if v in labels:
                 raise ParseError(f"vertex {v} labeled twice", lineno, 1)
             if not _LABEL_RE.fullmatch(tokens[2]):
-                raise ParseError(f"bad label {tokens[2]!r}", lineno, _column(raw, 2))
+                raise ParseError(f"bad label {tokens[2]!r}", lineno, token_column(raw, 2))
             labels[v] = tokens[2]
         elif kind == "E":
             if len(tokens) != 3:
                 raise ParseError("E record takes exactly two ids", lineno, 1)
-            u = _parse_id(raw, tokens, 1, lineno)
-            v = _parse_id(raw, tokens, 2, lineno)
+            u = parse_id(tokens[1], raw, 1, lineno)
+            v = parse_id(tokens[2], raw, 2, lineno)
             for x in (u, v):
                 if x not in vertices:
                     raise ParseError(f"edge references undeclared vertex {x}", lineno, 1)
@@ -99,7 +101,7 @@ def parse_upn(text: str) -> UndirectedNet:
             edge_set.add(e)
             edges.append(e)
         else:
-            raise ParseError(f"unknown record type {kind!r}", lineno, _column(raw, 0))
+            raise ParseError(f"unknown record type {kind!r}", lineno, token_column(raw, 0))
 
     if not header_seen:
         raise ParseError("empty document (missing 'UPN/1' header)", 1, 1)
@@ -116,20 +118,6 @@ def serialize_upn(net: UndirectedNet) -> str:
     out.extend(f"L {v} {net.leaf_labels[v]}" for v in sorted(net.leaf_labels))
     out.extend(f"E {u} {v}" for u, v in sorted(net.edges))
     return "\n".join(out) + "\n"
-
-
-def _parse_id(raw: str, tokens: list[str], i: int, line: int) -> int:
-    """The id in ``tokens[i]``, the ``i``-th token of the line ``raw``."""
-    token = tokens[i]
-    if not token.isdigit() or int(token) <= 0:
-        raise ParseError(f"expected a positive integer id, found {token!r}", line,
-                         _column(raw, i))
-    return int(token)
-
-
-def _column(raw: str, i: int) -> int:
-    """The column where the ``i``-th white-space separated token of ``raw`` starts."""
-    return [m.start() for m in _TOKEN_RE.finditer(raw)][i] + 1
 
 
 # --- Newick reading -------------------------------------------------------------
@@ -447,10 +435,10 @@ def parse_dimacs_cnf(text: str) -> CnfInstance:
                 lit = int(token)
             except ValueError:
                 raise ParseError(f"expected a literal, found {token!r}",
-                                 lineno, _column(raw, i)) from None
+                                 lineno, token_column(raw, i)) from None
             if lit != 0 and not (1 <= abs(lit) <= n):
                 raise ParseError(f"literal {lit} out of range 1..{n}",
-                                 lineno, _column(raw, i))
+                                 lineno, token_column(raw, i))
             literals.append(lit)
     if n is None:
         raise ParseError("empty document (missing problem line)", 1, 1)

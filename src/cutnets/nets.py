@@ -10,7 +10,8 @@ make one edit on a working graph of their input and freeze it, and longer
 chains of edits share one working graph and freeze once, where the result
 leaves its caller; tree containment cuts at bridges with ``split_off``.  A
 working graph keeps its cut-edge set current through the edits that can do
-so cheaply and hands it to the network it freezes.
+so cheaply, eliminations included by way of cycle-space labels, and hands
+it to the network it freezes.
 """
 
 from __future__ import annotations
@@ -847,20 +848,16 @@ def rooted_isomorphic(a: RootedNet, b: RootedNet) -> bool:
 
 # -- bridges and the working graph ----------------------------------------------------
 
-def bridges(adj, start=None, skip=()) -> set[Edge]:
+def bridges(adj) -> set[Edge]:
     """Every bridge of a simple graph, via an iterative lowpoint DFS.
 
     ``adj`` maps each vertex to an iterable of its neighbours; edges come
-    back canonical (Tarjan, *IPL* 2(6), 1974).  With a ``start`` vertex
-    only its component is searched, and the canonical edges in ``skip``
-    are treated as absent.  Dropping bridges of a graph leaves the bridge
-    status of every other edge as it was, so with ``skip`` a set of known
-    bridges the search finds the rest of them around ``start``.
+    back canonical (Tarjan, *IPL* 2(6), 1974).
     """
     index: dict[VertexId, int] = {}
     low: dict[VertexId, int] = {}
     out = set()
-    for root in (adj if start is None else (start,)):
+    for root in adj:
         if root in index:
             continue
         index[root] = low[root] = len(index)
@@ -869,8 +866,6 @@ def bridges(adj, start=None, skip=()) -> set[Edge]:
             v, p, it = stack[-1]
             for w in it:
                 if w == p or w == v:
-                    continue
-                if skip and ((v, w) if v < w else (w, v)) in skip:
                     continue
                 if w in index:
                     if index[w] < low[v]:
@@ -889,6 +884,47 @@ def bridges(adj, start=None, skip=()) -> set[Edge]:
     return out
 
 
+def cycle_space_labels(adj, edges) -> dict[Edge, int]:
+    """The cycle-space label of every non-cut edge of a simple graph, in
+    one linear pass (Pritchard & Thurimella, *ACM Trans. Algorithms* 7(4),
+    2011, with one bit per cotree edge in place of random words).
+
+    A BFS forest gives each cotree edge a bit of its own, and each tree
+    edge the XOR of the bits of the cotree edges whose fundamental cycle
+    uses it.  Bit i of a label says whether the edge lies on the i-th
+    fundamental cycle, and those cycles span the cycle space.  So an edge
+    is a cut-edge exactly when its label is 0, and two edges are a 2-edge
+    cut exactly when their labels are equal and not 0.  Cut-edges get no
+    entry.  ``edges`` lists the canonical edges, and the labels are keyed
+    by those tuples, so the dict holds no copy of them.
+    """
+    parent: dict[VertexId, VertexId | None] = {}
+    order = []
+    for root in adj:
+        if root not in parent:
+            order += bfs_order(adj, [root], parent)
+    up = dict.fromkeys(order, 0)
+    labels: dict[Edge, int] = {}
+    bit = 1
+    for e in edges:
+        u, w = e
+        if parent[u] != w and parent[w] != u:
+            labels[e] = bit
+            up[u] ^= bit
+            up[w] ^= bit
+            bit <<= 1
+    for v in reversed(order):   # a component's children come after their parents
+        if (p := parent[v]) is not None:
+            up[p] ^= up[v]
+    # up[v] is now the XOR over v's subtree: the cycles that leave it by its tree edge
+    for e in edges:
+        u, w = e
+        label = up[w] if parent[w] == u else up[u] if parent[u] == w else 0
+        if label:
+            labels[e] = label
+    return labels
+
+
 class _WorkGraph:
     """A mutable simple graph for a chain of edits, frozen once at the end.
 
@@ -904,26 +940,37 @@ class _WorkGraph:
     ``cuts`` is the graph's cut-edge set, or None when it is not known.
     ``of`` seeds it from the network's cut-edge cache, ``bridges()`` fills
     it when it is None, and ``freeze`` hands it to the frozen network.
-    ``subdivide`` and ``add_leaf`` keep it current in O(1), ``split_off``
-    keeps it on both sides in the time of the side it moves, and
-    ``eliminate`` keeps it current with one bridge search of the blob that
-    held the edge.  ``add_edge``, ``remove_edge``, ``suppress`` and
-    ``delete_leaf`` set it to None.
+    ``cycle_labels`` maps each non-cut edge to its cycle-space label (see
+    ``cycle_space_labels``), or is None; it is kept only while ``cuts`` is,
+    and then the two split the edges between them.  The first ``eliminate``
+    of a non-cut edge computes the labels, and from then on an elimination
+    updates them along one path, which names its new cut-edges.
+    ``subdivide`` and ``add_leaf`` keep both in O(1), and ``split_off``
+    keeps both on both sides in the time of the side it moves.
+    ``add_edge``, ``remove_edge``, ``suppress`` and ``delete_leaf`` set
+    both to None.
     """
 
-    __slots__ = ("adj", "edges", "labels", "next_id", "cuts")
+    __slots__ = ("adj", "edges", "labels", "next_id", "cuts", "cycle_labels")
 
-    def __init__(self, adj, edges, labels, next_id, cuts=None):
+    def __init__(self, adj, edges, labels, next_id, cuts=None, cycle_labels=None):
         self.adj: dict[VertexId, set[VertexId]] = adj
         self.edges: list[Edge] = edges   # sorted; read it, edit only through the methods
         self.labels: dict[VertexId, str] = labels
         self.next_id = next_id
         self.cuts: set[Edge] | None = cuts
+        self.cycle_labels: dict[Edge, int] | None = cycle_labels
 
     @classmethod
     def of(cls, net: UndirectedNet) -> "_WorkGraph":
-        return cls({v: set(ns) for v, ns in net.adjacency().items()},
-                   sorted(net.edges), dict(net.leaf_labels), net.next_id,
+        # from the sorted edges, each vertex's neighbours go into its set in
+        # ascending order, as from the sorted adjacency, which stays unbuilt
+        edges = sorted(net.edges)
+        adj = {v: set() for v in net.vertices}
+        for u, v in edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        return cls(adj, edges, dict(net.leaf_labels), net.next_id,
                    None if net._cuts is None else set(net._cuts))
 
     def reticulation_number(self) -> int:
@@ -931,11 +978,11 @@ class _WorkGraph:
 
     def add_edge(self, u: VertexId, v: VertexId) -> None:
         self._link(u, v)
-        self.cuts = None
+        self.cuts = self.cycle_labels = None
 
     def remove_edge(self, u: VertexId, v: VertexId) -> None:
         self._unlink(u, v)
-        self.cuts = None
+        self.cuts = self.cycle_labels = None
 
     def _link(self, u: VertexId, v: VertexId) -> None:
         insort(self.edges, canon_edge(u, v))
@@ -972,7 +1019,8 @@ class _WorkGraph:
 
     def subdivide(self, edge) -> VertexId:
         """Replace an edge by two through a fresh vertex; returns the vertex.
-        Both halves are cut-edges exactly when the edge was."""
+        Both halves are cut-edges exactly when the edge was, and otherwise
+        both take its label: they lie on the same cycles."""
         u, w = canon_edge(*edge)
         if w not in self.adj.get(u, ()):
             raise UnknownEdge(f"no edge {(u, w)}")
@@ -987,6 +1035,8 @@ class _WorkGraph:
             self.cuts.remove((u, w))
             self.cuts.add((u, v))   # u < w < v: v is the newest vertex
             self.cuts.add((w, v))
+        elif self.cycle_labels is not None:
+            self.cycle_labels[u, v] = self.cycle_labels[w, v] = self.cycle_labels.pop((u, w))
         return v
 
     def add_leaf(self, v: VertexId, label: str) -> VertexId:
@@ -1003,7 +1053,7 @@ class _WorkGraph:
         """Drop the leaf ``v`` with its edge and its label."""
         del self.labels[v]
         self._delete(v)
-        self.cuts = None
+        self.cuts = self.cycle_labels = None
 
     def suppress(self, v: VertexId) -> None:
         """Delete the unlabelled degree-2 vertex ``v`` and join its neighbours."""
@@ -1012,7 +1062,7 @@ class _WorkGraph:
             raise ValueError(f"label on undeclared vertex {v}")
         self._delete(v)
         self._link(a, b)
-        self.cuts = None
+        self.cuts = self.cycle_labels = None
 
     def eliminate(self, edge) -> None:
         """Delete an edge and suppress both its ends.
@@ -1021,13 +1071,19 @@ class _WorkGraph:
         checked before anything changes; the second is checked as if the
         first were done, so both ends may not join the same pair.
 
-        Deleting a non-cut edge keeps every cut-edge a cut-edge and can
-        make new ones only among the edges of its own blob, and suppressing
-        its ends keeps that so.  A kept cut-edge set therefore loses the
-        edges that went and gains what ``bridges`` finds from a joined
-        vertex over the edges not in the set: the old blob, and the blob
-        beyond a joined edge that replaced a cut-edge.  Eliminating a
-        cut-edge splits the graph and drops the set.
+        With the cut-edges kept, the labels are computed if they are not
+        kept yet, and updated along one path.  Bit i of a label marks the
+        edges of the i-th of a set of cycles that spans the cycle space.
+        A path P between the ends of a non-cut edge e, with e, is a cycle,
+        and XORing the label L of e into e and each edge of P adds it to
+        every spanning cycle through e.  Then no spanning cycle uses e, and
+        they still span the cycle space of the graph without e (Pritchard
+        & Thurimella, 2011).  Only the edges of P change, so the edges of P
+        whose label becomes 0 are the new cut-edges.  Then the two edges
+        at each end lie on the same cycles and carry equal labels, and the
+        edge that joins them takes that label, a cut-edge when it is 0.
+        Eliminating a cut-edge splits the graph and drops the cut-edges and
+        the labels.
         """
         x, y = canon_edge(*edge)
         if y not in self.adj.get(x, ()):
@@ -1037,21 +1093,37 @@ class _WorkGraph:
         first = self._join(x, gone=y)
         second = self._join(y, gone=x, joined=(first,))
         cuts = self.cuts
-        if cuts is not None:
-            if (x, y) in cuts:
-                cuts = None
-            else:
-                for v in (x, y):
-                    for n in self.adj[v]:
-                        cuts.discard((v, n) if v < n else (n, v))
+        marks = None
+        if cuts is not None and (x, y) not in cuts:
+            marks = self.cycle_labels
+            if marks is None:
+                marks = cycle_space_labels(self.adj, self.edges)
+            mark = marks.pop((x, y))
+            for f in _path_between(self.adj, marks, x, y):
+                if marks[f] == mark:
+                    del marks[f]
+                    cuts.add(f)
+                else:
+                    marks[f] ^= mark
+            for v, pair in ((x, first), (y, second)):
+                ends = [(v, n) if v < n else (n, v) for n in pair]
+                for f in ends:
+                    cuts.discard(f)
+                mark = marks.pop(ends[0], 0)
+                marks.pop(ends[1], None)   # the same label
+                if mark:
+                    marks[pair] = mark
+                else:
+                    cuts.add(pair)
+        else:
+            cuts = None
         self._unlink(x, y)
         self._delete(x)
         self._delete(y)
         self._link(*first)
         self._link(*second)
-        if cuts is not None:
-            cuts |= bridges(self.adj, first[0], cuts)
         self.cuts = cuts
+        self.cycle_labels = marks
 
     def split_off(self, edge, side, labels) -> "_WorkGraph":
         """Cut the cut-edge ``edge`` and move ``side``, the vertices on one
@@ -1059,9 +1131,10 @@ class _WorkGraph:
         which is returned.  Each side hangs a fresh leaf with the same id,
         ``next_id``, where ``edge`` was, labelled ``labels[0]`` on the side
         that moves and ``labels[1]`` on the side that stays.  A cycle never
-        crosses a bridge, so both graphs keep their cut-edges: the old ones
-        on their side plus the pendant edge.  With them kept, the work is
-        about the size of ``side``."""
+        crosses a bridge, so both graphs keep their cut-edges, the old ones
+        on their side plus the pendant edge, and the cycle-space labels of
+        their edges, when kept.  With them kept, the work is about the size
+        of ``side``."""
         cuts = self.bridges()
         cuts.remove(edge)   # a KeyError for a non-cut-edge, before any change
         keep = side[0]
@@ -1073,7 +1146,11 @@ class _WorkGraph:
         for e in inner + [edge]:
             del self.edges[bisect_left(self.edges, e)]
         moved_labels = {v: self.labels.pop(v) for v in side if v in self.labels}
-        half = _WorkGraph(adj, sorted(inner), moved_labels, self.next_id, cuts.intersection(inner))
+        marks = self.cycle_labels
+        if marks is not None:
+            marks = {e: marks.pop(e) for e in inner if e in marks}
+        half = _WorkGraph(adj, sorted(inner), moved_labels, self.next_id,
+                          cuts.intersection(inner), marks)
         cuts -= half.cuts
         half.add_leaf(keep, labels[0])
         self.add_leaf(far, labels[1])
@@ -1093,6 +1170,36 @@ class _WorkGraph:
 
 
 # -- internals ----------------------------------------------------------------------
+
+def _path_between(adj, marks, x, y) -> list[Edge]:
+    """The edges of an ``x``-``y`` path over the edges in ``marks``: a BFS
+    from each end, a level at a time on the side with the smaller
+    frontier, until the two meet.  The cost is about the two balls it
+    grows, not the graph."""
+    seen = ({x: None}, {y: None})
+    fronts = [[x], [y]]
+    while True:
+        s = 1 if len(fronts[1]) < len(fronts[0]) else 0
+        mine, other = seen[s], seen[1 - s]
+        grown = []
+        for v in fronts[s]:
+            for w in adj[v]:
+                if w in mine or ((v, w) if v < w else (w, v)) not in marks:
+                    continue
+                mine[w] = v
+                if w in other:
+                    path = []
+                    for up in (mine, other):
+                        a = w
+                        while (b := up[a]) is not None:
+                            path.append((a, b) if a < b else (b, a))
+                            a = b
+                    return path
+                grown.append(w)
+        if not grown:
+            raise AssertionError(f"no path between {x} and {y} over labelled edges")
+        fronts[s] = grown
+
 
 def _component_of(adj, start, forbidden_edge=None):
     """The vertices of the component of ``start``.  A ``forbidden_edge``, a

@@ -26,6 +26,8 @@ from .errors import (
     ParseError,
     TooLarge,
     UnsatisfiedAssignment,
+    parse_id,
+    token_column,
 )
 from .nets import (
     RootedNet,
@@ -163,19 +165,21 @@ def serialize_gmap(gmap: GadgetMap) -> str:
     return "\n".join(out) + "\n"
 
 
-# the gadget names ``build_u_phi`` gives: Rr, R<k>, C<j>_<k> and G<i>_<h>
-_GADGET_NAME_RE = re.compile(r"Rr|R[0-9]+|[CG][0-9]+_[0-9]+")
+# the gadget names ``build_u_phi`` gives: Rr, R<k>, C<j>_<k> and G<i>_<h>;
+# ``variable_count`` reads the numbers with ``int``, which takes at most 4300
+# digits
+_GADGET_NAME_RE = re.compile(r"Rr|R[0-9]{1,4300}|[CG][0-9]{1,4300}_[0-9]{1,4300}")
 
 
 def parse_gmap(text: str) -> GadgetMap:
-    # (line number, text) of each line that is not blank once its comment is cut
-    lines = [(lineno, line) for lineno, raw in enumerate(text.splitlines(), start=1)
+    # (line number, line, text) of each line that is not blank once its comment is cut
+    lines = [(lineno, raw, line) for lineno, raw in enumerate(text.splitlines(), start=1)
              if (line := raw.split("#", 1)[0].strip())]
-    if not lines or lines[0][1] != "GMAP/1":
+    if not lines or lines[0][2] != "GMAP/1":
         raise ParseError("expected header 'GMAP/1'", lines[0][0] if lines else 1, 1)
     gadgets = []
     named = {}
-    for lineno, line in lines[1:]:
+    for lineno, raw, line in lines[1:]:
         tokens = line.split()
         if tokens[0] == "G":
             if len(tokens) < 4:
@@ -183,16 +187,16 @@ def parse_gmap(text: str) -> GadgetMap:
             if not _GADGET_NAME_RE.fullmatch(tokens[1]):
                 raise ParseError(f"bad gadget name {tokens[1]!r}", lineno, 1)
             vertex_ids = {}
-            for pair in tokens[3:]:
-                name, _, vid = pair.partition("=")
-                if not vid.isdecimal():
-                    raise ParseError(f"bad vertex pair {pair!r}", lineno, 1)
-                vertex_ids[name] = int(vid)
+            for i, pair in enumerate(tokens[3:], start=3):
+                name, eq, vid = pair.partition("=")
+                if not eq:
+                    raise ParseError(f"bad vertex pair {pair!r}", lineno, token_column(raw, i))
+                vertex_ids[name] = parse_id(vid, raw, i, lineno, len(name) + 1)
             gadgets.append(Gadget(tokens[1], tokens[2], vertex_ids))
         elif tokens[0] == "N":
-            if len(tokens) != 3 or not tokens[2].isdecimal():
+            if len(tokens) != 3:
                 raise ParseError("N record takes a role and an id", lineno, 1)
-            named[tokens[1]] = int(tokens[2])
+            named[tokens[1]] = parse_id(tokens[2], raw, 2, lineno)
         else:
             raise ParseError(f"unknown record type {tokens[0]!r}", lineno, 1)
     return GadgetMap(tuple(gadgets), named)

@@ -161,7 +161,3 @@ def count_calls(monkeypatch, *targets):
         monkeypatch.setattr(owner, name, wrap(getattr(owner, name), name, *counts))
     return calls
 
-
-def whole_graph(adj, start=None, skip=()) -> bool:
-    """For ``count_calls`` on ``nets.bridges``: the call searches the whole graph."""
-    return start is None

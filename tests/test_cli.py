@@ -86,6 +86,16 @@ class TestRecognize:
         result = CliRunner().invoke(cli, ["recognize", "--q", "1", path])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("bad", ["\u00b2", "1" * 5000], ids=["superscript", "5000-digits"])
+    def test_unreadable_id_exit_2(self, tmp_path, bad):
+        # str.isdigit passes '²', which int() rejects, and int() refuses
+        # more than 4300 digits
+        path = write(tmp_path / "x.upn", f"UPN/1\nV {bad}\n")
+        result = CliRunner().invoke(cli, ["recognize", "--q", "2", path])
+        assert result.exit_code == 2, result.output
+        assert "error: expected a positive integer id" in result.stderr
+        assert "(line 2, col 3)" in result.stderr
+
     def test_invalid_q_exit_2(self, tmp_path, cycle4):
         path = write(tmp_path / "c4.upn", serialize_upn(cycle4))
         result = CliRunner().invoke(cli, ["recognize", "--q", "0", path])
@@ -294,6 +304,16 @@ class TestSatCommands:
             labels = {v: relabel.get(lab, lab) for v, lab in rooted.leaf_labels.items()}
             rooted_path.write_text(serialize_enewick(rooted.replace(leaf_labels=labels)))
         return str(rooted_path), str(gmap_path), cnf_path
+
+    def test_extract_unreadable_gmap_id_exit_2(self, tmp_path):
+        rooted, gmap, cnf = self.oriented(tmp_path)
+        lines = Path(gmap).read_text().splitlines()
+        role = lines[-1].split()[1]
+        lines[-1] = f"N {role} {'7' * 5000}"
+        Path(gmap).write_text("\n".join(lines) + "\n")
+        result = CliRunner().invoke(cli, ["sat", "extract", rooted, "--gmap", gmap, "--cnf", cnf])
+        assert result.exit_code == 2, result.output
+        assert f"(line {len(lines)}, col {len(role) + 4})" in result.stderr
 
     def test_extract_unsatisfied_formula_exit_1(self, tmp_path):
         rooted, gmap, _ = self.oriented(tmp_path)

@@ -58,7 +58,7 @@ from cutnets.nets import (
     subdivide,
 )
 
-from conftest import build_simple_3cuttable, count_calls, spy_on_pieces, whole_graph
+from conftest import build_simple_3cuttable, count_calls, spy_on_pieces
 
 
 def ring_of_leaves(k):
@@ -819,11 +819,12 @@ class TestScale:
     def test_whole_graph_work_does_not_grow_with_branching(self, monkeypatch, n, swapped):
         # one mask pass for the tree and one for the network up front, one
         # per ELIM and one for the tree to name a conflict's partner; at
-        # most one whole-graph bridge search per input graph.  A BRANCH
-        # inherits both, so neither count depends on the number of them.
+        # most one bridge search per input graph and none per ELIM.  A
+        # BRANCH inherits both, so neither count depends on the number of
+        # them.
         tree, net = scale_instance(n, swapped)
         calls = count_calls(monkeypatch, (containment, "_cut_edge_masks"),
-                            (nets, "bridges", whole_graph))
+                            (nets, "bridges"))
         # fresh copies, so no cut-edge cache of an earlier run is reused
         _, trace = three_cuttable_tc(UndirectedNet(tree.vertices, tree.edges, tree.leaf_labels),
                                      UndirectedNet(net.vertices, net.edges, net.leaf_labels))
@@ -831,6 +832,17 @@ class TestScale:
         assert calls["_cut_edge_masks"] == 2 + kinds.count("ELIM") + kinds.count("SPLIT-CONFLICT")
         assert calls["bridges"] <= 2
         assert swapped or kinds.count("BRANCH") > n // 8
+
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_one_label_pass_and_no_bridge_search(self, monkeypatch, n):
+        # the inputs carry their cut-edges from the generators, and a
+        # BRANCH hands both halves their cut-edges and labels, so the ELIMs
+        # share the one label pass of the first of them
+        tree, net = scale_instance(n, False)
+        calls = count_calls(monkeypatch, (nets, "cycle_space_labels"), (nets, "bridges"))
+        verdict, trace = three_cuttable_tc(tree, net)
+        assert verdict and [ev.kind for ev in trace].count("ELIM") >= n // 8
+        assert calls == {"cycle_space_labels": 1}
 
 
 class TestOracle:

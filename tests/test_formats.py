@@ -68,6 +68,9 @@ class TestUpn:
         ("UPN/1\nV 1\n  X 1\n", "unknown record type 'X'", 3, 3),
         # the token's own place, not where its text first occurs in the line
         ("UPN/1\nV 10\nE 10 0\n", "expected a positive integer id, found '0'", 3, 6),
+        # a digit to str.isdigit that int() rejects, and a decimal that is not ASCII
+        ("UPN/1\nV \u00b2\n", "expected a positive integer id, found '\u00b2'", 2, 3),
+        ("UPN/1\nV 1\nE 1 \u0663\n", "expected a positive integer id, found '\u0663'", 3, 5),
     ])
     def test_record_errors_name_line_and_column(self, text, message, line, col):
         with pytest.raises(ParseError) as err:
@@ -75,6 +78,17 @@ class TestUpn:
         assert type(err.value) is ParseError
         assert str(err.value) == f"{message} (line {line}, col {col})"
         assert (err.value.line, err.value.col) == (line, col)
+
+    def test_id_past_the_int_digit_limit_is_a_parse_error(self):
+        # int() refuses more than 4300 digits with a ValueError
+        huge = "1" * 5000
+        for text, line, col in ((f"UPN/1\nV {huge}\n", 2, 3),
+                                (f"UPN/1\nV 1\nL {huge} a\n", 3, 3),
+                                (f"UPN/1\nV 1\nE 1 {huge}\n", 3, 5)):
+            with pytest.raises(ParseError) as err:
+                parse_upn(text)
+            assert (err.value.line, err.value.col) == (line, col)
+            assert str(err.value).startswith("expected a positive integer id")
 
     def test_serialize_is_canonical_fixed_point(self, cycle4):
         text = serialize_upn(cycle4)
@@ -298,6 +312,25 @@ class TestGmap:
         for text in ["GMAP/1\nG Rr reticulation s=²\n", "GMAP/1\nN lr ²\n"]:
             with pytest.raises(ParseError, match="line 2"):
                 parse_gmap(text)
+
+    @pytest.mark.parametrize("bad", ["\u00b2", "\u0663", "0", "1" * 5000],
+                             ids=["superscript", "arabic-indic", "zero", "5000-digits"])
+    def test_bad_id_names_its_line_and_column(self, bad):
+        # '²' is a digit to str.isdigit but not to int, and int refuses more
+        # than 4300 digits
+        for text, col in ((f"GMAP/1\nG Rr reticulation s=1 t={bad}\n", 25),
+                          (f"GMAP/1\n  N lr {bad}\n", 8)):
+            with pytest.raises(ParseError) as err:
+                parse_gmap(text)
+            assert (err.value.line, err.value.col) == (2, col)
+            assert str(err.value).startswith("expected a positive integer id")
+
+    def test_gadget_number_past_the_int_digit_limit_is_a_parse_error(self):
+        # variable_count reads the numbers in a gadget name with int()
+        name = f"G{'1' * 5000}_1"
+        with pytest.raises(ParseError, match=r"bad gadget name .* \(line 2, col 1\)"):
+            parse_gmap(f"GMAP/1\nG {name} connection s=1\n")
+        assert parse_gmap(f"GMAP/1\nG G{'1' * 4300}_1 connection s=1\n").variable_count > 0
 
 
 def caterpillar_edges(n):

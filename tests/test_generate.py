@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import pytest
@@ -17,7 +18,7 @@ from cutnets import (
     validate_2balanced,
     validate_unrooted,
 )
-from cutnets import generate
+from cutnets import generate, nets
 from cutnets.errors import InvalidN
 from cutnets.formats import serialize_upn
 from cutnets.nets import _WorkGraph, canon_edge
@@ -223,6 +224,26 @@ class TestSampleDisplayedTree:
             assert tree.reticulation_number() == 0
             assert tree.labels() == net.labels()
             assert display_oracle(tree, net) is not None
+
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_one_label_pass_and_no_bridge_search(self, monkeypatch, n):
+        # counts, not seconds: the generator's output carries its cut-edges,
+        # the first elimination labels the graph once, and every later one
+        # updates the labels along a path
+        net = random_q_cuttable(GenConfig(seed=1, leaf_count=n, target_r=n // 8, target_q=3))
+        calls = count_calls(monkeypatch, (nets, "cycle_space_labels"), (nets, "bridges"))
+        tree = sample_displayed_tree(net, 1)
+        assert tree.reticulation_number() == 0
+        assert calls == {"cycle_space_labels": 1}
+
+    def test_output_hash_is_pinned_at_scale(self):
+        # SHA-256 of the UPN text, recorded when each elimination still
+        # searched its blob for bridges
+        net = random_q_cuttable(GenConfig(seed=1, leaf_count=4096, target_r=512, target_q=3))
+        assert len(net.leaf_labels) == 4531
+        text = serialize_upn(sample_displayed_tree(net, 1))
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "5e062fa926d50cc77ddf48bf6bedb8884e1bb2a91a7ff60bd5f28a55c1b92f56"
 
 
 class TestRandomCnf:

@@ -131,18 +131,24 @@ def test_no_recursion_outside_the_budgeted_oracles():
     assert RECURSION_ALLOWED - found == set(), "stale allowlist entry"
 
 
-def callers_of(source: str, attr: str, module: str = "m") -> set[str]:
+def callers_of(source: str, attr: str, module: str = "m", bare: bool = False) -> set[str]:
     """Dotted names of the functions whose own body (not a nested def's)
-    calls a method or attribute named ``attr``, as ``<x>.<attr>(...)``."""
+    calls a method or attribute named ``attr``, as ``<x>.<attr>(...)``, or
+    with ``bare`` a function bound to the plain name ``attr``, as
+    ``<attr>(...)``."""
     found = set()
+
+    def calls(func):
+        if bare:
+            return isinstance(func, ast.Name) and func.id == attr
+        return isinstance(func, ast.Attribute) and func.attr == attr
 
     def visit(node, path):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, path + [child.name])
                 continue
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) \
-                    and child.func.attr == attr:
+            if isinstance(child, ast.Call) and calls(child.func):
                 found.add(".".join([module] + path))
             visit(child, path)
 
@@ -155,6 +161,7 @@ def test_checker_finds_attribute_callers():
               "def f():\n    def g():\n        return x._make()\n    return g\n"
               "def h():\n    return _make()\n")
     assert callers_of(source, "_make") == {"m.C.freeze", "m.f.g"}
+    assert callers_of(source, "_make", bare=True) == {"m.h"}
 
 
 def test_trusted_networks_come_only_from_freezes():
@@ -165,6 +172,17 @@ def test_trusted_networks_come_only_from_freezes():
     for path in MODULES:
         found |= callers_of(path.read_text(encoding="utf-8"), "_trusted", path.stem)
     assert found == {"nets._WorkGraph.freeze", "sat._Builder.freeze"}
+
+
+def test_bridge_search_has_two_callers():
+    # a network searches once for its cut-edge cache and a working graph
+    # once when it keeps no cut-edges; an elimination keeps them with
+    # cycle-space labels and searches nothing.  No module imports ``nets``
+    # itself, so a call from another module would be a bare call too.
+    found = set()
+    for path in MODULES:
+        found |= callers_of(path.read_text(encoding="utf-8"), "bridges", path.stem, bare=True)
+    assert found == {"nets.UndirectedNet.cut_edges", "nets._WorkGraph.bridges"}
 
 
 def traced_names() -> list[str]:

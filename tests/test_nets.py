@@ -38,6 +38,7 @@ from cutnets.nets import (
     bfs_order,
     bridges,
     canon_edge,
+    cycle_space_labels,
     splits_of,
     validate_rooted,
 )
@@ -63,6 +64,47 @@ def brute_force_bridges(net):
         return len(seen) == len(net.vertices)
 
     return frozenset(e for e in net.edges if not connected(net.edges - {e}))
+
+
+def component_count(adj, missing=()) -> int:
+    """Components of the graph ``adj`` with the canonical edges in
+    ``missing`` deleted, by brute force."""
+    seen = set()
+    count = 0
+    for root in adj:
+        if root in seen:
+            continue
+        count += 1
+        seen.add(root)
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for w in adj[v]:
+                if w not in seen and canon_edge(v, w) not in missing:
+                    seen.add(w)
+                    stack.append(w)
+    return count
+
+
+def check_cycle_labels(g, pairs: bool) -> None:
+    """The kept cycle-space labels of ``g`` are exact: their keys are the
+    non-cut edges, none is 0, they XOR to 0 at every vertex, and with
+    ``pairs`` two edges have equal labels exactly when deleting both
+    disconnects their component (brute force)."""
+    marks = g.cycle_labels
+    assert set(marks) == set(g.edges) - g.cuts
+    assert all(marks.values())
+    for v, ns in g.adj.items():
+        total = 0
+        for w in ns:
+            total ^= marks.get(canon_edge(v, w), 0)
+        assert total == 0, v
+    if pairs:
+        base = component_count(g.adj)
+        edges = sorted(marks)
+        for i, e in enumerate(edges):
+            for f in edges[i + 1:]:
+                assert (marks[e] == marks[f]) == (component_count(g.adj, {e, f}) > base), (e, f)
 
 
 def reference_splits(net):
@@ -686,20 +728,25 @@ class TestWorkGraph:
         graphs.  After every edit the kept cut-edge set, when there is one,
         equals a fresh ``bridges`` search and the brute-force bridges, and
         ``freeze`` hands it on.  ``subdivide``, ``add_leaf`` and ``eliminate``
-        keep a set they were given."""
+        keep a set they were given.  The first ``eliminate`` of a non-cut
+        edge labels the graph; while the labels are kept they are exact,
+        and ``subdivide``, ``add_leaf`` and ``eliminate`` keep them."""
         kept = Counter()
+        labelled = Counter()
         made = Counter()
         new_bridges = 0
+        pair_checks = 0
 
         def edit(g, name, *args):
-            nonlocal new_bridges
+            nonlocal new_bridges, pair_checks
             old_edges = set(g.edges)
             old_cuts = None if g.cuts is None else set(g.cuts)
+            old_marks = g.cycle_labels
             result = getattr(g, name)(*args)
             made[name] += 1
             frozen = g.freeze()
             if g.cuts is None:
-                assert frozen._cuts is None
+                assert frozen._cuts is None and g.cycle_labels is None
                 assert old_cuts is None or name not in ("subdivide", "add_leaf", "eliminate")
                 return result
             assert g.cuts == bridges(g.adj), (name, args)
@@ -708,6 +755,13 @@ class TestWorkGraph:
             kept[name] += 1
             if name == "eliminate" and (g.cuts - old_cuts) & old_edges:
                 new_bridges += 1   # an edge that stayed became a cut-edge
+            if g.cycle_labels is None:
+                assert old_marks is None and name != "eliminate"
+                return result
+            pairs = len(g.cycle_labels) <= 30
+            check_cycle_labels(g, pairs)
+            labelled[name] += 1
+            pair_checks += pairs
             return result
 
         def non_cut_edges(g):
@@ -757,6 +811,8 @@ class TestWorkGraph:
                              "delete_leaf", "suppress", "eliminate"}
         assert min(kept[name] for name in ("subdivide", "add_leaf", "eliminate")) > 100
         assert new_bridges > 50
+        assert min(labelled[name] for name in ("subdivide", "add_leaf", "eliminate")) > 40
+        assert pair_checks > 100
 
     def test_split_off_matches_a_split_from_scratch(self):
         """At every non-trivial cut-edge of seeded networks, each side moved
@@ -770,7 +826,7 @@ class TestWorkGraph:
             labels[leaf] = label
             return UndirectedNet(side | {leaf}, edges, labels, leaf + 1)
 
-        splits = 0
+        splits = labelled = 0
         for s in range(13):
             leaves = 16 + 4 * s
             net = random_q_cuttable(GenConfig(seed=4000 + s, leaf_count=leaves,
@@ -779,6 +835,10 @@ class TestWorkGraph:
                 for keep, far in (e, e[::-1]):
                     side = bfs_order(net.adjacency(), [keep], {far: None})
                     g = _WorkGraph.of(net if s % 2 else net.replace())   # with and without a kept set
+                    marks = None
+                    if s % 2 and keep == e[0]:   # and half of those with kept labels
+                        g.cycle_labels = cycle_space_labels(g.adj, g.edges)
+                        marks = dict(g.cycle_labels)
                     half = g.split_off(e, side, ("moved", "stayed"))
                     for graph, want in ((half, from_scratch(net, set(side), keep, "moved")),
                                         (g, from_scratch(net, net.vertices - set(side), far,
@@ -788,8 +848,16 @@ class TestWorkGraph:
                         assert graph.labels == want.leaf_labels
                         assert graph.next_id == want.next_id
                         assert graph.cuts == bridges(graph.adj)
+                        if marks is None:
+                            assert graph.cycle_labels is None
+                            continue
+                        # each edge keeps its label: a cycle never crosses a bridge
+                        assert graph.cycle_labels == {f: marks[f] for f in graph.edges
+                                                      if f in marks}
+                        check_cycle_labels(graph, len(graph.cycle_labels) <= 30)
+                        labelled += 1
                     splits += 1
-        assert splits > 100
+        assert splits > 100 and labelled > 50
 
     def test_eliminating_a_cut_edge_drops_the_kept_set(self):
         # the graph splits in two, so a search from one side cannot renew it

@@ -20,6 +20,7 @@ from cutnets.errors import (
     InvalidN,
     NotTreeChild,
     NotTwoBalanced,
+    ParseError,
     TooLarge,
     UnsatisfiedAssignment,
 )
@@ -204,6 +205,21 @@ class TestExtract:
             1, {7: "a"})
         with pytest.raises(NotTreeChild):
             extract_assignment(stack, gmap)
+
+    def test_gadget_map_with_an_unreadable_id_is_a_parse_error(self, phi_bench):
+        # each id of a serialized map, in turn, made too long for int()
+        _, gmap = build_u_phi(phi_bench)
+        lines = sat.serialize_gmap(gmap).splitlines()
+        for lineno in (2, len(lines)):   # the first G record and the last N record
+            tokens = lines[lineno - 1].split()
+            name, _, vid = tokens[-1].partition("=")
+            tokens[-1] = (name + "=" if vid else "") + "9" * 4301
+            bad = lines[:lineno - 1] + [" ".join(tokens)] + lines[lineno:]
+            with pytest.raises(ParseError) as err:
+                sat.parse_gmap("\n".join(bad))
+            col = len(" ".join(tokens[:-1])) + 2 + (len(name) + 1 if vid else 0)
+            assert (err.value.line, err.value.col) == (lineno, col)
+        assert sat.parse_gmap(sat.serialize_gmap(gmap)) == gmap
 
     def test_round_trip_random(self):
         for seed in range(30):
