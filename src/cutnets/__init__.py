@@ -9,8 +9,6 @@ from .nets import (
     ValidationReport,
     canon_edge,
     eliminate_edge,
-    labeled_isomorphic,
-    rooted_isomorphic,
     split_of_cut_edge,
     subdivide,
     suppress,
@@ -20,7 +18,6 @@ from .nets import (
 from .cuttable import (
     CuttabilityReport,
     is_q_cuttable,
-    is_q_cuttable_bruteforce,
     is_q_cuttable_via_chain_deletion,
     max_cuttability,
 )
@@ -28,8 +25,6 @@ from .orient import (
     CherryPickingSequence,
     OrientationSpec,
     apply_orientation,
-    brute_force_tree_child_orientation,
-    cherry_picking_sequence,
     choose_s_prime,
     is_tree_child,
     reduce_pair,
@@ -45,7 +40,6 @@ from .sat import (
     build_n_phi,
     build_u_phi,
     extract_assignment,
-    sat_bruteforce,
     validate_2balanced,
 )
 from .containment import (
@@ -56,10 +50,8 @@ from .containment import (
     apply_reduction,
     branch_on_cut_edge,
     conflicting_split,
-    display_oracle,
     entangled_path,
     find_pendant_structures,
-    is_entangled,
     three_cuttable_tc,
     verify_embedding,
 )
@@ -70,6 +62,16 @@ from .generate import (
     random_q_cuttable,
     random_tree,
     sample_displayed_tree,
+)
+from .reference import (
+    brute_force_tree_child_orientation,
+    cherry_picking_sequence,
+    display_oracle,
+    is_entangled,
+    is_q_cuttable_bruteforce,
+    labeled_isomorphic,
+    rooted_isomorphic,
+    sat_bruteforce,
 )
 
 __version__ = "0.1.0"

@@ -12,7 +12,7 @@ import sys
 
 import click
 
-from . import containment, cuttable, formats, generate, orient, sat
+from . import containment, cuttable, formats, generate, orient, reference, sat
 from .errors import (
     BudgetExceeded,
     InputError,
@@ -125,7 +125,7 @@ def orient_cmd(net_file, method, output):
             click.echo(f"no orientation produced: {exc}")
             sys.exit(1)
     else:
-        rooted = orient.brute_force_tree_child_orientation(net)
+        rooted = reference.brute_force_tree_child_orientation(net)
         if rooted is None:
             click.echo("no tree-child orientation exists")
             sys.exit(1)
@@ -154,7 +154,7 @@ def contain(tree_file, net_file, oracle, trace_file):
     tree = formats.parse_newick_tree(_read(tree_file))
     net = formats.parse_upn(_read(net_file))
     if oracle:
-        emb = containment.display_oracle(tree, net)
+        emb = reference.display_oracle(tree, net)
         click.echo(f"displays: {'yes' if emb else 'no'}")
         sys.exit(0 if emb else 1)
     verdict, trace = containment.three_cuttable_tc(tree, net)

@@ -3,8 +3,8 @@
 The decision procedure branches on non-trivial cut-edges until every piece
 is simple, then shrinks each piece with four reduction rules built on
 entangled paths (paths whose interior touches no cut-edge off the path).
-A backtracking embedding search acts as the ground-truth oracle at desk
-scale.
+The ground-truth oracle at desk scale, a backtracking embedding search, is
+in ``reference``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from typing import NamedTuple
 
 from .cuttable import is_q_cuttable
 from .errors import (
-    BudgetExceeded,
     LabelSetMismatch,
     NoMatchingTreeEdge,
     NotSimple,
@@ -92,113 +91,6 @@ def verify_embedding(tree: UndirectedNet, net: UndirectedNet, emb: Embedding) ->
     if tree.labels() != net.labels():
         raise LabelSetMismatch(f"{sorted(tree.labels())} vs {sorted(net.labels())}")
     return not embedding_violations(tree, net, emb)
-
-
-def display_oracle(tree: UndirectedNet, net: UndirectedNet,
-                   max_nodes: int = 2_000_000) -> Embedding | None:
-    """Exhaustive backtracking search for an embedding.
-
-    Processes tree edges outward from the smallest leaf; for each edge it
-    enumerates simple paths over unused network edges, assigning the far
-    image on the fly.  A path may neither pass through an existing image nor
-    end on a touched vertex, since a degree-3 image needs all three of its
-    edge slots.  None is returned only after exhausting the space.
-    """
-    if tree.labels() != net.labels():
-        raise LabelSetMismatch(f"{sorted(tree.labels())} vs {sorted(net.labels())}")
-    adj = net.adjacency()
-    vmap: dict[int, int] = {}
-    for v, lab in tree.leaf_labels.items():
-        vmap[v] = net.vertex_of_label(lab)
-    used_images = set(vmap.values())
-    order = _edge_order(tree)
-    used_edges: set[Edge] = set()
-    used_deg = {v: 0 for v in net.vertices}
-    edge_map: dict[Edge, tuple[int, ...]] = {}
-    net_leaves = net.leaves()
-    nodes = 0
-
-    def solve(idx: int) -> bool:
-        nonlocal nodes
-        if idx == len(order):
-            return True
-        a, b = order[idx]
-        start = vmap[a]
-        target = vmap.get(b)
-        path = [start]
-
-        def record_and_descend() -> bool:
-            e = canon_edge(a, b)
-            walk = tuple(path) if e[0] == a else tuple(reversed(path))
-            edge_map[e] = walk
-            fresh = target is None
-            if fresh:
-                vmap[b] = path[-1]
-                used_images.add(path[-1])
-            if solve(idx + 1):
-                return True
-            if fresh:
-                used_images.discard(path[-1])
-                del vmap[b]
-            del edge_map[e]
-            return False
-
-        def extend(x: int) -> bool:
-            nonlocal nodes
-            nodes += 1
-            if nodes > max_nodes:
-                raise BudgetExceeded(f"embedding search exceeded {max_nodes} nodes")
-            for w in adj[x]:
-                e = canon_edge(x, w)
-                if e in used_edges or w in path:
-                    continue
-                if target is not None:
-                    if w == target:
-                        used_edges.add(e)
-                        used_deg[x] += 1
-                        used_deg[w] += 1
-                        path.append(w)
-                        if record_and_descend():
-                            return True
-                        path.pop()
-                        used_edges.discard(e)
-                        used_deg[x] -= 1
-                        used_deg[w] -= 1
-                        continue
-                    if w in used_images or w in net_leaves:
-                        continue
-                else:
-                    if w in used_images or w in net_leaves:
-                        continue
-                used_edges.add(e)
-                used_deg[x] += 1
-                used_deg[w] += 1
-                path.append(w)
-                # stop here: w becomes the image of b (needs an untouched
-                # degree-3 vertex: one slot for this path, two for later edges)
-                if target is None and used_deg[w] == 1 and len(adj[w]) == 3:
-                    if record_and_descend():
-                        return True
-                if extend(w):
-                    return True
-                path.pop()
-                used_edges.discard(e)
-                used_deg[x] -= 1
-                used_deg[w] -= 1
-            return False
-
-        return extend(start)
-
-    if solve(0):
-        return Embedding(dict(vmap), dict(edge_map))
-    return None
-
-
-def _edge_order(tree: UndirectedNet) -> list[tuple[int, int]]:
-    """Tree edges BFS-ordered from the smallest leaf; first endpoint already mapped."""
-    parent: dict[int, int | None] = {}
-    order = bfs_order(tree.adjacency(), [tree.vertex_of_label(min(tree.labels()))], parent)
-    return [(parent[v], v) for v in order[1:]]
 
 
 # --- instances -------------------------------------------------------------------
@@ -412,18 +304,6 @@ def entangled_path(net: UndirectedNet, u: int, v: int) -> tuple[int, ...] | None
     parent = dict.fromkeys(doomed)   # never entered
     bfs_order(net.adjacency(), [u], parent)
     return tuple(tree_path(parent, u, v)) if v in parent else None
-
-
-def is_entangled(net: UndirectedNet, path) -> bool:
-    """Literal predicate: no internal path vertex meets a cut-edge off the path."""
-    path_edges = _path_edges(path)
-    cuts = net.cut_edges()
-    for x in path[1:-1]:
-        for w in net.neighbors(x):
-            e = canon_edge(x, w)
-            if e in cuts and e not in path_edges:
-                return False
-    return True
 
 
 def _path_edges(path) -> set[Edge]:

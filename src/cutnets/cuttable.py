@@ -3,8 +3,8 @@
 Three recognizers are kept deliberately independent so they can be
 differential-tested against each other: the primary one deletes all
 vertices lying on long chains, the second deletes one edge per long
-maximal chain, and the third checks the definition literally on an
-explicit cycle enumeration.
+maximal chain, and the third, in ``reference``, checks the definition
+literally on an explicit cycle enumeration.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .nets import (
     VertexId,
     _canon_cycle,
     canon_edge,
-    simple_cycles,
     tree_path,
 )
 
@@ -78,17 +77,6 @@ def is_q_cuttable_via_chain_deletion(net: UndirectedNet, q: int) -> bool:
     return _is_forest(net.vertices, net.edges - dropped)
 
 
-def is_q_cuttable_bruteforce(net: UndirectedNet, q: int, max_cycles: int = 100_000) -> bool:
-    """Literal definition check: every cycle carries q consecutive
-    cut-edge-incident vertices.  Desk-scale oracle."""
-    _check_q(q)
-    cut_incident = {v for e in net.cut_edges() for v in e}
-    for cycle in simple_cycles(net, max_combinations=max_cycles):
-        if not _cycle_has_q_chain(cycle, cut_incident, q):
-            return False
-    return True
-
-
 def max_cuttability(net: UndirectedNet) -> int | None:
     """Largest q for which the net is q-cuttable.
 
@@ -121,23 +109,6 @@ def max_cuttability(net: UndirectedNet) -> int | None:
 def _check_q(q: int) -> None:
     if not isinstance(q, int) or q < 1:
         raise InvalidQ(f"q must be an integer >= 1, got {q!r}")
-
-
-def _cycle_has_q_chain(cycle, cut_incident, q) -> bool:
-    n = len(cycle)
-    if q > n:
-        return False
-    flags = [v in cut_incident for v in cycle]
-    if q == n:
-        return all(flags)
-    # wrap-around windows of q consecutive cycle vertices
-    doubled = flags + flags
-    run = 0
-    for i in range(2 * n):
-        run = run + 1 if doubled[i] else 0
-        if run >= q and i >= q - 1:
-            return True
-    return False
 
 
 def _is_forest(vertices, edges) -> bool:

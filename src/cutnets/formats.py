@@ -43,7 +43,7 @@ from .nets import (
 from .sat import CnfInstance
 
 _LABEL_RE = re.compile(r"[A-Za-z0-9_.\-]+")
-_TAG_RE = re.compile(r"#H?(\d+)")
+_TAG_RE = re.compile(r"#H?([0-9]+)")
 _WS_RE = re.compile(r"\s*")
 
 
@@ -409,6 +409,22 @@ def serialize_newick_tree(net: UndirectedNet) -> str:
 
 # --- DIMACS CNF --------------------------------------------------------------------
 
+_COUNT_RE = re.compile(r"[0-9]+")
+_LITERAL_RE = re.compile(r"-?[0-9]+")
+
+
+def _dimacs_int(token: str, pattern: re.Pattern) -> int | None:
+    """``token`` as an int when ``pattern`` matches all of it, else None;
+    None also when it has more digits than ``int`` converts.  The patterns
+    take ASCII digits only, where ``int`` alone reads '٣' and '0_3' as 3."""
+    if pattern.fullmatch(token):
+        try:
+            return int(token)
+        except ValueError:
+            pass
+    return None
+
+
 def parse_dimacs_cnf(text: str) -> CnfInstance:
     """Standard DIMACS CNF; clauses must have exactly three literals."""
     n = m = None
@@ -423,19 +439,17 @@ def parse_dimacs_cnf(text: str) -> CnfInstance:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError("expected 'p cnf <vars> <clauses>'", lineno, 1)
-            try:
-                n, m = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError("non-integer counts in problem line", lineno, 1) from None
+            n, m = (_dimacs_int(token, _COUNT_RE) for token in parts[2:])
+            if n is None or m is None:
+                raise ParseError("non-integer counts in problem line", lineno, 1)
             continue
         if n is None:
             raise ParseError("clause before problem line", lineno, 1)
         for i, token in enumerate(line.split()):
-            try:
-                lit = int(token)
-            except ValueError:
+            lit = _dimacs_int(token, _LITERAL_RE)
+            if lit is None:
                 raise ParseError(f"expected a literal, found {token!r}",
-                                 lineno, token_column(raw, i)) from None
+                                 lineno, token_column(raw, i))
             if lit != 0 and not (1 <= abs(lit) <= n):
                 raise ParseError(f"literal {lit} out of range 1..{n}",
                                  lineno, token_column(raw, i))

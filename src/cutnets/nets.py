@@ -22,11 +22,9 @@ from dataclasses import dataclass
 from .errors import (
     EndpointIsLeaf,
     IsCutEdge,
-    LabelSetMismatch,
     NotBinary,
     NotCutEdge,
     NotDegreeTwo,
-    TooLarge,
     UnknownEdge,
     ValidationError,
     WouldCreateParallelEdge,
@@ -652,98 +650,7 @@ def _cut_edge_masks(adj, cuts, leaf_labels, bits: dict[str, int], full: int) -> 
     return masks
 
 
-# -- paths and cycles -------------------------------------------------------------
-
-def all_simple_paths(net: UndirectedNet, u, v, max_paths=100_000):
-    """All simple u-v paths as vertex tuples, in DFS (sorted-neighbor) order."""
-    adj = net.adjacency()
-    out = []
-    path = [u]
-    on_path = {u}
-
-    def extend(x):
-        if x == v:
-            out.append(tuple(path))
-            if len(out) > max_paths:
-                raise TooLarge(f"more than {max_paths} simple paths")
-            return
-        for w in adj[x]:
-            if w not in on_path:
-                path.append(w)
-                on_path.add(w)
-                extend(w)
-                path.pop()
-                on_path.remove(w)
-
-    if u == v:
-        return [(u,)]
-    extend(u)
-    return out
-
-
-def simple_cycles(net: UndirectedNet, max_combinations=100_000) -> list[tuple[VertexId, ...]]:
-    """Every simple cycle, each as a canonical vertex tuple.
-
-    Enumerates the GF(2) cycle space spanned by the fundamental cycles of a
-    spanning forest and keeps the members that form a single simple cycle;
-    each simple cycle corresponds to exactly one combination, so nothing is
-    missed or duplicated.
-    """
-    adj = net.adjacency()
-    parent: dict[VertexId, VertexId | None] = {}
-    for root in sorted(net.vertices):
-        if root not in parent:
-            bfs_order(adj, [root], parent)
-    tree_edges = {canon_edge(p, v) for v, p in parent.items() if p is not None}
-    chords = sorted(e for e in net.edges if e not in tree_edges and e[0] != e[1])
-    r = len(chords)
-    if r and (1 << r) - 1 > max_combinations:
-        raise TooLarge(f"cycle space has 2^{r}-1 members, budget {max_combinations}")
-    fundamental = []
-    for u, v in chords:
-        path = tree_path(parent, u, v)
-        fundamental.append({canon_edge(a, b) for a, b in zip(path, path[1:])} | {(u, v)})
-    cycles = []
-    for mask in range(1, 1 << r):
-        edges: set[Edge] = set()
-        m = mask
-        i = 0
-        while m:
-            if m & 1:
-                edges ^= fundamental[i]
-            m >>= 1
-            i += 1
-        cyc = _as_simple_cycle(edges)
-        if cyc is not None:
-            cycles.append(cyc)
-    cycles.sort()
-    return cycles
-
-
-def _as_simple_cycle(edges) -> tuple[VertexId, ...] | None:
-    if not edges:
-        return None
-    deg: dict[VertexId, list[VertexId]] = {}
-    for u, v in edges:
-        deg.setdefault(u, []).append(v)
-        deg.setdefault(v, []).append(u)
-    if any(len(ns) != 2 for ns in deg.values()):
-        return None
-    start = min(deg)
-    walk = [start]
-    prev = None
-    cur = start
-    while True:
-        a, b = sorted(deg[cur])
-        nxt = a if a != prev else b
-        if nxt == start:
-            break
-        walk.append(nxt)
-        prev, cur = cur, nxt
-    if len(walk) != len(deg):
-        return None
-    return _canon_cycle(walk)
-
+# -- cycles ---------------------------------------------------------------------
 
 def _canon_cycle(walk) -> tuple[VertexId, ...]:
     i = walk.index(min(walk))
@@ -751,99 +658,6 @@ def _canon_cycle(walk) -> tuple[VertexId, ...]:
     if len(walk) > 2 and walk[-1] < walk[1]:
         walk = [walk[0]] + walk[1:][::-1]
     return tuple(walk)
-
-
-# -- isomorphism -------------------------------------------------------------------
-
-def labeled_isomorphic(a: UndirectedNet, b: UndirectedNet) -> bool:
-    """Graph isomorphism fixing leaf labels; backtracking with degree pruning."""
-    if a.labels() != b.labels():
-        raise LabelSetMismatch(f"{sorted(a.labels())} vs {sorted(b.labels())}")
-    if len(a.vertices) != len(b.vertices) or len(a.edges) != len(b.edges):
-        return False
-    if sorted(a.degree(v) for v in a.vertices) != sorted(b.degree(v) for v in b.vertices):
-        return False
-    if sorted(len(blob.vertices) for blob in a.blobs()) != sorted(len(blob.vertices) for blob in b.blobs()):
-        return False
-    mapping = {}
-    used = set()
-    for v, lab in a.leaf_labels.items():
-        w = b.vertex_of_label(lab)
-        mapping[v] = w
-        used.add(w)
-    order = _bfs_internal_order(a)
-    b_internal = sorted(b.internal_vertices())
-
-    def consistent(v, w):
-        for n in a.neighbors(v):
-            if n in mapping and not b.has_edge(mapping[n], w):
-                return False
-        return True
-
-    def assign(i):
-        if i == len(order):
-            return all(b.has_edge(mapping[u], mapping[v]) for u, v in a.edges)
-        v = order[i]
-        for w in b_internal:
-            if w in used or b.degree(w) != a.degree(v):
-                continue
-            if not consistent(v, w):
-                continue
-            mapping[v] = w
-            used.add(w)
-            if assign(i + 1):
-                return True
-            del mapping[v]
-            used.remove(w)
-        return False
-
-    return assign(0)
-
-
-def rooted_isomorphic(a: RootedNet, b: RootedNet) -> bool:
-    """Digraph isomorphism fixing leaf labels and mapping root to root."""
-    if a.labels() != b.labels():
-        raise LabelSetMismatch(f"{sorted(a.labels())} vs {sorted(b.labels())}")
-    if len(a.vertices) != len(b.vertices) or len(a.arcs) != len(b.arcs):
-        return False
-    mapping = {a.root: b.root}
-    used = {b.root}
-    for v, lab in a.leaf_labels.items():
-        w = b.vertex_of_label(lab)
-        mapping[v] = w
-        used.add(w)
-    order = [v for v in (a.topo or sorted(a.vertices)) if v not in mapping]
-    b_pool = sorted(b.vertices - used)
-
-    def consistent(v, w):
-        for n in a.succ[v]:
-            if n in mapping and mapping[n] not in b.succ[w]:
-                return False
-        for n in a.pred[v]:
-            if n in mapping and mapping[n] not in b.pred[w]:
-                return False
-        return True
-
-    def assign(i):
-        if i == len(order):
-            return all((mapping[u], mapping[v]) in b.arcs for u, v in a.arcs)
-        v = order[i]
-        for w in b_pool:
-            if w in used:
-                continue
-            if len(b.pred[w]) != len(a.pred[v]) or len(b.succ[w]) != len(a.succ[v]):
-                continue
-            if not consistent(v, w):
-                continue
-            mapping[v] = w
-            used.add(w)
-            if assign(i + 1):
-                return True
-            del mapping[v]
-            used.remove(w)
-        return False
-
-    return assign(0)
 
 
 # -- bridges and the working graph ----------------------------------------------------
@@ -1220,18 +1034,6 @@ def _walk_path(adj, first, second, count):
         path.append(nxt)
         prev, cur = cur, nxt
     return path
-
-
-def _bfs_internal_order(net: UndirectedNet):
-    """Internal vertices ordered so each has a previously seen neighbor."""
-    adj = net.adjacency()
-    leaves = sorted(net.leaves())
-    parent = {}
-    order = bfs_order(adj, leaves, parent)[len(leaves):]
-    for v in sorted(net.vertices):
-        if v not in parent:
-            order += bfs_order(adj, [v], parent)
-    return order
 
 
 def bfs_order(adj, sources, parent):

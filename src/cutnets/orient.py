@@ -4,8 +4,8 @@ The centerpiece is the constructive tree-child orientation for 2-cuttable
 networks: delete a well-chosen set of chain edges to get a spanning tree,
 orient the tree away from a root placed on a cut-edge, and then fix the
 directions of the deleted edges blob by blob via an auxiliary multigraph
-whose components are paths and cycles.  A desk-scale exhaustive searcher
-and a cherry-picking searcher act as its oracles.
+whose components are paths and cycles.  Its oracles, a desk-scale
+exhaustive searcher and a cherry-picking searcher, are in ``reference``.
 """
 
 from __future__ import annotations
@@ -14,12 +14,10 @@ from dataclasses import dataclass
 
 from .cuttable import is_q_cuttable
 from .errors import (
-    BudgetExceeded,
     CyclicOrientation,
     DegreeViolation,
     NotReducible,
     NotTwoCuttable,
-    TooLarge,
     UnknownEdge,
     WouldCreateParallelEdge,
 )
@@ -75,9 +73,7 @@ def apply_orientation(net: UndirectedNet, spec: OrientationSpec) -> RootedNet:
         raise ValueError(f"spec must cover every non-root edge exactly once "
                          f"(missing {missing}, extra {extra})")
 
-    rho = net.next_id
-    arcs = set(directions.values()) | {(rho, root_edge[0]), (rho, root_edge[1])}
-    rooted = RootedNet(net.vertices | {rho}, arcs, rho, net.leaf_labels, next_id=rho + 1)
+    rooted = _hang_root(net, root_edge, directions.values())
     leaves = net.leaves()
     for v in sorted(net.vertices):
         indeg, outdeg = len(rooted.pred[v]), len(rooted.succ[v])
@@ -107,6 +103,27 @@ def is_tree_child(net: RootedNet) -> bool:
     (Cardona, Rosselló & Valiente, *IEEE/ACM TCBB* 6(4), 2009)."""
     pred = net.pred
     return all(any(len(pred[c]) < 2 for c in cs) for cs in net.succ.values() if cs)
+
+
+def _hang_root(net: UndirectedNet, root_edge: Edge, arcs) -> RootedNet:
+    """The rooted network of ``arcs``, which direct every edge of ``net``
+    but ``root_edge``, and a fresh root ``net.next_id`` that subdivides
+    ``root_edge``."""
+    rho = net.next_id
+    arcs = {*arcs, (rho, root_edge[0]), (rho, root_edge[1])}
+    return RootedNet(net.vertices | {rho}, arcs, rho, net.leaf_labels, next_id=rho + 1)
+
+
+def _assert_tree_child(rooted: RootedNet, invalid: str, not_tree_child: str) -> None:
+    """The self-check of a constructive orientation: an AssertionError that
+    starts with ``invalid`` and lists the violations unless ``rooted`` is a
+    valid rooted network, else one that says ``not_tree_child`` unless it
+    is tree-child."""
+    report = validate_rooted(rooted)
+    if not report.ok:
+        raise AssertionError(invalid + "; ".join(report.violations))
+    if not is_tree_child(rooted):
+        raise AssertionError(not_tree_child)
 
 
 # --- constructive orientation for 2-cuttable networks -----------------------------
@@ -167,20 +184,18 @@ def tree_child_orient_2cuttable(net: UndirectedNet) -> RootedNet:
         # 2-chain of cut-edge-incident vertices
         raise AssertionError("2-cuttable network without a cut-edge")
 
-    rho = net.next_id
+    # the tree without the root edge, searched from both its ends: the
+    # root will sit between them
     tree_adj = {v: [] for v in net.vertices}
-    tree_adj[rho] = list(root_edge)
     for u, v in tree_edges:
         if (u, v) == root_edge:
             continue
         tree_adj[u].append(v)
         tree_adj[v].append(u)
-    tree_adj[root_edge[0]].append(rho)
-    tree_adj[root_edge[1]].append(rho)
 
     parent_of = {}
-    order = bfs_order({v: sorted(ns) for v, ns in tree_adj.items()}, [rho], parent_of)
-    if len(parent_of) != len(net.vertices) + 1:
+    order = bfs_order({v: sorted(ns) for v, ns in tree_adj.items()}, list(root_edge), parent_of)
+    if len(parent_of) != len(net.vertices):
         raise AssertionError("spanning tree does not reach every vertex")
     arcs = {(parent_of[v], v) for v in order if parent_of[v] is not None}
 
@@ -195,12 +210,9 @@ def tree_child_orient_2cuttable(net: UndirectedNet) -> RootedNet:
             raise AssertionError(f"blob has {len(entry)} entry vertices, expected 1")
         arcs |= _orient_blob_leftovers(net, blob, local, s_prime, entry[0])
 
-    rooted = RootedNet(net.vertices | {rho}, arcs, rho, net.leaf_labels, next_id=rho + 1)
-    report = validate_rooted(rooted)
-    if not report.ok:
-        raise AssertionError("constructive orientation is invalid: " + "; ".join(report.violations))
-    if not is_tree_child(rooted):
-        raise AssertionError("constructive orientation is not tree-child")
+    rooted = _hang_root(net, root_edge, arcs)
+    _assert_tree_child(rooted, "constructive orientation is invalid: ",
+                       "constructive orientation is not tree-child")
     return rooted
 
 
@@ -213,8 +225,6 @@ def _orient_blob_leftovers(net, blob, local, s_prime, entry):
     each realized as a walk through the blob that is reversed, if necessary,
     so the blob's entry vertex comes first along its own leftover edge.
     """
-    if not local:
-        return set()
     s_at = {}
     for e in local:
         for v in e:
@@ -299,88 +309,6 @@ def _orient_blob_leftovers(net, blob, local, s_prime, entry):
     return arcs
 
 
-# --- exhaustive orientation search --------------------------------------------------
-
-def brute_force_tree_child_orientation(net: UndirectedNet, max_edges: int = 16) -> RootedNet | None:
-    """First tree-child orientation in lexicographic (root edge, direction)
-    order, or None after exhausting the whole space."""
-    if len(net.edges) > max_edges:
-        raise TooLarge(f"{len(net.edges)} edges exceeds the brute-force budget {max_edges}")
-    for root_edge in sorted(net.edges):
-        spec = _search_orientation(net, root_edge)
-        if spec is not None:
-            return apply_orientation(net, spec)
-    return None
-
-
-def _search_orientation(net, root_edge):
-    edges = _edges_from(net, root_edge)
-    leaves = net.leaves()
-    deg = {v: net.degree(v) for v in net.vertices}
-    indeg = {v: 0 for v in net.vertices}
-    outdeg = {v: 0 for v in net.vertices}
-    assigned = {v: 0 for v in net.vertices}
-    for v in root_edge:
-        indeg[v] += 1
-        assigned[v] += 1
-
-    def feasible(v):
-        if v in leaves:
-            return outdeg[v] == 0 and indeg[v] <= 1
-        if indeg[v] > 2 or outdeg[v] > 2:
-            return False
-        if assigned[v] == deg[v]:
-            return (indeg[v], outdeg[v]) in ((1, 2), (2, 1))
-        return True
-
-    choice: dict[Edge, Arc] = {}
-
-    def place(i):
-        if i == len(edges):
-            return _accepts(net, root_edge, choice)
-        u, v = edges[i]
-        for a, b in ((u, v), (v, u)):
-            indeg[b] += 1
-            outdeg[a] += 1
-            assigned[a] += 1
-            assigned[b] += 1
-            if feasible(a) and feasible(b):
-                choice[(u, v)] = (a, b)
-                if place(i + 1):
-                    return True
-                del choice[(u, v)]
-            indeg[b] -= 1
-            outdeg[a] -= 1
-            assigned[a] -= 1
-            assigned[b] -= 1
-        return False
-
-    if place(0):
-        return OrientationSpec(root_edge, dict(choice))
-    return None
-
-
-def _edges_from(net, root_edge):
-    """Non-root edges ordered so vertices complete early (BFS from the root edge)."""
-    adj = net.adjacency()
-    out = []
-    emitted = {root_edge}
-    for x in bfs_order(adj, sorted(root_edge), {}):
-        for w in adj[x]:
-            e = canon_edge(x, w)
-            if e not in emitted:
-                emitted.add(e)
-                out.append(e)
-    return out
-
-
-def _accepts(net, root_edge, choice):
-    rho = net.next_id
-    arcs = set(choice.values()) | {(rho, root_edge[0]), (rho, root_edge[1])}
-    rooted = RootedNet(net.vertices | {rho}, arcs, rho, net.leaf_labels, next_id=rho + 1)
-    return rooted.is_acyclic() and is_tree_child(rooted)
-
-
 # --- cherry picking -------------------------------------------------------------------
 
 def reduce_pair(net: UndirectedNet, pair) -> UndirectedNet:
@@ -426,68 +354,6 @@ def _leaf_neighbor(net: UndirectedNet, leaf):
         raise NotReducible(f"vertex {nbs[0]} next to leaf {lab} is labelled "
                            f"{net.leaf_labels[nbs[0]]}")
     return nbs[0]
-
-
-def reducible_pairs(net: UndirectedNet) -> list[tuple[str, str]]:
-    """Candidate ordered pairs in lexicographic label order.
-
-    Cherries contribute both orders (they keep different leaves); reticulated
-    cherries are symmetric and contribute the sorted order only.
-    """
-    out = []
-    if len(net.vertices) == 2 and len(net.leaf_labels) == 2:
-        a, b = sorted(net.leaf_labels.values())
-        return [(a, b), (b, a)]
-    leaves = sorted(net.leaves(), key=lambda v: net.leaf_labels[v])
-    neighbor = {x: _leaf_neighbor(net, x) for x in leaves}
-    for x in leaves:
-        u = neighbor[x]
-        for y in leaves:
-            if y == x:
-                continue
-            v = neighbor[y]
-            lx, ly = net.leaf_labels[x], net.leaf_labels[y]
-            if u == v and len(net.leaf_labels) >= 3:
-                out.append((lx, ly))
-            elif u != v and lx < ly:
-                central = canon_edge(u, v)
-                if central in net.edges and central not in net.cut_edges():
-                    out.append((lx, ly))
-    return sorted(out)
-
-
-def cherry_picking_sequence(net: UndirectedNet, max_states: int = 200_000) -> CherryPickingSequence | None:
-    """Exhaustive memoized search for a cherry-picking sequence.
-
-    Reductions never mint vertex ids, so states reached along commuting
-    reduction orders coincide exactly and the failure memo is sound.
-    """
-    failed: set = set()
-    visited = 0
-
-    def key(u: UndirectedNet):
-        return (u.edges, frozenset(u.leaf_labels.items()))
-
-    def search(u: UndirectedNet):
-        nonlocal visited
-        if len(u.vertices) == 1:
-            return []
-        k = key(u)
-        if k in failed:
-            return None
-        visited += 1
-        if visited > max_states:
-            raise BudgetExceeded(f"more than {max_states} reduction states explored")
-        for pair in reducible_pairs(u):
-            child = reduce_pair(u, pair)
-            tail = search(child)
-            if tail is not None:
-                return [pair] + tail
-        failed.add(k)
-        return None
-
-    found = search(net)
-    return None if found is None else CherryPickingSequence(tuple(found))
 
 
 def replay_sequence(net: UndirectedNet, sequence: CherryPickingSequence) -> UndirectedNet:

@@ -17,14 +17,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import (
     InconsistentGadgetState,
     NotTreeChild,
     NotTwoBalanced,
     ParseError,
-    TooLarge,
     UnsatisfiedAssignment,
     parse_id,
     token_column,
@@ -35,8 +33,8 @@ from .nets import (
     UnionFind,
     ValidationReport,
     canon_edge,
-    validate_rooted,
 )
+from .orient import _assert_tree_child, _hang_root, is_tree_child
 
 Assignment = dict[int, bool]
 
@@ -91,17 +89,6 @@ def assignment_satisfies(cnf: CnfInstance, assignment: Assignment) -> bool:
     return all(i in assignment for i in range(1, cnf.n + 1)) and all(
         any(value(lit) for lit in clause) for clause in cnf.clauses
     )
-
-
-def sat_bruteforce(cnf: CnfInstance, max_vars: int = 24) -> Assignment | None:
-    """Lexicographically first satisfying assignment (False before True), or None."""
-    if cnf.n > max_vars:
-        raise TooLarge(f"{cnf.n} variables exceeds the brute-force budget {max_vars}")
-    for bits in product((False, True), repeat=cnf.n):
-        assignment = {i + 1: bits[i] for i in range(cnf.n)}
-        if assignment_satisfies(cnf, assignment):
-            return assignment
-    return None
 
 
 # --- gadget shapes --------------------------------------------------------------
@@ -419,17 +406,9 @@ def build_n_phi(cnf: CnfInstance, assignment: Assignment) -> RootedNet:
     missing = net.edges - set(oriented) - {root_edge}
     if missing:
         raise AssertionError(f"unoriented edges remain: {sorted(missing)}")
-    rho = net.next_id
-    arcs = {arc for e, arc in oriented.items() if e != root_edge}
-    arcs |= {(rho, s_root), (rho, lr)}
-    rooted = RootedNet(net.vertices | {rho}, arcs, rho, net.leaf_labels, next_id=rho + 1)
-    report = validate_rooted(rooted)
-    if not report.ok:
-        raise AssertionError("orientation is not a valid rooted network: "
-                             + "; ".join(report.violations))
-    from .orient import is_tree_child
-    if not is_tree_child(rooted):
-        raise AssertionError("orientation is not tree-child")
+    rooted = _hang_root(net, root_edge, (arc for e, arc in oriented.items() if e != root_edge))
+    _assert_tree_child(rooted, "orientation is not a valid rooted network: ",
+                       "orientation is not tree-child")
     return rooted
 
 
@@ -444,7 +423,6 @@ def extract_assignment(net: RootedNet, gmap: GadgetMap) -> Assignment:
     may have been round-tripped through eNewick (vertex ids need not match
     the gadget map).
     """
-    from .orient import is_tree_child
     if not is_tree_child(net):
         raise NotTreeChild("input is not a tree-child network")
 

@@ -36,7 +36,7 @@ from cutnets import (
     validate_unrooted,
     verify_embedding,
 )
-from cutnets.containment import is_entangled, entangled_path
+from cutnets.containment import entangled_path
 from cutnets.errors import BudgetExceeded
 from cutnets.formats import (
     parse_dimacs_cnf,
@@ -48,7 +48,7 @@ from cutnets.formats import (
     serialize_newick_tree,
     serialize_upn,
 )
-from cutnets.nets import all_simple_paths
+from cutnets.reference import all_simple_paths, is_entangled
 
 from conftest import build_simple_3cuttable, spy_on_pieces
 

@@ -161,6 +161,19 @@ class TestStatsAndOrient:
         assert result.exit_code == 2
         assert f"error: {message}" in result.output
 
+    @pytest.mark.parametrize("command, text, message", [
+        ("check-tree-child", "((a,(b)#H\u0663),(#H3,c));\n", "malformed hybrid tag (line 1, col 8)"),
+        ("sat reduce -o u.upn --gmap u.gmap", "p cnf 3 1\n1 \u0663 2 0\n",
+         "expected a literal, found '\u0663' (line 2, col 3)"),
+    ], ids=["enewick-tag", "dimacs-literal"])
+    def test_non_ascii_digit_exit_2(self, tmp_path, monkeypatch, command, text, message):
+        # '\u0663' is a Unicode digit three; only ASCII digits are numbers
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path / "in.txt", text)
+        result = CliRunner().invoke(cli, command.split() + ["in.txt"])
+        assert result.exit_code == 2, result.output
+        assert f"error: {message}" in result.stderr
+
     def test_internal_error_exit_4(self, tmp_path, monkeypatch):
         # a failure inside the library is neither "no" (1) nor bad input (2)
         def broken(rooted):
@@ -314,6 +327,20 @@ class TestSatCommands:
         result = CliRunner().invoke(cli, ["sat", "extract", rooted, "--gmap", gmap, "--cnf", cnf])
         assert result.exit_code == 2, result.output
         assert f"(line {len(lines)}, col {len(role) + 4})" in result.stderr
+
+    @pytest.mark.parametrize("record, message, col", [
+        ("G G1_1 connection", "G record takes a name, a kind and vertex pairs", 1),
+        ("G G1_1 connection s1", "bad vertex pair 's1'", 19),
+        ("N lr", "N record takes a role and an id", 1),
+        ("X lr 1", "unknown record type 'X'", 1),
+    ], ids=["short-G", "pair", "short-N", "type"])
+    def test_extract_bad_gmap_record_exit_2(self, tmp_path, record, message, col):
+        rooted, gmap, cnf = self.oriented(tmp_path)
+        lines = Path(gmap).read_text().splitlines() + [record]
+        Path(gmap).write_text("\n".join(lines) + "\n")
+        result = CliRunner().invoke(cli, ["sat", "extract", rooted, "--gmap", gmap, "--cnf", cnf])
+        assert result.exit_code == 2, result.output
+        assert f"error: {message} (line {len(lines)}, col {col})" in result.stderr
 
     def test_extract_unsatisfied_formula_exit_1(self, tmp_path):
         rooted, gmap, _ = self.oriented(tmp_path)

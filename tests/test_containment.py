@@ -47,7 +47,6 @@ from cutnets.nets import (
     Split,
     _component_of,
     _cut_edge_masks,
-    all_simple_paths,
     bridges,
     canon_edge,
     canonical_mask,
@@ -57,6 +56,7 @@ from cutnets.nets import (
     splits_of,
     subdivide,
 )
+from cutnets.reference import all_simple_paths
 
 from conftest import build_simple_3cuttable, count_calls, spy_on_pieces
 

@@ -14,12 +14,11 @@ from cutnets import (
     max_cuttability,
     random_q_cuttable,
 )
-from cutnets.cuttable import _cycle_has_q_chain
 from cutnets.errors import InvalidQ, TooLarge
 from cutnets.formats import parse_upn, serialize_upn
 from cutnets.generate import _tree_graph
 from cutnets import nets
-from cutnets.nets import simple_cycles
+from cutnets.reference import _cycle_has_q_chain, simple_cycles
 
 from conftest import count_calls, triangle_net
 

@@ -127,6 +127,14 @@ class TestENewick:
         with pytest.raises(DegreeError, match="hybrid #1 defined twice"):
             parse_enewick("((a,(b)#H01),((c)#H1,d));")
 
+    @pytest.mark.parametrize("text", ["((a,(b)#H\u0663),(#H3,c));", "((a,(b)#\u0663),(#H3,c));"],
+                             ids=["H-arabic-indic-3", "bare-arabic-indic-3"])
+    def test_hybrid_tag_takes_ascii_digits_only(self, text):
+        # '\u0663' is a Unicode digit three, which int() and \d both accept
+        with pytest.raises(ParseError) as err:
+            parse_enewick(text)
+        assert str(err.value) == "malformed hybrid tag (line 1, col 8)"
+
     def test_overlong_hybrid_tag_is_a_parse_error(self):
         # more digits than int() converts is a syntax error, not a crash
         with pytest.raises(ParseError, match="hybrid tag number is too long"):
@@ -260,8 +268,11 @@ class TestDimacs:
         ("p dnf 3 1\n", "expected 'p cnf <vars> <clauses>'", 1, 1),
         ("p cnf 3\n", "expected 'p cnf <vars> <clauses>'", 1, 1),
         ("p cnf three 1\n", "non-integer counts in problem line", 1, 1),
+        ("p cnf \u0663 1\n", "non-integer counts in problem line", 1, 1),
         ("1 2 3 0\np cnf 3 1\n", "clause before problem line", 1, 1),
         ("p cnf 3 1\n1 x 3 0\n", "expected a literal, found 'x'", 2, 3),
+        ("p cnf 3 1\n1 \u0663 2 0\n", "expected a literal, found '\u0663'", 2, 3),
+        ("p cnf 3 1\n1 0_3 2 0\n", "expected a literal, found '0_3'", 2, 3),
         ("p cnf 2 1\n1 2 5 0\n", "literal 5 out of range 1..2", 2, 5),
         ("", "empty document (missing problem line)", 1, 1),
         ("p cnf 3 1\n1 2 3\n", "unterminated clause at end of input", 1, 1),

@@ -26,7 +26,7 @@ from cutnets import (
     tree_child_orient_2cuttable,
 )
 from cutnets.formats import serialize_enewick, serialize_upn
-from cutnets.nets import simple_cycles
+from cutnets.reference import simple_cycles
 from cutnets.sat import build_u_phi, serialize_gmap
 
 GOLDEN = Path(__file__).parent / "data" / "paths_golden.json"

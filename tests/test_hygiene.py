@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -76,13 +77,13 @@ def test_no_unread_fields():
 # Exhaustive oracles with a node or size budget: their depth is bounded by
 # the budget, not by the input, so they may recurse.
 RECURSION_ALLOWED = {
-    "containment.display_oracle.solve",
-    "containment.display_oracle.solve.extend",
-    "nets.all_simple_paths.extend",
-    "nets.labeled_isomorphic.assign",
-    "nets.rooted_isomorphic.assign",
-    "orient._search_orientation.place",
-    "orient.cherry_picking_sequence.search",
+    "reference.display_oracle.solve",
+    "reference.display_oracle.solve.extend",
+    "reference.all_simple_paths.extend",
+    "reference.labeled_isomorphic.assign",
+    "reference.rooted_isomorphic.assign",
+    "reference._search_orientation.place",
+    "reference.cherry_picking_sequence.search",
 }
 
 
@@ -183,6 +184,65 @@ def test_bridge_search_has_two_callers():
     for path in MODULES:
         found |= callers_of(path.read_text(encoding="utf-8"), "bridges", path.stem, bare=True)
     assert found == {"nets.UndirectedNet.cut_edges", "nets._WorkGraph.bridges"}
+
+
+def imports_of(source: str) -> set[str]:
+    """The bare names of the package modules that ``source`` imports
+    anywhere, relatively (``from . import a``, ``from .a import x``) or
+    absolutely (``import cutnets.a``, ``from cutnets.a import x``)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ("cutnets" + (f".{node.module}" if node.module else "")
+                    if node.level else node.module)
+            dotted = [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found.update(name.split(".")[1] for name in dotted if name.startswith("cutnets."))
+    return found
+
+
+def test_checker_finds_package_imports():
+    source = ("from . import a, b\nfrom .c import x\nimport cutnets.d\n"
+              "from cutnets.e import y\nfrom cutnets import f\nimport os\n"
+              "def g():\n    from .h import z\n")
+    assert imports_of(source) == {"a", "b", "c", "d", "e", "f", "h"}
+
+
+def test_reference_is_imported_only_by_cli():
+    # the exhaustive oracles are differential tests, not production paths
+    importers = {path.stem for path in PACKAGE.glob("*.py")
+                 if "reference" in imports_of(path.read_text(encoding="utf-8"))}
+    assert importers == {"cli", "__init__"}
+
+
+# every public name the package exported before its oracles moved into
+# ``reference``
+PUBLIC_NAMES = [
+    "Assignment", "Blob", "Chain", "CherryPickingSequence", "CnfInstance", "CuttabilityReport",
+    "Embedding", "GadgetMap", "GenConfig", "OrientationSpec", "PendantQuad", "PendantTriple",
+    "RootedNet", "RuleOutcome", "Split", "UndirectedNet", "ValidationReport",
+    "apply_orientation", "apply_reduction", "assignment_satisfies", "branch_on_cut_edge",
+    "brute_force_tree_child_orientation", "build_n_phi", "build_u_phi", "canon_edge",
+    "cherry_picking_sequence", "choose_s_prime", "conflicting_split", "display_oracle",
+    "eliminate_edge", "entangled_path", "extract_assignment", "find_pendant_structures",
+    "is_entangled", "is_q_cuttable", "is_q_cuttable_bruteforce",
+    "is_q_cuttable_via_chain_deletion", "is_tree_child", "labeled_isomorphic",
+    "make_q_cuttable", "max_cuttability", "random_2balanced_cnf", "random_q_cuttable",
+    "random_tree", "reduce_pair", "replay_sequence", "rooted_isomorphic",
+    "sample_displayed_tree", "sat_bruteforce", "split_of_cut_edge", "subdivide", "suppress",
+    "three_cuttable_tc", "tree_child_orient_2cuttable", "underlying_unrooted",
+    "validate_2balanced", "validate_rooted", "validate_unrooted", "verify_embedding",
+]
+
+
+def test_public_names_unchanged():
+    import cutnets
+    public = sorted(name for name, value in vars(cutnets).items()
+                    if not name.startswith("_") and not inspect.ismodule(value))
+    assert public == PUBLIC_NAMES
 
 
 def traced_names() -> list[str]:

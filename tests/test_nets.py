@@ -42,7 +42,8 @@ from cutnets.nets import (
     splits_of,
     validate_rooted,
 )
-from cutnets.orient import OrientationSpec, apply_orientation, brute_force_tree_child_orientation
+from cutnets.orient import OrientationSpec, apply_orientation
+from cutnets.reference import brute_force_tree_child_orientation
 
 from conftest import triangle_net
 

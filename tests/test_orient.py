@@ -32,6 +32,7 @@ from cutnets.errors import (
     NotReducible,
     NotTwoCuttable,
     TooLarge,
+    UnknownEdge,
 )
 from cutnets.formats import parse_newick_tree
 from cutnets.nets import UndirectedNet, canon_edge
@@ -115,6 +116,17 @@ class TestApplyOrientation:
         spec = OrientationSpec((1, 5), {e: e[::-1] if e in flipped else e for e in edges})
         with pytest.raises(error) as caught:
             apply_orientation(cycle4, spec)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("root_edge, directions, error, message", [
+        ((1, 3), {}, UnknownEdge, "root edge (1, 3) is not an edge"),
+        ((1, 5), {(3, 1): (1, 3)}, UnknownEdge, "directed non-edge (1, 3)"),
+        ((1, 5), {(2, 1): (1, 3)}, ValueError, "direction (1,3) does not match its edge (1, 2)"),
+    ])
+    def test_spec_errors_name_the_edge(self, cycle4, root_edge, directions, error, message):
+        with pytest.raises(error) as caught:
+            apply_orientation(cycle4, OrientationSpec(root_edge, directions))
+        assert type(caught.value) is error
         assert str(caught.value) == message
 
     def test_incomplete_spec_rejected(self, cycle4):
@@ -312,6 +324,27 @@ class TestReducePair:
         tree = parse_newick_tree("((a,b),(c,d));")
         with pytest.raises(NotReducible):
             reduce_pair(tree, ("a", "c"))
+
+    @pytest.mark.parametrize("pair, message", [
+        (("a", "z"), "no leaf labeled 'z'"),
+        (("b", "b"), "pair must name two distinct leaves"),
+    ])
+    def test_bad_pair_named(self, pair, message):
+        tree = parse_newick_tree("((a,b),(c,d));")
+        with pytest.raises(NotReducible) as caught:
+            reduce_pair(tree, pair)
+        assert str(caught.value) == message
+
+    def test_two_leaf_reticulate_cherry_not_reducible(self):
+        # K4 with one edge subdivided, a cherry hung from the subdividing vertex
+        net = UndirectedNet.build(
+            [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5), (5, 6), (6, 7), (6, 8)],
+            {7: "a", 8: "b"},
+        )
+        with pytest.raises(NotReducible) as caught:
+            reduce_pair(net, ("a", "b"))
+        assert str(caught.value) == ("cherry reduction on a two-leaf reticulate network "
+                                     "would not yield a network")
 
 
 class TestCherryPicking:

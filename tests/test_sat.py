@@ -15,7 +15,7 @@ from cutnets import (
     validate_rooted,
     validate_unrooted,
 )
-from cutnets import formats, sat
+from cutnets import formats, orient, sat
 from cutnets.errors import (
     InvalidN,
     NotTreeChild,
@@ -282,7 +282,7 @@ class TestRoundTripWork:
         cnf = random_2balanced_cnf(n, 700 + n)
         beta = satisfying(cnf, n)
         _, gmap = build_u_phi(cnf)
-        calls = count_calls(monkeypatch, (sat, "validate_rooted"), (formats, "validate_rooted"),
+        calls = count_calls(monkeypatch, (orient, "validate_rooted"), (formats, "validate_rooted"),
                             (RootedNet, "__init__"))
         rooted = build_n_phi(cnf, beta)
         assert calls == {"validate_rooted": 1, "__init__": 1}
