@@ -199,9 +199,9 @@ def sat_orient(cnf_file, assignment, output, gmap_file):
         click.echo("error: assignment must be a T/F string, one letter per variable", err=True)
         sys.exit(2)
     beta = {i + 1: ch == "T" for i, ch in enumerate(assignment)}
-    _, gmap = sat.build_u_phi(cnf)   # exit 2 on a formula that is not 2-balanced
+    net, gmap = sat.build_u_phi(cnf)   # exit 2 on a formula that is not 2-balanced
     try:
-        rooted = sat.build_n_phi(cnf, beta)
+        rooted = sat._orient_u_phi(cnf, beta, net, gmap)
     except UnsatisfiedAssignment as exc:
         click.echo(f"no orientation produced: {exc}")
         sys.exit(1)

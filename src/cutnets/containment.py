@@ -9,7 +9,7 @@ in ``reference``.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -119,8 +119,11 @@ class _Instance(NamedTuple):
     half, and the mask of a tree edge outside a half splits one of the
     half's groups, so it is no union of them and never equals a mask of
     the half.  The exception is the severed edge's mask, which both
-    pendant edges take, so it is a mask of both halves.  ``branchable`` lists the network's non-trivial
-    cut-edges in sorted order.
+    pendant edges take, so it is a mask of both halves.
+
+    ``branchable`` lists the network's non-trivial cut-edges in sorted
+    order.  ``_fresh_instance`` and ``_branch`` build it, and an ELIM adds
+    the non-trivial cut-edges that ``_WorkGraph.eliminate`` reports.
     """
 
     tree: _WorkGraph
@@ -172,8 +175,9 @@ def conflicting_split(tree: UndirectedNet, net: UndirectedNet) -> tuple[Split, S
     return _first_conflict(_fresh_instance(tree, net))
 
 
-def _first_conflict(inst: _Instance) -> tuple[Split, Split] | None:
-    """``conflicting_split`` on an instance whose tree is binary.
+def _first_conflict(inst: _Instance, masks=None) -> tuple[Split, Split] | None:
+    """``conflicting_split`` on an instance whose tree is binary, looking
+    through the network ``masks``, by default every one of the piece.
 
     The splits of a binary phylogenetic tree form a maximal compatible set
     (Semple & Steel, *Phylogenetics*, OUP 2003), so a network split is
@@ -184,7 +188,9 @@ def _first_conflict(inst: _Instance) -> tuple[Split, Split] | None:
     only for the foreign masks and for the partners.
     """
     bits, full = inst.bits, inst.full
-    foreign = [m for m in _masks(inst.net, bits, full).values() if m not in inst.tree_edges]
+    if masks is None:
+        masks = _masks(inst.net, bits, full).values()
+    foreign = [m for m in masks if m not in inst.tree_edges]
     if not foreign:
         return None
     us, um = min(((split_of_mask(m, bits), m) for m in foreign),
@@ -551,10 +557,15 @@ def _solve(tree, net, trace):
     stay |X| bits wide for the whole run.  A half's cut-edges are its
     parent's on its side, with no new bridge search or renumbering, and
     ``_branch`` costs about the smaller side.  Split conflicts are looked
-    for on the input and after each elimination, with one mask pass over
-    the piece.  A half needs no check: its splits match its parent's on
-    that side one to one, and a pair of them is compatible exactly when
-    the parent's pair is.
+    for on the input, with one mask pass over the network.  A half needs
+    no check: its splits match its parent's on that side one to one, and
+    a pair of them is compatible exactly when the parent's pair is.  An
+    elimination keeps every other cut-edge and its split, so only the
+    cut-edges it reports are checked, each mask the union of the label
+    groups on its smaller side; every older split of the piece is a tree
+    split, or the run would have stopped.  The new non-trivial cut-edges
+    also make up the piece's ``branchable`` list: a rule fires only when
+    that list is empty.
     """
     inst = _fresh_instance(tree, net)
     conflict = _first_conflict(inst)
@@ -581,7 +592,18 @@ def _solve(tree, net, trace):
         if outcome.verdict == "no":
             return False
         e = outcome.eliminated_edge
-        inst.net.eliminate(e)
+        piece, bits, full = inst.net, inst.bits, inst.full
+        created = piece.eliminate(e)
         trace.append(TraceEvent("ELIM", f"{e[0]}-{e[1]}"))
-        conflict = _first_conflict(inst)
-        inst = inst._replace(branchable=_branchable(inst.net))
+        # a rule fires only when nothing is branchable, so no end edge of
+        # the elimination has to leave the list
+        labels = piece.labels
+        masks = []
+        for f in created:
+            if f[0] in labels or f[1] in labels:
+                continue   # a trivial cut-edge's mask is one group: a tree mask
+            insort(inst.branchable, f)
+            side = sum(bits[labels[v]] for v in _smaller_side(piece.adj, f) if v in labels)
+            if side and side != full:
+                masks.append(canonical_mask(side, full))
+        conflict = _first_conflict(inst, masks)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from .cuttable import _find_cycle_avoiding, is_q_cuttable
@@ -121,24 +122,40 @@ def random_q_cuttable(config: GenConfig) -> UndirectedNet:
 
 def sample_displayed_tree(net: UndirectedNet, seed: int) -> UndirectedNet:
     """Eliminate random non-cut edges down to a tree; the result is displayed
-    by the input since every elimination preserves display upward."""
+    by the input since every elimination preserves display upward.
+
+    Each round shuffles a copy of the sorted non-cut edges and eliminates
+    the first that joins no pair twice.  The sorted list is kept across
+    rounds: an elimination removes the edges at its two ends, makes the
+    cut-edges it reports, and adds the two joined edges, each non-cut
+    unless reported.  No other edge changes its cut status."""
     if net.reticulation_number() == 0:
         return net
     rng = random.Random(seed)
     g = _WorkGraph.of(net)   # eliminate keeps its cut-edge set current
+    cuts = g.bridges()
+    non_cut = [e for e in g.edges if e not in cuts]   # sorted, as g.edges is
     while g.reticulation_number() > 0:
-        cuts = g.bridges()
-        candidates = [e for e in g.edges if e not in cuts]   # sorted, as g.edges is
+        candidates = non_cut[:]
         rng.shuffle(candidates)
-        for e in candidates:
+        for x, y in candidates:
+            pairs = [tuple(sorted(g.adj[v] - {w})) for v, w in ((x, y), (y, x))]
             try:
-                g.eliminate(e)
+                created = g.eliminate((x, y))
                 break
             except WouldCreateParallelEdge:
                 continue
         else:
             raise WouldCreateParallelEdge("every non-cut edge elimination would "
                                           "create a parallel edge")
+        ends = [canon_edge(v, n) for v, pair in zip((x, y), pairs) for n in pair]
+        for f in [(x, y)] + ends + created:
+            i = bisect_left(non_cut, f)
+            if i < len(non_cut) and non_cut[i] == f:
+                del non_cut[i]
+        for pair in pairs:
+            if pair not in created:
+                insort(non_cut, pair)
     return g.freeze()
 
 

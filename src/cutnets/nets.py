@@ -123,7 +123,7 @@ class UndirectedNet:
     """
 
     __slots__ = ("vertices", "edges", "leaf_labels", "next_id",
-                 "_adj", "_cuts", "_blob_list", "_chain_list", "_by_label")
+                 "_adj", "_cuts", "_blob_list", "_chain_list", "_by_label", "_binary_tree")
 
     def __init__(self, vertices, edges, leaf_labels, next_id=None):
         self.vertices = frozenset(vertices)
@@ -142,6 +142,7 @@ class UndirectedNet:
         self._blob_list = None
         self._chain_list = None
         self._by_label = None
+        self._binary_tree = False   # set once ``check_binary_tree`` passes
 
     @classmethod
     def _trusted(cls, vertices, edges, leaf_labels, next_id, cuts=None) -> "UndirectedNet":
@@ -162,6 +163,7 @@ class UndirectedNet:
         net.next_id = next_id
         net._adj = net._blob_list = net._chain_list = net._by_label = None
         net._cuts = cuts
+        net._binary_tree = False
         return net
 
     @staticmethod
@@ -467,13 +469,17 @@ def validate_unrooted(net: UndirectedNet) -> ValidationReport:
 def check_binary_tree(net: UndirectedNet) -> None:
     """Raise unless ``net`` is a binary phylogenetic tree: ``ValidationError``
     with every violation of the unrooted invariants, else ``NotBinary``
-    naming a vertex on a cycle."""
+    naming a vertex on a cycle.  A network that passes remembers it, as it
+    does its cut-edges, so the check runs once per network."""
+    if net._binary_tree:
+        return
     report = validate_unrooted(net)
     if not report.ok:
         raise ValidationError(report.violations)
     if net.reticulation_number() != 0:
         u, _ = min(net.edges - net.cut_edges())
         raise NotBinary(f"input is not a tree: vertex {u} lies on a cycle")
+    net._binary_tree = True
 
 
 def validate_rooted(net: RootedNet) -> ValidationReport:
@@ -758,7 +764,8 @@ class _WorkGraph:
     ``cycle_space_labels``), or is None; it is kept only while ``cuts`` is,
     and then the two split the edges between them.  The first ``eliminate``
     of a non-cut edge computes the labels, and from then on an elimination
-    updates them along one path, which names its new cut-edges.
+    updates them along one path, which names its new cut-edges; it returns
+    them, so a caller can update what it keeps per cut-edge.
     ``subdivide`` and ``add_leaf`` keep both in O(1), and ``split_off``
     keeps both on both sides in the time of the side it moves.
     ``add_edge``, ``remove_edge``, ``suppress`` and ``delete_leaf`` set
@@ -878,8 +885,9 @@ class _WorkGraph:
         self._link(a, b)
         self.cuts = self.cycle_labels = None
 
-    def eliminate(self, edge) -> None:
-        """Delete an edge and suppress both its ends.
+    def eliminate(self, edge) -> list[Edge] | None:
+        """Delete an edge and suppress both its ends; returns the cut-edges
+        this creates, or None when it drops the cut-edge set.
 
         The cut-edge check is left to the caller.  Both suppressions are
         checked before anything changes; the second is checked as if the
@@ -896,8 +904,12 @@ class _WorkGraph:
         whose label becomes 0 are the new cut-edges.  Then the two edges
         at each end lie on the same cycles and carry equal labels, and the
         edge that joins them takes that label, a cut-edge when it is 0.
-        Eliminating a cut-edge splits the graph and drops the cut-edges and
-        the labels.
+        The returned list holds exactly these new cut-edges that outlive
+        the edit: the edges of P off both ends whose label became 0, and
+        the joined edges whose label is 0.  Every other edge keeps its cut
+        status.  Eliminating a cut-edge splits the graph and drops the
+        cut-edges and the labels, and with no cut-edges kept nothing is
+        known: both return None.
         """
         x, y = canon_edge(*edge)
         if y not in self.adj.get(x, ()):
@@ -907,18 +919,20 @@ class _WorkGraph:
         first = self._join(x, gone=y)
         second = self._join(y, gone=x, joined=(first,))
         cuts = self.cuts
-        marks = None
+        marks = created = None
         if cuts is not None and (x, y) not in cuts:
             marks = self.cycle_labels
             if marks is None:
                 marks = cycle_space_labels(self.adj, self.edges)
             mark = marks.pop((x, y))
+            created = []
             for f in _path_between(self.adj, marks, x, y):
-                if marks[f] == mark:
-                    del marks[f]
-                    cuts.add(f)
-                else:
+                if marks[f] != mark:
                     marks[f] ^= mark
+                else:
+                    del marks[f]
+                    if x not in f and y not in f:   # an end's edges go with it
+                        created.append(f)
             for v, pair in ((x, first), (y, second)):
                 ends = [(v, n) if v < n else (n, v) for n in pair]
                 for f in ends:
@@ -928,7 +942,8 @@ class _WorkGraph:
                 if mark:
                     marks[pair] = mark
                 else:
-                    cuts.add(pair)
+                    created.append(pair)
+            cuts.update(created)
         else:
             cuts = None
         self._unlink(x, y)
@@ -938,6 +953,7 @@ class _WorkGraph:
         self._link(*second)
         self.cuts = cuts
         self.cycle_labels = marks
+        return created
 
     def split_off(self, edge, side, labels) -> "_WorkGraph":
         """Cut the cut-edge ``edge`` and move ``side``, the vertices on one

@@ -153,30 +153,16 @@ def labeled_isomorphic(a: UndirectedNet, b: UndirectedNet) -> bool:
     order = _bfs_internal_order(a)
     b_internal = sorted(b.internal_vertices())
 
-    def consistent(v, w):
+    def fits(v, w):
+        if b.degree(w) != a.degree(v):
+            return False
         for n in a.neighbors(v):
             if n in mapping and not b.has_edge(mapping[n], w):
                 return False
         return True
 
-    def assign(i):
-        if i == len(order):
-            return all(b.has_edge(mapping[u], mapping[v]) for u, v in a.edges)
-        v = order[i]
-        for w in b_internal:
-            if w in used or b.degree(w) != a.degree(v):
-                continue
-            if not consistent(v, w):
-                continue
-            mapping[v] = w
-            used.add(w)
-            if assign(i + 1):
-                return True
-            del mapping[v]
-            used.remove(w)
-        return False
-
-    return assign(0)
+    return _backtrack(order, b_internal, fits, mapping, used,
+                      lambda: all(b.has_edge(mapping[u], mapping[v]) for u, v in a.edges))
 
 
 def rooted_isomorphic(a: RootedNet, b: RootedNet) -> bool:
@@ -194,7 +180,9 @@ def rooted_isomorphic(a: RootedNet, b: RootedNet) -> bool:
     order = [v for v in (a.topo or sorted(a.vertices)) if v not in mapping]
     b_pool = sorted(b.vertices - used)
 
-    def consistent(v, w):
+    def fits(v, w):
+        if len(b.pred[w]) != len(a.pred[v]) or len(b.succ[w]) != len(a.succ[v]):
+            return False
         for n in a.succ[v]:
             if n in mapping and mapping[n] not in b.succ[w]:
                 return False
@@ -203,26 +191,36 @@ def rooted_isomorphic(a: RootedNet, b: RootedNet) -> bool:
                 return False
         return True
 
-    def assign(i):
-        if i == len(order):
-            return all((mapping[u], mapping[v]) in b.arcs for u, v in a.arcs)
-        v = order[i]
-        for w in b_pool:
-            if w in used:
-                continue
-            if len(b.pred[w]) != len(a.pred[v]) or len(b.succ[w]) != len(a.succ[v]):
-                continue
-            if not consistent(v, w):
-                continue
-            mapping[v] = w
-            used.add(w)
-            if assign(i + 1):
-                return True
-            del mapping[v]
-            used.remove(w)
-        return False
+    return _backtrack(order, b_pool, fits, mapping, used,
+                      lambda: all((mapping[u], mapping[v]) in b.arcs for u, v in a.arcs))
 
-    return assign(0)
+
+def _backtrack(order, pool, fits, mapping, used, complete) -> bool:
+    """Map each vertex of ``order`` in turn to an unused vertex of ``pool``
+    that ``fits`` it, depth first, until ``complete()`` accepts a full
+    ``mapping``; False when no choice is accepted.
+
+    The candidates are tried in ``pool`` order at every level, as a
+    recursion over the levels would, but the untried candidates of each
+    level wait on an explicit stack, so the depth is not the call stack's.
+    """
+    pending = [iter(pool)]   # one iterator per level; the levels below it are mapped
+    while pending:
+        level = len(pending) - 1
+        if level < len(order):
+            v = order[level]
+            w = next((w for w in pending[-1] if w not in used and fits(v, w)), None)
+            if w is not None:
+                mapping[v] = w
+                used.add(w)
+                pending.append(iter(pool))
+                continue
+        elif complete():
+            return True
+        pending.pop()
+        if pending:   # the level below tries its next candidate
+            used.remove(mapping.pop(order[len(pending) - 1]))
+    return False
 
 
 def _bfs_internal_order(net: UndirectedNet):

@@ -341,9 +341,15 @@ def build_n_phi(cnf: CnfInstance, assignment: Assignment) -> RootedNet:
     assignment: root above the lr leaf, rigid reticulation gadgets, variable
     gadgets oriented by truth value, clause gadgets by literal evaluation
     (with the all-true clause case split to keep the hub's in-degree at 2)."""
+    return _orient_u_phi(cnf, assignment, *build_u_phi(cnf))
+
+
+def _orient_u_phi(cnf: CnfInstance, assignment: Assignment, net: UndirectedNet,
+                  gmap: GadgetMap) -> RootedNet:
+    """``build_n_phi`` on the network and gadget map that ``build_u_phi``
+    built for ``cnf``, for a caller that keeps them."""
     if not assignment_satisfies(cnf, assignment):
         raise UnsatisfiedAssignment("assignment does not satisfy the formula")
-    net, gmap = build_u_phi(cnf)
     n, m = cnf.n, cnf.m
     nr = 1 + 2 * n
     oriented: dict[tuple[int, int], tuple[int, int]] = {}

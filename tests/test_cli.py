@@ -5,7 +5,7 @@ import click
 import pytest
 from click.testing import CliRunner
 
-from cutnets import CnfInstance, orient, sat, sat_bruteforce
+from cutnets import CnfInstance, formats, nets, orient, sat, sat_bruteforce
 from cutnets.cli import cli
 from cutnets.errors import (
     CutnetsError,
@@ -35,7 +35,7 @@ from cutnets.formats import (
 from cutnets.generate import random_tree
 from cutnets.orient import is_tree_child
 
-from conftest import triangle_net
+from conftest import count_calls, triangle_net
 
 PHI = CnfInstance(3, ((1, -2, 3), (-1, 2, -3), (1, 2, -3), (-1, -2, 3)))
 
@@ -208,6 +208,22 @@ class TestContain:
         oracle = CliRunner().invoke(cli, ["contain", tpath, npath, "--oracle"])
         assert oracle.exit_code == 0
 
+    @pytest.mark.parametrize("pair, code", [("displayed_pair", 0), ("conflicting_pair", 1)])
+    def test_tree_is_validated_once(self, tmp_path, monkeypatch, request, pair, code):
+        # parse_newick_tree checks the tree, and three_cuttable_tc finds it checked
+        tree, net = request.getfixturevalue(pair)
+        tpath = write(tmp_path / "t.nwk", serialize_newick_tree(tree) + "\n")
+        npath = write(tmp_path / "u.upn", serialize_upn(net))
+
+        def is_tree(graph):
+            return graph.reticulation_number() == 0
+
+        calls = count_calls(monkeypatch, (nets, "validate_unrooted", is_tree),
+                            (formats, "validate_unrooted", is_tree))
+        result = CliRunner().invoke(cli, ["contain", tpath, npath])
+        assert result.exit_code == code
+        assert calls == {"validate_unrooted": 1}
+
     @pytest.mark.parametrize("oracle", [[], ["--oracle"]])
     def test_label_mismatch_exit_2(self, tmp_path, cycle4, oracle):
         tpath = write(tmp_path / "t.nwk", "((a,b),(c,x));\n")
@@ -278,10 +294,10 @@ class TestSatCommands:
 
     def test_orient_failure_other_than_unsatisfied_is_not_exit_1(self, tmp_path, monkeypatch):
         # exit 1 says the assignment does not satisfy the formula, nothing else
-        def broken(cnf, assignment):
+        def broken(cnf, assignment, net, gmap):
             raise CutnetsError("broken gadget")
 
-        monkeypatch.setattr(sat, "build_n_phi", broken)
+        monkeypatch.setattr(sat, "_orient_u_phi", broken)
         cnf_path = write(tmp_path / "phi.cnf", serialize_dimacs_cnf(PHI))
         result = CliRunner().invoke(cli, ["sat", "orient", cnf_path, "--assignment", "TFF",
                                           "-o", str(tmp_path / "x.enwk"),
@@ -289,6 +305,16 @@ class TestSatCommands:
         assert result.exit_code == 4
         assert "internal error: CutnetsError: broken gadget" in result.stderr
         assert "no orientation produced" not in result.output
+
+    def test_orient_builds_the_network_once(self, tmp_path, monkeypatch):
+        # the gadget map and the orientation come from one U(phi)
+        calls = count_calls(monkeypatch, (sat, "build_u_phi"))
+        cnf_path = write(tmp_path / "phi.cnf", serialize_dimacs_cnf(PHI))
+        result = CliRunner().invoke(cli, ["sat", "orient", cnf_path, "--assignment", "TFF",
+                                          "-o", str(tmp_path / "x.enwk"),
+                                          "--gmap", str(tmp_path / "x.gmap")])
+        assert result.exit_code == 0
+        assert calls == {"build_u_phi": 1}
 
     @pytest.mark.parametrize("command", [
         ["sat", "reduce"],

@@ -80,8 +80,6 @@ RECURSION_ALLOWED = {
     "reference.display_oracle.solve",
     "reference.display_oracle.solve.extend",
     "reference.all_simple_paths.extend",
-    "reference.labeled_isomorphic.assign",
-    "reference.rooted_isomorphic.assign",
     "reference._search_orientation.place",
     "reference.cherry_picking_sequence.search",
 }
@@ -184,6 +182,19 @@ def test_bridge_search_has_two_callers():
     for path in MODULES:
         found |= callers_of(path.read_text(encoding="utf-8"), "bridges", path.stem, bare=True)
     assert found == {"nets.UndirectedNet.cut_edges", "nets._WorkGraph.bridges"}
+
+
+def test_containment_rescans_no_piece_after_an_elimination():
+    # the whole-piece conflict check runs on the input only, and the full
+    # list of branchable cut-edges is built only for a fresh instance and
+    # a moved half: after an ELIM both come from the cut-edges that
+    # ``_WorkGraph.eliminate`` reports
+    found = {name: set() for name in ("_first_conflict", "_branchable")}
+    for path in MODULES:
+        for name, callers in found.items():
+            callers |= callers_of(path.read_text(encoding="utf-8"), name, path.stem, bare=True)
+    assert found == {"_first_conflict": {"containment.conflicting_split", "containment._solve"},
+                     "_branchable": {"containment._fresh_instance", "containment._branch"}}
 
 
 def imports_of(source: str) -> set[str]:

@@ -13,10 +13,12 @@ from cutnets import (
     make_q_cuttable,
     random_q_cuttable,
     random_tree,
+    rooted_isomorphic,
     sample_displayed_tree,
     split_of_cut_edge,
     subdivide,
     suppress,
+    tree_child_orient_2cuttable,
     validate_unrooted,
 )
 from cutnets.cuttable import is_q_cuttable
@@ -432,6 +434,21 @@ class TestIsomorphism:
         with pytest.raises(LabelSetMismatch):
             labeled_isomorphic(two_leaf, cycle4)
 
+    # the searches keep their untried candidates on a stack of their own, so
+    # a mapping over more internal vertices than the default recursion
+    # limit needs no deeper call stack
+    def test_labeled_isomorphic_at_1200_leaves(self):
+        labels = [f"t{i}" for i in range(1200)]
+        tree = random_tree(labels, 1)
+        assert labeled_isomorphic(tree, tree)
+        assert not labeled_isomorphic(tree, random_tree(labels, 2))
+
+    def test_rooted_isomorphic_at_1200_leaves(self):
+        labels = [f"t{i}" for i in range(1200)]
+        rooted = tree_child_orient_2cuttable(random_tree(labels, 1))
+        assert rooted_isomorphic(rooted, rooted)
+        assert not rooted_isomorphic(rooted, tree_child_orient_2cuttable(random_tree(labels, 2)))
+
 
 class TestRootedValidation:
     def test_rooted_cherry(self):
@@ -589,15 +606,17 @@ def outcome(call) -> tuple[str, str]:
 
 def in_place(net, edit, arg):
     """Run ``edit(g, arg)`` on a working graph of ``net`` and freeze it; a
-    raise must leave the graph as it was."""
+    raise must leave the graph as it was.  Only ``subdivide``'s new vertex
+    is kept with the result: ``eliminate``'s report of the cut-edges it
+    creates has a test of its own."""
     g = _WorkGraph.of(net)
     before = work_state(g)
     try:
-        vertex = edit(g, arg)
+        result = edit(g, arg)
     except Exception:
         assert work_state(g) == before
         raise
-    return g.freeze() if vertex is None else (g.freeze(), vertex)
+    return (g.freeze(), result) if edit is _WorkGraph.subdivide else g.freeze()
 
 
 def triangle():
@@ -866,9 +885,57 @@ class TestWorkGraph:
             g = _WorkGraph.of(random_tree([f"t{i}" for i in range(8)], seed))
             inner = [e for e in g.edges if e[0] not in g.labels and e[1] not in g.labels]
             assert g.bridges() == set(g.edges)
-            g.eliminate(inner[seed % len(inner)])
+            assert g.eliminate(inner[seed % len(inner)]) is None
             assert g.cuts is None
             assert g.bridges() == set(g.edges)
+
+    def test_eliminate_reports_the_cut_edges_it_creates(self):
+        """With the cut-edges kept, ``eliminate`` returns the bridges after
+        the edit minus those before, each once.  Every non-cut edge of each
+        network is eliminated on a fresh working graph, where the
+        elimination labels the graph, and a seeded chain of eliminations
+        down to a tree checks each report while the labels are kept.  With
+        no cut-edges kept, nothing is known and the report is None."""
+        nets = differential_nets() + [
+            random_q_cuttable(GenConfig(seed=5000 + s, leaf_count=8 + 4 * s, target_r=2 + s,
+                                        target_q=1 + s % 3)) for s in range(10)]
+        reports = Counter()
+
+        def check(g, e):
+            before = bridges(g.adj)
+            created = g.eliminate(e)
+            assert sorted(created) == sorted(bridges(g.adj) - before), e
+            reports["with new cut-edges" if created else "empty"] += 1
+
+        for s, net in enumerate(nets):
+            for e in sorted(net.edges - net.cut_edges()):
+                g = _WorkGraph.of(net)
+                g.bridges()
+                try:
+                    check(g, e)
+                except WouldCreateParallelEdge:
+                    reports["refused"] += 1
+                unkept = _WorkGraph.of(net.replace())
+                try:
+                    assert unkept.eliminate(e) is None and unkept.cuts is None
+                except WouldCreateParallelEdge:
+                    pass
+            rng = random.Random(s)
+            g = _WorkGraph.of(net)
+            g.bridges()
+            while g.reticulation_number() > 0:
+                candidates = [e for e in g.edges if e not in g.cuts]
+                rng.shuffle(candidates)
+                for e in candidates:
+                    try:
+                        check(g, e)
+                        break
+                    except WouldCreateParallelEdge:
+                        continue
+                else:
+                    break
+        assert reports["with new cut-edges"] > 300 and reports["empty"] > 50, reports
+        assert reports["refused"]
 
     @pytest.mark.parametrize("leaves", [64, 1024])
     @pytest.mark.parametrize("q", [2, 3])
