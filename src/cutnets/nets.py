@@ -326,30 +326,34 @@ class RootedNet:
     or None when the digraph has a cycle.  They are built once, in the loop
     that checks each arc, because every rooted network is read through
     them at once (by ``validate_rooted``, ``is_acyclic`` or an orientation
-    check); ``UndirectedNet`` builds its adjacency lazily instead, because
-    frozen working graphs often never read it.
+    check).  They are the only record of the arcs: the ``arcs`` set is
+    built from ``succ`` the first time it is read, as ``UndirectedNet``
+    builds its adjacency, unless the input arcs were already a frozenset of
+    tuples, which is kept.
     """
 
-    __slots__ = ("vertices", "arcs", "root", "leaf_labels", "next_id",
-                 "succ", "pred", "topo", "_by_label")
+    __slots__ = ("vertices", "root", "leaf_labels", "next_id",
+                 "succ", "pred", "topo", "_arcs", "_by_label")
 
     def __init__(self, vertices, arcs, root, leaf_labels, next_id=None):
         self.vertices = frozenset(vertices)
-        self.arcs = frozenset((u, v) for u, v in arcs)
         self.root = root
         self.leaf_labels = dict(leaf_labels)
         if root not in self.vertices:
             raise ValueError("root is not a vertex")
         succ = {v: [] for v in self.vertices}
         pred = {v: [] for v in self.vertices}
-        for u, v in self.arcs:
+        for u, v in arcs:
             if u not in succ or v not in succ:
                 raise ValueError(f"arc ({u},{v}) references an undeclared vertex")
             succ[u].append(v)
             pred[v].append(u)
         for ends in (succ, pred):   # in place, so no second copy of a map is made
             for v, ns in ends.items():
-                ns.sort()
+                if len(ns) > 1:
+                    ns.sort()
+                    if ns[0] == ns[1] or len(ns) > 2 and len(set(ns)) < len(ns):
+                        ns = sorted(set(ns))   # a repeated input arc counts once
                 ends[v] = tuple(ns)
         indeg = {v: len(ps) for v, ps in pred.items()}
         order = sorted(v for v, d in indeg.items() if d == 0)
@@ -363,7 +367,15 @@ class RootedNet:
         self.topo = tuple(order) if len(order) == len(self.vertices) else None
         top = max(self.vertices, default=0) + 1
         self.next_id = top if next_id is None else max(next_id, top)
+        reuse = type(arcs) is frozenset and all(type(a) is tuple for a in arcs)
+        self._arcs = arcs if reuse else None
         self._by_label = None
+
+    @property
+    def arcs(self) -> frozenset[Arc]:
+        if self._arcs is None:
+            self._arcs = frozenset((u, v) for u, cs in self.succ.items() for v in cs)
+        return self._arcs
 
     @staticmethod
     def build(arcs, root, leaf_labels) -> "RootedNet":
@@ -429,7 +441,7 @@ class RootedNet:
         )
 
     def __repr__(self) -> str:
-        return (f"RootedNet(|V|={len(self.vertices)}, |A|={len(self.arcs)}, "
+        return (f"RootedNet(|V|={len(self.vertices)}, |A|={sum(map(len, self.succ.values()))}, "
                 f"r={self.reticulation_number()}, X={sorted(self.leaf_labels.values())})")
 
 
@@ -485,16 +497,28 @@ def check_binary_tree(net: UndirectedNet) -> None:
 def validate_rooted(net: RootedNet) -> ValidationReport:
     """Report every violation of the rooted-network invariants; never raises.
 
-    A rooted network always holds its root, so it is never empty."""
+    A rooted network always holds its root, so it is never empty.  The
+    vertices are walked in set order, and again in sorted order only when
+    a violation turns up, so a valid network is never sorted and a report
+    lists its violations by vertex id."""
+    bad = _rooted_violations(net, iter)
+    if bad:
+        bad = _rooted_violations(net, sorted)
+    return ValidationReport(tuple(bad))
+
+
+def _rooted_violations(net: RootedNet, order) -> list[str]:
+    """The violations ``validate_rooted`` reports, each loop over vertices
+    taking them in ``order(vertices)``."""
     succ, pred = net.succ, net.pred
-    bad = [f"self-arc at vertex {u}" for u, _ in sorted(a for a in net.arcs if a[0] == a[1])]
+    bad = [f"self-arc at vertex {u}" for u in sorted(u for u, cs in succ.items() if u in cs)]
     sources = sorted(v for v, ps in pred.items() if not ps)
     if sources != [net.root]:
         bad.append(f"in-degree-0 vertices are {sources}, expected exactly the root {net.root}")
     if len(succ[net.root]) != 2:
         bad.append(f"root has out-degree {len(succ[net.root])} (expected 2)")
-    labeled = net.leaves()
-    for v in sorted(net.vertices):
+    labeled = net.leaf_labels
+    for v in order(net.vertices):
         indeg, outdeg = len(pred[v]), len(succ[v])
         if v == net.root:
             continue
@@ -505,19 +529,19 @@ def validate_rooted(net: RootedNet) -> ValidationReport:
                 bad.append(f"sink vertex {v} is unlabeled")
         elif (indeg, outdeg) not in ((1, 2), (2, 1)):
             bad.append(f"vertex {v} has degrees (in={indeg}, out={outdeg})")
-    for v in sorted(labeled):
+    for v in order(labeled):
         if succ[v]:
             bad.append(f"labeled vertex {v} is not a sink")
     seen: dict[str, VertexId] = {}
-    for v in sorted(net.leaf_labels):
-        lab = net.leaf_labels[v]
+    for v in order(labeled):
+        lab = labeled[v]
         if lab in seen:
             bad.append(f"duplicate label {lab!r} on vertices {seen[lab]} and {v}")
         else:
             seen[lab] = v
     if net.topo is None:
         bad.append(f"digraph has a directed cycle: {list(net.find_directed_cycle())}")
-    return ValidationReport(tuple(bad))
+    return bad
 
 
 # -- subdivision, suppression, elimination --------------------------------------

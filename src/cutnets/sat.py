@@ -28,6 +28,8 @@ from .errors import (
     token_column,
 )
 from .nets import (
+    Arc,
+    Edge,
     RootedNet,
     UndirectedNet,
     UnionFind,
@@ -341,13 +343,35 @@ def build_n_phi(cnf: CnfInstance, assignment: Assignment) -> RootedNet:
     assignment: root above the lr leaf, rigid reticulation gadgets, variable
     gadgets oriented by truth value, clause gadgets by literal evaluation
     (with the all-true clause case split to keep the hub's in-degree at 2)."""
-    return _orient_u_phi(cnf, assignment, *build_u_phi(cnf))
+    net, gmap = build_u_phi(cnf)
+    root_edge, arcs = _orientation(cnf, assignment, net, gmap)
+    vertices, labels, rho = net.vertices, net.leaf_labels, net.next_id
+    del net, gmap   # U(φ), its adjacency and the gadget map go before N(φ) is built
+    return _rooted_orientation(vertices, labels, rho, root_edge, arcs)
 
 
 def _orient_u_phi(cnf: CnfInstance, assignment: Assignment, net: UndirectedNet,
                   gmap: GadgetMap) -> RootedNet:
     """``build_n_phi`` on the network and gadget map that ``build_u_phi``
     built for ``cnf``, for a caller that keeps them."""
+    root_edge, arcs = _orientation(cnf, assignment, net, gmap)
+    return _rooted_orientation(net.vertices, net.leaf_labels, net.next_id, root_edge, arcs)
+
+
+def _rooted_orientation(vertices, labels, rho: int, root_edge, arcs) -> RootedNet:
+    """N(φ) from the orientation of U(φ): its arcs hang from a fresh root
+    ``rho`` on ``root_edge``, and the result must be tree-child."""
+    rooted = _hang_root(vertices, labels, rho, root_edge, arcs)
+    _assert_tree_child(rooted, "orientation is not a valid rooted network: ",
+                       "orientation is not tree-child")
+    return rooted
+
+
+def _orientation(cnf: CnfInstance, assignment: Assignment, net: UndirectedNet,
+                 gmap: GadgetMap) -> tuple[Edge, list[Arc]]:
+    """The root edge of N(φ) and the arcs that direct every other edge of
+    U(φ) under ``assignment``; raises unless the assignment satisfies
+    ``cnf`` and the arcs orient each edge once."""
     if not assignment_satisfies(cnf, assignment):
         raise UnsatisfiedAssignment("assignment does not satisfy the formula")
     n, m = cnf.n, cnf.m
@@ -412,10 +436,7 @@ def _orient_u_phi(cnf: CnfInstance, assignment: Assignment, net: UndirectedNet,
     missing = net.edges - set(oriented) - {root_edge}
     if missing:
         raise AssertionError(f"unoriented edges remain: {sorted(missing)}")
-    rooted = _hang_root(net, root_edge, (arc for e, arc in oriented.items() if e != root_edge))
-    _assert_tree_child(rooted, "orientation is not a valid rooted network: ",
-                       "orientation is not tree-child")
-    return rooted
+    return root_edge, [arc for e, arc in oriented.items() if e != root_edge]
 
 
 def extract_assignment(net: RootedNet, gmap: GadgetMap) -> Assignment:
@@ -432,7 +453,10 @@ def extract_assignment(net: RootedNet, gmap: GadgetMap) -> Assignment:
     if not is_tree_child(net):
         raise NotTreeChild("input is not a tree-child network")
 
-    undirected = {v: {*cs, *net.pred[v]} for v, cs in net.succ.items()}
+    succ, pred = net.succ, net.pred
+
+    def undirected(v: int) -> set[int]:
+        return {*succ[v], *pred[v]}
 
     def locate_terminals(gadget_name: str) -> tuple[int, int]:
         try:
@@ -441,18 +465,18 @@ def extract_assignment(net: RootedNet, gmap: GadgetMap) -> Assignment:
         except KeyError as exc:
             raise InconsistentGadgetState(
                 f"gadget leaf {exc.args[0]} is missing from the network") from None
-        (w,) = undirected[leaf_l]
-        (wp,) = undirected[leaf_lp]
-        candidates_u = undirected[w] - {leaf_l, wp}
+        (w,) = undirected(leaf_l)
+        (wp,) = undirected(leaf_lp)
+        candidates_u = undirected(w) - {leaf_l, wp}
         if len(candidates_u) != 1:
             raise InconsistentGadgetState(f"cannot locate u in {gadget_name}")
         (u,) = candidates_u
-        candidates_v = (undirected[u] & undirected[wp]) - {w}
+        candidates_v = (undirected(u) & undirected(wp)) - {w}
         if len(candidates_v) != 1:
             raise InconsistentGadgetState(f"cannot locate v in {gadget_name}")
         (v,) = candidates_v
-        (s,) = undirected[u] - {v, w}
-        (t,) = undirected[v] - {u, wp}
+        (s,) = undirected(u) - {v, w}
+        (t,) = undirected(v) - {u, wp}
         return s, t
 
     assignment: Assignment = {}

@@ -44,7 +44,7 @@ from cutnets.nets import (
     splits_of,
     validate_rooted,
 )
-from cutnets.orient import OrientationSpec, apply_orientation
+from cutnets.orient import OrientationSpec, apply_orientation, underlying_unrooted
 from cutnets.reference import brute_force_tree_child_orientation
 
 from conftest import triangle_net
@@ -513,6 +513,26 @@ class TestRootedValidation:
     def test_every_violation_in_order(self, arcs, root, labels, violations):
         assert validate_rooted(RootedNet.build(arcs, root, labels)).violations == violations
 
+    def test_order_survives_an_unsorted_vertex_walk(self):
+        # ids whose set order is not sorted, labels inserted out of order,
+        # and a self-arc among several violations: the report keeps the
+        # sorted order of every check
+        arcs = [(0, 64), (0, 1), (64, 64), (64, 33), (64, 97), (1, 129), (1, 2), (33, 2),
+                (97, 5), (129, 7), (129, 8)]
+        labels = {129: "e", 97: "d", 8: "c", 7: "a", 5: "b", 2: "a"}
+        net = RootedNet.build(arcs, 0, labels)
+        assert list(net.vertices) != sorted(net.vertices)
+        assert validate_rooted(net).violations == (
+            "self-arc at vertex 64",
+            "leaf 2 has in-degree 2 (expected 1)",
+            "vertex 33 has degrees (in=1, out=1)",
+            "vertex 64 has degrees (in=2, out=3)",
+            "vertex 97 has degrees (in=1, out=1)",
+            "labeled vertex 97 is not a sink",
+            "labeled vertex 129 is not a sink",
+            "duplicate label 'a' on vertices 2 and 7",
+            "digraph has a directed cycle: [64]")
+
     def test_empty_network_has_no_root(self):
         # a rooted network holds at least its root, so the empty one is
         # refused at construction
@@ -571,6 +591,60 @@ class TestRootedMaps:
         assert_maps_match_arcs(net)
         assert net.topo is None
         assert net.find_directed_cycle() == (2, 3, 4)
+
+
+class TestLazyArcs:
+    """A rooted network stores ``succ`` and ``pred``; its ``arcs`` set is
+    built from them when first read and equals the set of input arcs."""
+
+    def test_list_pairs(self):
+        net = RootedNet({1, 2, 3}, [[1, 2], [1, 3]], 1, {2: "a", 3: "b"})
+        assert net._arcs is None
+        assert net.arcs == {(1, 2), (1, 3)}
+        assert net.arcs is net.arcs
+
+    def test_repeated_arcs_count_once(self):
+        arcs = [(1, 2), (1, 3), (1, 2), (3, 4), (3, 5), (3, 4), (2, 6), (2, 7), (2, 7), (2, 6),
+                (4, 8), (4, 9), (5, 9), (5, 10), (9, 11)]
+        net = RootedNet.build(arcs, 1, {6: "a", 7: "b", 8: "c", 10: "d", 11: "e"})
+        assert net.arcs == set(arcs)
+        assert (net.succ[2], net.succ[3], net.pred[7]) == ((6, 7), (4, 5), (2,))
+        assert validate_rooted(net).ok
+        assert_maps_match_arcs(net)
+        star = RootedNet.build([(1, 2), (1, 3), (1, 3), (1, 4), (1, 3)], 1, {})
+        assert (star.succ[1], star.pred[3]) == ((2, 3, 4), (1,))
+        assert star.arcs == {(1, 2), (1, 3), (1, 4)}
+
+    def test_undeclared_vertex_rejected(self):
+        with pytest.raises(ValueError, match=r"^arc \(1,9\) references an undeclared vertex$"):
+            RootedNet({1, 2}, [(1, 2), (1, 9)], 1, {2: "a"})
+
+    def test_build_and_replace(self):
+        arcs = {(1, 2), (1, 3), (2, 4), (2, 5)}
+        net = RootedNet.build(list(arcs), 1, {3: "a", 4: "b", 5: "c"})
+        assert net.arcs == arcs
+        assert net.replace(next_id=40).arcs == arcs
+        moved = arcs - {(2, 5)} | {(3, 5)}
+        assert net.replace(arcs=moved).arcs == moved
+
+    def test_rooted_subdivide_and_suppress(self):
+        arcs = {(1, 2), (1, 3), (2, 4), (2, 5)}
+        net = RootedNet.build(sorted(arcs), 1, {3: "a", 4: "b", 5: "c"})
+        out, mid = subdivide(net, (1, 2))
+        assert out.arcs == arcs - {(1, 2)} | {(1, mid), (mid, 2)}
+        assert suppress(out, mid).arcs == arcs
+
+    def test_parse_enewick(self):
+        net = parse_enewick("((c,(b)#H1),(#H1,a));")
+        assert net._arcs is None
+        assert net.arcs == {(1, 2), (1, 6), (2, 3), (2, 4), (4, 5), (6, 4), (6, 7)}
+
+    def test_tree_child_orient_2cuttable(self):
+        net = random_q_cuttable(GenConfig(seed=3, leaf_count=32, target_r=4, target_q=2))
+        rooted = tree_child_orient_2cuttable(net)
+        assert rooted._arcs is None
+        assert len(rooted.arcs) == len(net.edges) + 1
+        assert underlying_unrooted(rooted).edges == net.edges
 
 
 def differential_nets():

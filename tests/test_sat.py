@@ -26,6 +26,7 @@ from cutnets.errors import (
 )
 from cutnets.formats import parse_enewick, serialize_enewick
 from cutnets.nets import RootedNet
+from cutnets.orient import underlying_unrooted
 
 from conftest import count_calls
 from test_formats_golden import satisfying
@@ -179,6 +180,17 @@ class TestBuildNPhi:
             for j in range(1, phi_bench.m + 1):
                 assert len(rooted.pred[gmap.named[f"z{j}"]]) <= 2
 
+    @pytest.mark.parametrize("n, seed", [(3, None), (6, 11), (6, 12), (60, 760)])
+    def test_orients_exactly_u_phi(self, phi_bench, n, seed):
+        # build_n_phi drops U(phi) before it builds N(phi); the result
+        # still directs each edge of U(phi) once, the root edge through the root
+        if seed is None:
+            cnf, beta = phi_bench, {1: True, 2: False, 3: False}
+        else:
+            cnf = random_2balanced_cnf(n, seed)
+            beta = satisfying(cnf, seed)
+        assert underlying_unrooted(build_n_phi(cnf, beta)).edges == build_u_phi(cnf)[0].edges
+
 
 class TestExtract:
     def test_round_trip_bench(self, phi_bench):
@@ -289,3 +301,12 @@ class TestRoundTripWork:
         back = parse_enewick(serialize_enewick(rooted))
         assert extract_assignment(back, gmap) == beta
         assert calls == {"validate_rooted": 2, "__init__": 2}
+
+    def test_round_trip_builds_no_arc_set(self):
+        cnf = random_2balanced_cnf(60, 760)
+        beta = satisfying(cnf, 60)
+        _, gmap = build_u_phi(cnf)
+        rooted = build_n_phi(cnf, beta)
+        back = parse_enewick(serialize_enewick(rooted))
+        assert extract_assignment(back, gmap) == beta
+        assert rooted._arcs is None and back._arcs is None
