@@ -328,8 +328,7 @@ class RootedNet:
     them at once (by ``validate_rooted``, ``is_acyclic`` or an orientation
     check).  They are the only record of the arcs: the ``arcs`` set is
     built from ``succ`` the first time it is read, as ``UndirectedNet``
-    builds its adjacency, unless the input arcs were already a frozenset of
-    tuples, which is kept.
+    builds its adjacency.
     """
 
     __slots__ = ("vertices", "root", "leaf_labels", "next_id",
@@ -367,8 +366,7 @@ class RootedNet:
         self.topo = tuple(order) if len(order) == len(self.vertices) else None
         top = max(self.vertices, default=0) + 1
         self.next_id = top if next_id is None else max(next_id, top)
-        reuse = type(arcs) is frozenset and all(type(a) is tuple for a in arcs)
-        self._arcs = arcs if reuse else None
+        self._arcs = None
         self._by_label = None
 
     @property

@@ -74,7 +74,7 @@ def apply_orientation(net: UndirectedNet, spec: OrientationSpec) -> RootedNet:
         raise ValueError(f"spec must cover every non-root edge exactly once "
                          f"(missing {missing}, extra {extra})")
 
-    rooted = _hang_root(net.vertices, net.leaf_labels, net.next_id, root_edge, directions.values())
+    rooted = _hang_root(net, root_edge, directions.values())
     leaves = net.leaves()
     for v in sorted(net.vertices):
         indeg, outdeg = len(rooted.pred[v]), len(rooted.succ[v])
@@ -106,12 +106,13 @@ def is_tree_child(net: RootedNet) -> bool:
     return all(any(len(pred[c]) < 2 for c in cs) for cs in net.succ.values() if cs)
 
 
-def _hang_root(vertices, leaf_labels, rho: int, root_edge: Edge, arcs) -> RootedNet:
-    """The rooted network on ``vertices`` of ``arcs``, which direct every
-    edge of a network but ``root_edge``, and a fresh root ``rho``, the
-    network's ``next_id``, that subdivides ``root_edge``."""
+def _hang_root(net: UndirectedNet, root_edge: Edge, arcs) -> RootedNet:
+    """The rooted network of ``arcs``, which direct every edge of ``net``
+    but ``root_edge``, and a fresh root ``net.next_id`` that subdivides
+    ``root_edge``."""
+    rho = net.next_id
     arcs = chain(arcs, ((rho, root_edge[0]), (rho, root_edge[1])))
-    return RootedNet(vertices | {rho}, arcs, rho, leaf_labels, next_id=rho + 1)
+    return RootedNet(net.vertices | {rho}, arcs, rho, net.leaf_labels, next_id=rho + 1)
 
 
 def _assert_tree_child(rooted: RootedNet, invalid: str, not_tree_child: str) -> None:
@@ -210,7 +211,7 @@ def tree_child_orient_2cuttable(net: UndirectedNet) -> RootedNet:
             raise AssertionError(f"blob has {len(entry)} entry vertices, expected 1")
         arcs |= _orient_blob_leftovers(net, blob, local, s_prime, entry[0])
 
-    rooted = _hang_root(net.vertices, net.leaf_labels, net.next_id, root_edge, arcs)
+    rooted = _hang_root(net, root_edge, arcs)
     _assert_tree_child(rooted, "constructive orientation is invalid: ",
                        "constructive orientation is not tree-child")
     return rooted

@@ -341,7 +341,7 @@ def _edges_from(net, root_edge):
 
 
 def _accepts(net, root_edge, choice):
-    rooted = _hang_root(net.vertices, net.leaf_labels, net.next_id, root_edge, choice.values())
+    rooted = _hang_root(net, root_edge, choice.values())
     return rooted.is_acyclic() and is_tree_child(rooted)
 
 

@@ -29,14 +29,13 @@ from .errors import (
 )
 from .nets import (
     Arc,
-    Edge,
     RootedNet,
     UndirectedNet,
     UnionFind,
     ValidationReport,
     canon_edge,
 )
-from .orient import _assert_tree_child, _hang_root, is_tree_child
+from .orient import _assert_tree_child, is_tree_child
 
 Assignment = dict[int, bool]
 
@@ -344,34 +343,30 @@ def build_n_phi(cnf: CnfInstance, assignment: Assignment) -> RootedNet:
     gadgets oriented by truth value, clause gadgets by literal evaluation
     (with the all-true clause case split to keep the hub's in-degree at 2)."""
     net, gmap = build_u_phi(cnf)
-    root_edge, arcs = _orientation(cnf, assignment, net, gmap)
-    vertices, labels, rho = net.vertices, net.leaf_labels, net.next_id
+    n_phi = _orientation(cnf, assignment, net, gmap)
     del net, gmap   # U(φ), its adjacency and the gadget map go before N(φ) is built
-    return _rooted_orientation(vertices, labels, rho, root_edge, arcs)
+    rooted = RootedNet(*n_phi)
+    _assert_tree_child(rooted, "orientation is not a valid rooted network: ",
+                       "orientation is not tree-child")
+    return rooted
 
 
 def _orient_u_phi(cnf: CnfInstance, assignment: Assignment, net: UndirectedNet,
                   gmap: GadgetMap) -> RootedNet:
     """``build_n_phi`` on the network and gadget map that ``build_u_phi``
     built for ``cnf``, for a caller that keeps them."""
-    root_edge, arcs = _orientation(cnf, assignment, net, gmap)
-    return _rooted_orientation(net.vertices, net.leaf_labels, net.next_id, root_edge, arcs)
-
-
-def _rooted_orientation(vertices, labels, rho: int, root_edge, arcs) -> RootedNet:
-    """N(φ) from the orientation of U(φ): its arcs hang from a fresh root
-    ``rho`` on ``root_edge``, and the result must be tree-child."""
-    rooted = _hang_root(vertices, labels, rho, root_edge, arcs)
+    rooted = RootedNet(*_orientation(cnf, assignment, net, gmap))
     _assert_tree_child(rooted, "orientation is not a valid rooted network: ",
                        "orientation is not tree-child")
     return rooted
 
 
 def _orientation(cnf: CnfInstance, assignment: Assignment, net: UndirectedNet,
-                 gmap: GadgetMap) -> tuple[Edge, list[Arc]]:
-    """The root edge of N(φ) and the arcs that direct every other edge of
-    U(φ) under ``assignment``; raises unless the assignment satisfies
-    ``cnf`` and the arcs orient each edge once."""
+                 gmap: GadgetMap) -> tuple[frozenset[int], list[Arc], int, dict[int, str], int]:
+    """The vertices, arcs, root, labels and ``next_id`` of N(φ): the arcs
+    direct every edge of U(φ) but the root edge under ``assignment``, and
+    a fresh root ``net.next_id`` subdivides the root edge.  Raises unless
+    the assignment satisfies ``cnf`` and the arcs orient each edge once."""
     if not assignment_satisfies(cnf, assignment):
         raise UnsatisfiedAssignment("assignment does not satisfy the formula")
     n, m = cnf.n, cnf.m
@@ -436,7 +431,10 @@ def _orientation(cnf: CnfInstance, assignment: Assignment, net: UndirectedNet,
     missing = net.edges - set(oriented) - {root_edge}
     if missing:
         raise AssertionError(f"unoriented edges remain: {sorted(missing)}")
-    return root_edge, [arc for e, arc in oriented.items() if e != root_edge]
+    rho = net.next_id
+    arcs = [arc for e, arc in oriented.items() if e != root_edge]
+    arcs += ((rho, s_root), (rho, lr))
+    return net.vertices | {rho}, arcs, rho, net.leaf_labels, rho + 1
 
 
 def extract_assignment(net: RootedNet, gmap: GadgetMap) -> Assignment:
