@@ -199,9 +199,8 @@ def sat_orient(cnf_file, assignment, output, gmap_file):
         click.echo("error: assignment must be a T/F string, one letter per variable", err=True)
         sys.exit(2)
     beta = {i + 1: ch == "T" for i, ch in enumerate(assignment)}
-    net, gmap = sat.build_u_phi(cnf)   # exit 2 on a formula that is not 2-balanced
-    try:
-        rooted = sat._orient_u_phi(cnf, beta, net, gmap)
+    try:   # a formula that is not 2-balanced is exit 2, and is checked first
+        rooted, gmap = sat._orient(cnf, beta)
     except UnsatisfiedAssignment as exc:
         click.echo(f"no orientation produced: {exc}")
         sys.exit(1)

@@ -101,9 +101,19 @@ def underlying_unrooted(net: RootedNet) -> UndirectedNet:
 
 def is_tree_child(net: RootedNet) -> bool:
     """Every non-leaf vertex has a child that is not a reticulation
-    (Cardona, Rosselló & Valiente, *IEEE/ACM TCBB* 6(4), 2009)."""
-    pred = net.pred
-    return all(any(len(pred[c]) < 2 for c in cs) for cs in net.succ.values() if cs)
+    (Cardona, Rosselló & Valiente, *IEEE/ACM TCBB* 6(4), 2009).
+
+    Only a parent of a reticulation can fail: a vertex with no reticulation
+    child has a tree child or is a leaf.  So only those parents are checked,
+    on any digraph, acyclic and degree-valid or not: one fails when all its
+    children are reticulations."""
+    pred, succ = net.pred, net.succ
+    retics = {v for v, ps in pred.items() if len(ps) >= 2}
+    for v in retics:
+        for p in pred[v]:
+            if retics.issuperset(succ[p]):
+                return False
+    return True
 
 
 def _hang_root(net: UndirectedNet, root_edge: Edge, arcs) -> RootedNet:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import (
     InconsistentGadgetState,
@@ -193,85 +194,134 @@ def parse_gmap(text: str) -> GadgetMap:
 # --- the reduction ------------------------------------------------------------------
 
 class _Builder(UnionFind):
-    """Mutable scratch graph, frozen at the end.
+    """Mutable working graph of the reduction, read once it is settled.
 
     Vertices are identified by union; the smaller id survives, so the ids of
-    the frozen network do not depend on the order of identifications.
+    the frozen network do not depend on the order of identifications.  Each
+    edge is recorded as the arc that N(φ) makes of it, so U(φ) is the arcs
+    with their direction dropped.
     """
 
     def __init__(self):
         super().__init__(())
         self._next = 1
-        self.edges: list[tuple[int, int]] = []
+        self.arcs: list[Arc] = []
+        self.root_arc = -1   # the index in ``arcs`` of the edge s_root–lr, which ρ subdivides
         self.labels: dict[int, str] = {}
+        self.gadgets: list[tuple[str, str, dict[str, int]]] = []
+        self.named: dict[str, int] = {}
+        self.rep: list[int] = []
 
-    def fresh(self, count: int = 1):
-        ids = tuple(range(self._next, self._next + count))
-        self._next += count
-        for i in ids:
-            self.add(i)
-        return ids if count > 1 else ids[0]
+    def fresh(self) -> int:
+        v = self._next
+        self._next = v + 1
+        self.parent[v] = v
+        return v
 
-    def edge(self, a: int, b: int) -> None:
-        self.edges.append((a, b))
+    def arc(self, a: int, b: int) -> None:
+        self.arcs.append((a, b))
 
     def leaf(self, label: str) -> int:
         v = self.fresh()
         self.labels[v] = label
         return v
 
+    def gadget(self, name: str, kind: str, arcs) -> dict[str, int]:
+        """Lay down one gadget, its edges directed by the arc table ``arcs``."""
+        vertices = CONNECTION_VERTICES if kind == "connection" else RETICULATION_VERTICES
+        ids = {vn: self.fresh() for vn in vertices}
+        self.arcs.extend([(ids[a], ids[b]) for a, b in arcs])
+        self.labels[ids["l"]] = f"{name}_l"
+        self.labels[ids["lp"]] = f"{name}_lp"
+        self.gadgets.append((name, kind, ids))
+        return ids
+
+    def settle(self) -> None:
+        """Find each vertex's representative once every identification is made.
+
+        ``fresh`` adds the ids 1, 2, ... to ``parent`` in order, so its keys
+        index ``rep``.  Reading the keys, not a new range, makes each id in
+        the networks built from ``rep`` the int object the builder holds,
+        not a second copy of it."""
+        self.rep = [0, *map(self.find, self.parent)]
+
+    def _resolved_arcs(self) -> list[Arc]:
+        """The arcs between representatives, in the order they were recorded;
+        raises if an identification produced a self-loop or a parallel edge."""
+        rep = self.rep
+        arcs = [(rep[a], rep[b]) for a, b in self.arcs]
+        seen = set()
+        for arc in arcs:
+            a, b = arc
+            if a == b:
+                raise AssertionError(f"identification produced a self-loop at {a}")
+            if arc in seen or (b, a) in seen:
+                raise AssertionError(f"identification produced a parallel edge {canon_edge(a, b)}")
+            seen.add(arc)
+        return arcs
+
+    def _resolved_labels(self) -> dict[int, str]:
+        rep = self.rep
+        return {rep[v]: lab for v, lab in self.labels.items()}
+
     def freeze(self) -> UndirectedNet:
-        resolved = set()
-        edges = set()
-        for a, b in self.edges:
-            ra, rb = self.find(a), self.find(b)
-            if ra == rb:
-                raise AssertionError(f"identification produced a self-loop at {ra}")
-            e = canon_edge(ra, rb)
-            if e in edges:
-                raise AssertionError(f"identification produced a parallel edge {e}")
-            edges.add(e)
-            resolved.add(ra)
-            resolved.add(rb)
-        labels = {self.find(v): lab for v, lab in self.labels.items()}
-        return UndirectedNet._trusted(frozenset(resolved), frozenset(edges), labels, self._next)
+        """U(φ)."""
+        arcs = self._resolved_arcs()
+        edges = frozenset([(a, b) if a < b else (b, a) for a, b in arcs])
+        return UndirectedNet._trusted(frozenset(chain.from_iterable(arcs)), edges,
+                                      self._resolved_labels(), self._next)
+
+    def gadget_map(self) -> GadgetMap:
+        rep = self.rep
+        gadgets = tuple(Gadget(name, kind, {vn: rep[v] for vn, v in ids.items()})
+                        for name, kind, ids in self.gadgets)
+        return GadgetMap(gadgets, {role: rep[v] for role, v in self.named.items()})
+
+    def orientation(self) -> tuple[frozenset[int], list[Arc], int, dict[int, str], int]:
+        """The vertices, arcs, root, labels and ``next_id`` of N(φ): the
+        recorded arcs, with a fresh root ρ that subdivides s_root–lr."""
+        arcs = self._resolved_arcs()
+        rho = self._next
+        s_root, lr = arcs[self.root_arc]
+        arcs[self.root_arc] = (rho, s_root)
+        arcs.append((rho, lr))
+        return frozenset(chain.from_iterable(arcs)), arcs, rho, self._resolved_labels(), rho + 1
 
 
-def _instantiate(builder: _Builder, kind: str, name: str, records: list) -> dict[str, int]:
-    if kind == "connection":
-        vertices, arcs = CONNECTION_VERTICES, CONNECTION_FORWARD_ARCS
-    else:
-        vertices, arcs = RETICULATION_VERTICES, RETICULATION_ARCS
-    ids = {vn: builder.fresh() for vn in vertices}
-    for a, b in arcs:
-        builder.edge(ids[a], ids[b])
-    builder.labels[ids["l"]] = f"{name}_l"
-    builder.labels[ids["lp"]] = f"{name}_lp"
-    records.append((name, kind, ids))
-    return ids
+def _reduction(cnf: CnfInstance, assignment: Assignment | None = None) -> _Builder:
+    """U(φ) laid down gadget by gadget, each edge recorded as the arc that
+    N(φ) makes of it under ``assignment``; the builder comes back settled.
 
-
-def build_u_phi(cnf: CnfInstance) -> tuple[UndirectedNet, GadgetMap]:
-    """The Tree-Child Orientation instance for a 2-balanced formula.
-
-    Uses 1+2n reticulation gadgets (one root gadget plus one per variable
-    terminal) and 3m+2n connection gadgets (three per clause, two per
-    variable), glued by vertex identification.  Occurrence pairing is fixed:
-    the first variable gadget takes each variable's first positive and first
-    negative occurrence in clause order, the second takes the seconds.
+    Reticulation gadgets take their one pattern.  A variable gadget points
+    from its true side, a clause gadget from its literal when it is true
+    (the all-true clause splits two forward, one backward, so the hub keeps
+    in-degree 2); without an assignment every connection gadget points
+    forward, which only U(φ) reads.  The path runs p_k → p_{k+1}, each ring
+    terminal points to its connection terminals, lit_{j,k} → C_{j,k}.t, and
+    each leaf hangs below its neighbour.  Raises ``NotTwoBalanced``, and
+    then ``UnsatisfiedAssignment`` for an assignment that does not satisfy
+    ``cnf``.
     """
     report = validate_2balanced(cnf)
     if not report.ok:
         raise NotTwoBalanced("; ".join(report.violations))
+    if assignment is not None and not assignment_satisfies(cnf, assignment):
+        raise UnsatisfiedAssignment("assignment does not satisfy the formula")
     n, m = cnf.n, cnf.m
     nr = 1 + 2 * n
     builder = _Builder()
-    records: list = []
-    named: dict[str, int] = {}
+    named = builder.named
+
+    def connection(name: str, forward: bool) -> dict[str, int]:
+        arcs = CONNECTION_FORWARD_ARCS if forward else CONNECTION_BACKWARD_ARCS
+        return builder.gadget(name, "connection", arcs)
+
+    def value(lit: int) -> bool:
+        return assignment[lit] if lit > 0 else not assignment[-lit]
 
     # root gadget
-    root_gadget = _instantiate(builder, "reticulation", "Rr", records)
-    ring = {k: _instantiate(builder, "reticulation", f"R{k}", records) for k in range(1, nr)}
+    root_gadget = builder.gadget("Rr", "reticulation", RETICULATION_ARCS)
+    ring = {k: builder.gadget(f"R{k}", "reticulation", RETICULATION_ARCS) for k in range(1, nr)}
     path = {k: builder.fresh() for k in range(1, nr - 1)}
     for k, v in path.items():
         named[f"p{k}"] = v
@@ -280,17 +330,24 @@ def build_u_phi(cnf: CnfInstance) -> tuple[UndirectedNet, GadgetMap]:
     lrp = builder.leaf("lrp")
     named["lr"] = lr
     named["lrp"] = lrp
-    builder.edge(root_gadget["s"], lr)
-    builder.edge(root_gadget["s"], lrp)
+    builder.root_arc = len(builder.arcs)
+    builder.arc(root_gadget["s"], lr)
+    builder.arc(root_gadget["s"], lrp)
     for k in range(1, nr - 1):
         builder.union(ring[k]["s"], path[k])
     builder.union(ring[nr - 1]["s"], path[nr - 2])
     for k in range(1, nr - 2):
-        builder.edge(path[k], path[k + 1])
+        builder.arc(path[k], path[k + 1])
 
     # clause gadgets
     lit_vertex: dict[tuple[int, int], int] = {}
-    for j in range(1, m + 1):
+    for j, clause in enumerate(cnf.clauses, start=1):
+        if assignment is None:
+            forward = (True, True, True)
+        else:
+            forward = [value(lit) for lit in clause]
+            if all(forward):
+                forward = (True, True, False)
         z = builder.fresh()
         named[f"z{j}"] = z
         for k in range(1, 4):
@@ -298,25 +355,26 @@ def build_u_phi(cnf: CnfInstance) -> tuple[UndirectedNet, GadgetMap]:
             lit_vertex[(j, k)] = lit
             named[f"lit{j}_{k}"] = lit
             ell = builder.leaf(f"cl{j}_{k}")
-            gadget = _instantiate(builder, "connection", f"C{j}_{k}", records)
-            builder.edge(lit, gadget["t"])
-            builder.edge(gadget["t"], ell)
+            gadget = connection(f"C{j}_{k}", forward[k - 1])
+            builder.arc(lit, gadget["t"])
+            builder.arc(gadget["t"], ell)
             builder.union(gadget["s"], z)
 
-    # variable gadgets
+    # variable gadgets; r_{i,h} becomes the t-terminal of ring gadget R_{2(i-1)+h}
     var_gadgets: dict[tuple[int, int], dict[str, int]] = {}
     r_vertex: dict[tuple[int, int], int] = {}
     for i in range(1, n + 1):
-        g1 = _instantiate(builder, "connection", f"G{i}_1", records)
-        g2 = _instantiate(builder, "connection", f"G{i}_2", records)
+        forward = assignment is None or assignment[i]
+        g1 = connection(f"G{i}_1", forward)
+        g2 = connection(f"G{i}_2", forward)
         var_gadgets[(i, 1)], var_gadgets[(i, 2)] = g1, g2
         r1, r2 = builder.fresh(), builder.fresh()
         r_vertex[(i, 1)], r_vertex[(i, 2)] = r1, r2
         named[f"r{i}_1"], named[f"r{i}_2"] = r1, r2
-        builder.edge(g1["s"], r2)
-        builder.edge(r2, g2["t"])
-        builder.edge(g1["t"], r1)
-        builder.edge(r1, g2["s"])
+        builder.arc(r2, g1["s"])
+        builder.arc(r2, g2["t"])
+        builder.arc(r1, g1["t"])
+        builder.arc(r1, g2["s"])
 
     # connect root, clause, and variable gadgets
     pos, neg = cnf.occurrences()
@@ -328,113 +386,46 @@ def build_u_phi(cnf: CnfInstance) -> tuple[UndirectedNet, GadgetMap]:
         for h, (j, k) in zip((1, 2), neg[i]):
             builder.union(var_gadgets[(i, h)]["t"], lit_vertex[(j, k)])
 
-    net = builder.freeze()
-    gadgets = tuple(
-        Gadget(name, kind, {vn: builder.find(v) for vn, v in ids.items()})
-        for name, kind, ids in records
-    )
-    named = {role: builder.find(v) for role, v in named.items()}
-    return net, GadgetMap(gadgets, named)
+    builder.settle()
+    return builder
+
+
+def build_u_phi(cnf: CnfInstance) -> tuple[UndirectedNet, GadgetMap]:
+    """The Tree-Child Orientation instance for a 2-balanced formula.
+
+    Uses 1+2n reticulation gadgets (one root gadget plus one per variable
+    terminal) and 3m+2n connection gadgets (three per clause, two per
+    variable), glued by vertex identification.  Occurrence pairing is fixed:
+    the first variable gadget takes each variable's first positive and first
+    negative occurrence in clause order, the second takes the seconds.
+    """
+    builder = _reduction(cnf)
+    return builder.freeze(), builder.gadget_map()
 
 
 def build_n_phi(cnf: CnfInstance, assignment: Assignment) -> RootedNet:
     """Tree-child orientation of the reduction network under a satisfying
     assignment: root above the lr leaf, rigid reticulation gadgets, variable
     gadgets oriented by truth value, clause gadgets by literal evaluation
-    (with the all-true clause case split to keep the hub's in-degree at 2)."""
-    net, gmap = build_u_phi(cnf)
-    n_phi = _orientation(cnf, assignment, net, gmap)
-    del net, gmap   # U(φ), its adjacency and the gadget map go before N(φ) is built
-    rooted = RootedNet(*n_phi)
+    (with the all-true clause case split to keep the hub's in-degree at 2).
+
+    The arcs are read off the gadget builder as it laid them down, and the
+    builder is gone before N(φ) is built; U(φ) itself is never built."""
+    return _self_checked(RootedNet(*_reduction(cnf, assignment).orientation()))
+
+
+def _orient(cnf: CnfInstance, assignment: Assignment) -> tuple[RootedNet, GadgetMap]:
+    """``build_n_phi`` and the gadget map of U(φ), from one construction."""
+    builder = _reduction(cnf, assignment)
+    gmap, n_phi = builder.gadget_map(), builder.orientation()
+    del builder
+    return _self_checked(RootedNet(*n_phi)), gmap
+
+
+def _self_checked(rooted: RootedNet) -> RootedNet:
     _assert_tree_child(rooted, "orientation is not a valid rooted network: ",
                        "orientation is not tree-child")
     return rooted
-
-
-def _orient_u_phi(cnf: CnfInstance, assignment: Assignment, net: UndirectedNet,
-                  gmap: GadgetMap) -> RootedNet:
-    """``build_n_phi`` on the network and gadget map that ``build_u_phi``
-    built for ``cnf``, for a caller that keeps them."""
-    rooted = RootedNet(*_orientation(cnf, assignment, net, gmap))
-    _assert_tree_child(rooted, "orientation is not a valid rooted network: ",
-                       "orientation is not tree-child")
-    return rooted
-
-
-def _orientation(cnf: CnfInstance, assignment: Assignment, net: UndirectedNet,
-                 gmap: GadgetMap) -> tuple[frozenset[int], list[Arc], int, dict[int, str], int]:
-    """The vertices, arcs, root, labels and ``next_id`` of N(φ): the arcs
-    direct every edge of U(φ) but the root edge under ``assignment``, and
-    a fresh root ``net.next_id`` subdivides the root edge.  Raises unless
-    the assignment satisfies ``cnf`` and the arcs orient each edge once."""
-    if not assignment_satisfies(cnf, assignment):
-        raise UnsatisfiedAssignment("assignment does not satisfy the formula")
-    n, m = cnf.n, cnf.m
-    nr = 1 + 2 * n
-    oriented: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def orient(a: int, b: int) -> None:
-        e = canon_edge(a, b)
-        if e not in net.edges:
-            raise AssertionError(f"orienting a non-edge {e}")
-        if oriented.get(e, (a, b)) != (a, b):
-            raise AssertionError(f"conflicting orientation for {e}")
-        oriented[e] = (a, b)
-
-    def apply_pattern(ids: dict[str, int], arcs) -> None:
-        for a, b in arcs:
-            orient(ids[a], ids[b])
-
-    def value(lit: int) -> bool:
-        return assignment[lit] if lit > 0 else not assignment[-lit]
-
-    ids = {g.name: g.vertex_ids for g in gmap.gadgets}
-    retic_vertices = set()
-    for g in gmap.gadgets:
-        if g.kind == "reticulation":
-            apply_pattern(g.vertex_ids, RETICULATION_ARCS)
-            retic_vertices.update(g.vertex_ids.values())
-
-    for k in range(1, nr - 2):
-        orient(gmap.named[f"p{k}"], gmap.named[f"p{k + 1}"])
-
-    for k in range(1, nr):
-        tau = ids[f"R{k}"]["t"]
-        for x in net.neighbors(tau):
-            if x not in retic_vertices:
-                orient(tau, x)
-
-    for i in range(1, n + 1):
-        pattern = CONNECTION_FORWARD_ARCS if assignment[i] else CONNECTION_BACKWARD_ARCS
-        for h in (1, 2):
-            apply_pattern(ids[f"G{i}_{h}"], pattern)
-
-    for j, clause in enumerate(cnf.clauses, start=1):
-        values = [value(lit) for lit in clause]
-        for k in range(1, 4):
-            orient(gmap.named[f"lit{j}_{k}"], ids[f"C{j}_{k}"]["t"])
-            if all(values):
-                pattern = CONNECTION_FORWARD_ARCS if k <= 2 else CONNECTION_BACKWARD_ARCS
-            else:
-                pattern = CONNECTION_FORWARD_ARCS if values[k - 1] else CONNECTION_BACKWARD_ARCS
-            apply_pattern(ids[f"C{j}_{k}"], pattern)
-
-    lr = gmap.named["lr"]
-    s_root = ids["Rr"]["s"]
-    root_edge = canon_edge(s_root, lr)
-    for leaf in net.leaves():
-        if leaf == lr:
-            continue
-        (neighbor,) = net.neighbors(leaf)
-        orient(neighbor, leaf)
-
-    missing = net.edges - set(oriented) - {root_edge}
-    if missing:
-        raise AssertionError(f"unoriented edges remain: {sorted(missing)}")
-    rho = net.next_id
-    arcs = [arc for e, arc in oriented.items() if e != root_edge]
-    arcs += ((rho, s_root), (rho, lr))
-    return net.vertices | {rho}, arcs, rho, net.leaf_labels, rho + 1
 
 
 def extract_assignment(net: RootedNet, gmap: GadgetMap) -> Assignment:

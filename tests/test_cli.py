@@ -294,10 +294,10 @@ class TestSatCommands:
 
     def test_orient_failure_other_than_unsatisfied_is_not_exit_1(self, tmp_path, monkeypatch):
         # exit 1 says the assignment does not satisfy the formula, nothing else
-        def broken(cnf, assignment, net, gmap):
+        def broken(cnf, assignment):
             raise CutnetsError("broken gadget")
 
-        monkeypatch.setattr(sat, "_orient_u_phi", broken)
+        monkeypatch.setattr(sat, "_reduction", broken)
         cnf_path = write(tmp_path / "phi.cnf", serialize_dimacs_cnf(PHI))
         result = CliRunner().invoke(cli, ["sat", "orient", cnf_path, "--assignment", "TFF",
                                           "-o", str(tmp_path / "x.enwk"),
@@ -307,14 +307,14 @@ class TestSatCommands:
         assert "no orientation produced" not in result.output
 
     def test_orient_builds_the_network_once(self, tmp_path, monkeypatch):
-        # the gadget map and the orientation come from one U(phi)
-        calls = count_calls(monkeypatch, (sat, "build_u_phi"))
+        # the gadget map and the orientation come from one construction
+        calls = count_calls(monkeypatch, (sat, "_reduction"), (sat, "build_u_phi"))
         cnf_path = write(tmp_path / "phi.cnf", serialize_dimacs_cnf(PHI))
         result = CliRunner().invoke(cli, ["sat", "orient", cnf_path, "--assignment", "TFF",
                                           "-o", str(tmp_path / "x.enwk"),
                                           "--gmap", str(tmp_path / "x.gmap")])
         assert result.exit_code == 0
-        assert calls == {"build_u_phi": 1}
+        assert calls == {"_reduction": 1}
 
     @pytest.mark.parametrize("command", [
         ["sat", "reduce"],

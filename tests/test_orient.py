@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -39,6 +40,7 @@ from cutnets.nets import UndirectedNet, canon_edge
 from cutnets.orient import chain_edge_set
 
 from conftest import count_calls, triangle_net
+from test_formats_golden import satisfying
 
 
 def reference_is_tree_child(net):
@@ -50,6 +52,13 @@ def reference_is_tree_child(net):
     retics = net.reticulations()
     return (not any(a in retics and b in retics for a, b in net.arcs)
             and all(sum(c in retics for c in cs) < 2 for cs in net.succ.values()))
+
+
+def definition_is_tree_child(net):
+    """The definition itself: every non-leaf vertex has a child that is not
+    a reticulation.  It reads every vertex and holds on any digraph."""
+    pred = net.pred
+    return all(any(len(pred[c]) < 2 for c in cs) for cs in net.succ.values() if cs)
 
 
 def all_orientations(net):
@@ -180,8 +189,43 @@ class TestTreeChild:
             for rooted in all_orientations(net):
                 verdict = is_tree_child(rooted)
                 assert verdict == reference_is_tree_child(rooted)
+                assert verdict == definition_is_tree_child(rooted)
                 verdicts[verdict] += 1
         assert verdicts[True] > 50 and verdicts[False] > 50
+
+    def test_definition_agrees_on_random_digraphs(self):
+        # seeded arc sets on a few vertices, most of them no network at
+        # all: cycles, self-arcs, stacks, sibling reticulations, any degree
+        rng = random.Random(27)
+        seen = Counter()
+        for _ in range(3000):
+            size = rng.randint(2, 8)
+            arcs = {(rng.randint(1, size), rng.randint(1, size))
+                    for _ in range(rng.randint(1, 2 * size))}
+            rooted = RootedNet(range(1, size + 1), arcs, 1, {})
+            verdict = is_tree_child(rooted)
+            assert verdict == definition_is_tree_child(rooted)
+            retics = rooted.reticulations()
+            seen[verdict] += 1
+            seen["cycle"] += rooted.topo is None
+            seen["stack"] += any(a in retics and b in retics for a, b in rooted.arcs)
+            seen["siblings"] += any(sum(c in retics for c in cs) >= 2
+                                    for cs in rooted.succ.values())
+        assert min(seen[key] for key in (True, False, "cycle", "stack", "siblings")) >= 300
+
+    @pytest.mark.parametrize("n, seed", [(6, 3), (60, 760)])
+    def test_definition_agrees_on_n_phi(self, n, seed):
+        cnf = random_2balanced_cnf(n, seed)
+        rooted = build_n_phi(cnf, satisfying(cnf, seed))
+        assert is_tree_child(rooted) and definition_is_tree_child(rooted)
+        # an arc from the root into the tree sibling of a reticulation gives
+        # that parent two reticulation children
+        v = min(rooted.reticulations())
+        p = rooted.pred[v][0]
+        (sibling,) = set(rooted.succ[p]) - {v}
+        broken = RootedNet(rooted.vertices, rooted.arcs | {(rooted.root, sibling)},
+                           rooted.root, rooted.leaf_labels)
+        assert not is_tree_child(broken) and not definition_is_tree_child(broken)
 
     def test_reference_agrees_on_sat_networks(self, phi_bench):
         checked = 0

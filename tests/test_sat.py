@@ -25,11 +25,76 @@ from cutnets.errors import (
     UnsatisfiedAssignment,
 )
 from cutnets.formats import parse_enewick, serialize_enewick
-from cutnets.nets import RootedNet
+from cutnets.nets import RootedNet, UndirectedNet, canon_edge
 from cutnets.orient import underlying_unrooted
 
 from conftest import count_calls
 from test_formats_golden import satisfying
+
+
+def reference_n_phi(cnf, assignment):
+    """N(φ) the long way: build U(φ) and its gadget map, then direct each
+    edge by the rule for its place in the reduction, checking that it is an
+    edge of U(φ) and is directed once; a fresh root subdivides s_root–lr."""
+    net, gmap = build_u_phi(cnf)
+    if not assignment_satisfies(cnf, assignment):
+        raise UnsatisfiedAssignment("assignment does not satisfy the formula")
+    nr = 1 + 2 * cnf.n
+    oriented = {}
+
+    def orient(a, b):
+        e = canon_edge(a, b)
+        assert e in net.edges, f"orienting a non-edge {e}"
+        assert oriented.get(e, (a, b)) == (a, b), f"conflicting orientation for {e}"
+        oriented[e] = (a, b)
+
+    def apply_pattern(ids, arcs):
+        for a, b in arcs:
+            orient(ids[a], ids[b])
+
+    def value(lit):
+        return assignment[lit] if lit > 0 else not assignment[-lit]
+
+    ids = {g.name: g.vertex_ids for g in gmap.gadgets}
+    retic_vertices = set()
+    for g in gmap.gadgets:
+        if g.kind == "reticulation":
+            apply_pattern(g.vertex_ids, sat.RETICULATION_ARCS)
+            retic_vertices.update(g.vertex_ids.values())
+    for k in range(1, nr - 2):
+        orient(gmap.named[f"p{k}"], gmap.named[f"p{k + 1}"])
+    for k in range(1, nr):
+        tau = ids[f"R{k}"]["t"]
+        for x in net.neighbors(tau):
+            if x not in retic_vertices:
+                orient(tau, x)
+    forward, backward = sat.CONNECTION_FORWARD_ARCS, sat.CONNECTION_BACKWARD_ARCS
+    for i in range(1, cnf.n + 1):
+        for h in (1, 2):
+            apply_pattern(ids[f"G{i}_{h}"], forward if assignment[i] else backward)
+    for j, clause in enumerate(cnf.clauses, start=1):
+        values = [value(lit) for lit in clause]
+        for k in range(1, 4):
+            orient(gmap.named[f"lit{j}_{k}"], ids[f"C{j}_{k}"]["t"])
+            if all(values):
+                pattern = forward if k <= 2 else backward
+            else:
+                pattern = forward if values[k - 1] else backward
+            apply_pattern(ids[f"C{j}_{k}"], pattern)
+    lr, s_root = gmap.named["lr"], ids["Rr"]["s"]
+    root_edge = canon_edge(s_root, lr)
+    for leaf in net.leaves() - {lr}:
+        (neighbor,) = net.neighbors(leaf)
+        orient(neighbor, leaf)
+    assert net.edges - set(oriented) == {root_edge}
+    rho = net.next_id
+    arcs = [arc for e, arc in oriented.items() if e != root_edge]
+    arcs += [(rho, s_root), (rho, lr)]
+    return RootedNet(net.vertices | {rho}, arcs, rho, net.leaf_labels, rho + 1)
+
+
+def rooted_fields(net):
+    return (net.vertices, net.succ, net.pred, net.root, net.leaf_labels, net.next_id, net.topo)
 
 
 def truth_table_satisfiable(cnf):
@@ -190,6 +255,46 @@ class TestBuildNPhi:
             cnf = random_2balanced_cnf(n, seed)
             beta = satisfying(cnf, seed)
         assert underlying_unrooted(build_n_phi(cnf, beta)).edges == build_u_phi(cnf)[0].edges
+
+
+class TestAgainstReference:
+    """``build_n_phi`` lays N(φ) down as the gadgets are built; the long
+    way round U(φ) must give the same network, field by field."""
+
+    def test_phi_bench_under_every_satisfying_assignment(self, phi_bench):
+        checked = 0
+        for bits in itertools.product((False, True), repeat=phi_bench.n):
+            beta = {i + 1: bit for i, bit in enumerate(bits)}
+            if assignment_satisfies(phi_bench, beta):
+                assert rooted_fields(build_n_phi(phi_bench, beta)) == \
+                    rooted_fields(reference_n_phi(phi_bench, beta))
+                checked += 1
+        assert checked >= 2
+
+    @pytest.mark.parametrize("n, seed", [(6, 3), (6, 8), (9, 5), (9, 14), (60, 760), (120, 820)])
+    def test_seeded_formulas(self, n, seed):
+        cnf = random_2balanced_cnf(n, seed)
+        beta = satisfying(cnf, seed)
+        assert rooted_fields(build_n_phi(cnf, beta)) == rooted_fields(reference_n_phi(cnf, beta))
+
+    def test_unsatisfying_and_unbalanced_rejected_alike(self, phi_bench):
+        with pytest.raises(UnsatisfiedAssignment):
+            reference_n_phi(phi_bench, {1: False, 2: True, 3: False})
+        unbalanced = CnfInstance(3, ((1, 2, 3), (-1, -2, -3)))
+        for build in (build_n_phi, reference_n_phi):
+            # the formula is checked before the assignment
+            with pytest.raises(NotTwoBalanced):
+                build(unbalanced, {1: False, 2: False, 3: False})
+
+    def test_builds_no_undirected_network(self, monkeypatch):
+        cnf = random_2balanced_cnf(60, 760)
+        beta = satisfying(cnf, 60)
+        calls = count_calls(monkeypatch, (sat, "build_u_phi"), (UndirectedNet, "adjacency"),
+                            (UndirectedNet, "_trusted"), (sat, "_reduction"))
+        build_n_phi(cnf, beta)
+        assert calls == {"_reduction": 1}
+        sat.build_u_phi(cnf)
+        assert calls == {"_reduction": 2, "build_u_phi": 1, "_trusted": 1}
 
 
 class TestExtract:

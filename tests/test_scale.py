@@ -1,12 +1,13 @@
 """Commands at the north-star size, |X| ≈ 10⁴, run in-process.
 
 Each run asserts its exit code and its output: the line the command
-prints, or for ``sat orient``, which prints nothing on success, the one
-line of the eNewick file it writes.  So far the file
+prints, or for ``sat orient`` and ``orient``, which print nothing on
+success, the one line of the eNewick file they write.  So far the file
 covers the SAT commands: ``sat reduce``, ``sat orient`` and ``sat
 extract`` at n = 480 variables, whose reduction network has |X| = 9604
-leaves.  Still missing at this size: ``gen net`` at q = 2 and 3, ``stats``,
-``recognize`` (yes and no), ``orient``, ``check-tree-child`` on its output,
+leaves; and ``orient``, then ``check-tree-child`` on its output, on a
+seeded 2-cuttable network with |X| = 9056.  Still missing at this size:
+``gen net`` at q = 2 and 3, ``stats``, ``recognize`` (yes and no),
 ``gen tree`` at 10⁴ leaves, and ``contain``, which joins once containment
 runs at |X| ≈ 9000 in seconds.
 """
@@ -17,12 +18,15 @@ import pytest
 from click.testing import CliRunner
 
 from cutnets.cli import cli
-from cutnets.formats import parse_enewick, serialize_dimacs_cnf
-from cutnets.generate import random_2balanced_cnf
+from cutnets.formats import parse_enewick, serialize_dimacs_cnf, serialize_upn
+from cutnets.generate import GenConfig, random_2balanced_cnf, random_q_cuttable
 
 N_VARS = 480   # 3841 gadgets with two leaves each, 3m clause leaves, lr and lrp
 LEAVES = 9604
 SEED = 1
+# the seeded q = 2 recipe; its augmentation hangs 56 more leaves
+NET_CONFIG = GenConfig(seed=SEED, leaf_count=9000, target_r=9000 // 8, target_q=2)
+NET_LEAVES = 9056
 
 
 def plant_assignment(cnf, rng: random.Random, max_flips: int = 20_000):
@@ -85,3 +89,28 @@ def test_sat_extract(formula, oriented):
     result = invoke("sat", "extract", enewick, "--gmap", gmap, "--cnf", path)
     assert result.exit_code == 0, result.output
     assert result.output.splitlines()[0] == f"assignment: {truth}"
+
+
+@pytest.fixture(scope="module")
+def rooted_file(tmp_path_factory):
+    """``orient``'s result on the seeded 2-cuttable network and the eNewick
+    file it wrote."""
+    work = tmp_path_factory.mktemp("orient")
+    upn, enewick = work / "net.upn", work / "net.enw"
+    upn.write_text(serialize_upn(random_q_cuttable(NET_CONFIG)))
+    return invoke("orient", upn, "-o", enewick), enewick
+
+
+def test_orient(rooted_file):
+    result, enewick = rooted_file
+    assert result.exit_code == 0, result.output
+    assert result.output == ""
+    (line,) = enewick.read_text().splitlines()
+    assert len(parse_enewick(line).leaf_labels) == NET_LEAVES
+
+
+def test_check_tree_child(rooted_file):
+    _, enewick = rooted_file
+    result = invoke("check-tree-child", enewick)
+    assert result.exit_code == 0, result.output
+    assert result.output == "tree-child: yes\n"
