@@ -295,20 +295,26 @@ def _smaller_side(adj, e: Edge) -> list[int]:
 # --- entangled paths ----------------------------------------------------------------
 
 def entangled_path(net: UndirectedNet, u: int, v: int) -> tuple[int, ...] | None:
-    """The unique entangled u-v path of a simple 3-cuttable network, or None.
+    """The unique entangled u-v path of a simple 3-cuttable network, or None."""
+    return _entangled_path(net.adjacency(), net.cut_edges(), u, v)
+
+
+def _entangled_path(adj, cuts, u, v) -> tuple[int, ...] | None:
+    """``entangled_path`` over a neighbour map and its cut-edge set.
 
     Deletes every vertex incident to a cut-edge not incident to u or v; any
-    surviving u-v path is entangled, and uniqueness makes BFS exact.
+    surviving u-v path is entangled, and uniqueness makes BFS exact, in any
+    neighbour order.
     """
     if u == v:
         raise ValueError("endpoints must differ")
     doomed = set()
-    for e in net.cut_edges():
+    for e in cuts:
         if u in e or v in e:
             continue
         doomed.update(e)
     parent = dict.fromkeys(doomed)   # never entered
-    bfs_order(net.adjacency(), [u], parent)
+    bfs_order(adj, [u], parent)
     return tuple(tree_path(parent, u, v)) if v in parent else None
 
 
@@ -338,21 +344,27 @@ def find_pendant_structures(tree: UndirectedNet):
     subtree with two cherries; deepest cherry first, labels break ties."""
     if len(tree.leaf_labels) < 4:
         raise TooFewLeaves("need at least 4 leaves")
-    leaves = tree.leaves()
-    anchor_leaf = tree.vertex_of_label(min(tree.labels()))
-    root = tree.neighbors(anchor_leaf)[0]
+    return _pendant_structure(tree.adjacency(), tree.leaf_labels)
+
+
+def _pendant_structure(adj, labels):
+    """``find_pendant_structures`` over a neighbour map and its leaf labels.
+    Depths do not depend on the BFS order, and every pick is sorted, so
+    any neighbour order gives the same structure."""
+    anchor = min(labels, key=labels.__getitem__)
+    root = next(iter(adj[anchor]))
     parent: dict[int, int | None] = {}
-    order = bfs_order(tree.adjacency(), [root], parent)
+    order = bfs_order(adj, [root], parent)
     depth = {root: 0}
     for v in order[1:]:
         depth[v] = depth[parent[v]] + 1
 
     def cherry_at(p):
-        ls = sorted(tree.leaf_labels[w] for w in tree.neighbors(p) if w in leaves)
+        ls = sorted(labels[w] for w in adj[p] if w in labels)
         return ls if len(ls) == 2 else None
 
     candidates = []
-    for p in tree.internal_vertices():
+    for p in adj.keys() - labels.keys():
         ls = cherry_at(p)
         if ls:
             candidates.append((-depth[p], ls[0], p))
@@ -360,14 +372,14 @@ def find_pendant_structures(tree: UndirectedNet):
 
     for _, _, p in candidates:
         x, y = cherry_at(p)
-        (q,) = [w for w in tree.neighbors(p) if w not in leaves]
-        zs = sorted(tree.leaf_labels[w] for w in tree.neighbors(q) if w in leaves)
+        (q,) = [w for w in adj[p] if w not in labels]
+        zs = sorted(labels[w] for w in adj[q] if w in labels)
         if zs:
             return PendantTriple(x, y, zs[0])
     for _, _, p in candidates:
         x, y = cherry_at(p)
-        (q,) = [w for w in tree.neighbors(p) if w not in leaves]
-        for p2 in sorted(w for w in tree.neighbors(q) if w != p and w not in leaves):
+        (q,) = [w for w in adj[p] if w not in labels]
+        for p2 in sorted(w for w in adj[q] if w != p and w not in labels):
             pair = cherry_at(p2)
             if pair:
                 return PendantQuad(pair[0], x, y, pair[1])
@@ -397,20 +409,22 @@ def _reduce(inst: _Instance) -> RuleOutcome:
     """``apply_reduction`` on an instance, minus the input checks:
     ``_solve`` calls it only on pieces with no non-trivial cut-edge, and
     halves and eliminations of a 3-cuttable network are 3-cuttable.
-    The rules read the piece frozen, so their picks follow sorted neighbours."""
-    if len(inst.net.labels) <= 3:
+    The rules read the working graphs; each pick that depends on an order
+    follows sorted neighbours."""
+    net = inst.net
+    if len(net.labels) <= 3:
         return RuleOutcome("yes", 1)
-    net = inst.net.freeze()
-    outcome = _rule2(net, inst)
+    outcome = _rule2(inst)
     if outcome is not None:
         return outcome
-    structure = find_pendant_structures(inst.tree.freeze())
+    structure = _pendant_structure(inst.tree.adj, inst.tree.labels)
+    vertex_of = {lab: v for v, lab in net.labels.items()}
     if isinstance(structure, PendantTriple):
-        return _rule3(net, structure)
-    return _rule4(net, structure)
+        return _rule3(net, vertex_of, structure)
+    return _rule4(net, vertex_of, structure)
 
 
-def _rule2(net: UndirectedNet, inst: _Instance):
+def _rule2(inst: _Instance):
     """Three consecutive leaf-hung vertices plus a fourth path vertex, with a
     matching pendant triple in the tree: eliminate the path's leading edge.
 
@@ -419,13 +433,14 @@ def _rule2(net: UndirectedNet, inst: _Instance):
     leaf, no edge between internal vertices is a cut-edge, and no three
     leaf-hung vertices form a triangle (it would be the whole piece).
     The unions of the piece's label groups in ``tree_edges`` are the
-    piece's tree masks (see ``_Instance``).
+    piece's tree masks (see ``_Instance``).  The edge found depends only
+    on v1 and v2, which are visited in sorted order.
     """
     bits, full, tree_masks = inst.bits, inst.full, inst.tree_edges
-    adj = net.adjacency()
-    leaf_at = {adj[v][0]: lab for v, lab in net.leaf_labels.items()}
-    for v1 in sorted(net.vertices - net.leaves()):
-        for v2 in adj[v1]:
+    adj, labels = inst.net.adj, inst.net.labels
+    leaf_at = {w: lab for v, lab in labels.items() for w in adj[v]}
+    for v1 in sorted(adj.keys() - labels.keys()):
+        for v2 in sorted(adj[v1]):
             x = leaf_at.get(v2)
             if x is None:
                 continue
@@ -445,17 +460,17 @@ def _rule2(net: UndirectedNet, inst: _Instance):
     return None
 
 
-def _rule3(net, triple: PendantTriple):
-    x, y, z = triple.x, triple.y, triple.z
-    ux, uy, uz = (net.vertex_of_label(l) for l in (x, y, z))
-    p = entangled_path(net, ux, uy)
+def _rule3(net: _WorkGraph, vertex_of, triple: PendantTriple):
+    adj, cuts = net.adj, net.bridges()
+    ux, uy, uz = (vertex_of[l] for l in (triple.x, triple.y, triple.z))
+    p = _entangled_path(adj, cuts, ux, uy)
     if p is None:
         return RuleOutcome("no", 3, "I")
     p_edges = _path_edges(p)
     chosen_v = None
     saw_any = False
     for v in p[1:-1]:
-        p2 = entangled_path(net, uz, v)
+        p2 = _entangled_path(adj, cuts, uz, v)
         if p2 is None:
             continue
         saw_any = True
@@ -471,11 +486,11 @@ def _rule3(net, triple: PendantTriple):
                        eliminated_edge=_pick_off_path_edge(net, p, forbidden=chosen_v))
 
 
-def _rule4(net, quad: PendantQuad):
-    w, x, y, z = quad.w, quad.x, quad.y, quad.z
-    ux, uy, uw, uz = (net.vertex_of_label(l) for l in (x, y, w, z))
-    p1 = entangled_path(net, ux, uy)
-    p2 = entangled_path(net, uw, uz)
+def _rule4(net: _WorkGraph, vertex_of, quad: PendantQuad):
+    adj, cuts = net.adj, net.bridges()
+    ux, uy, uw, uz = (vertex_of[l] for l in (quad.x, quad.y, quad.w, quad.z))
+    p1 = _entangled_path(adj, cuts, ux, uy)
+    p2 = _entangled_path(adj, cuts, uw, uz)
     if p1 is None or p2 is None:
         return RuleOutcome("no", 4, "I")
     p1_edges = _path_edges(p1)
@@ -484,7 +499,7 @@ def _rule4(net, quad: PendantQuad):
         return RuleOutcome("no", 4, "II")
     for v1 in p1[1:-1]:
         for v2 in p2[1:-1]:
-            p3 = entangled_path(net, v1, v2)
+            p3 = _entangled_path(adj, cuts, v1, v2)
             if p3 is None or len(p3) < 3:
                 continue
             p3_edges = _path_edges(p3)
@@ -495,16 +510,16 @@ def _rule4(net, quad: PendantQuad):
     return RuleOutcome("no", 4, "III")
 
 
-def _pick_off_path_edge(net, path, forbidden):
+def _pick_off_path_edge(net: _WorkGraph, path, forbidden):
     """First internal path vertex (from the path's start, skipping the anchor)
     whose third edge leaves the path; that edge is never a cut-edge."""
     on_path = set(path)
     path_edges = _path_edges(path)
-    cuts = net.cut_edges()
+    cuts = net.bridges()
     for u in path[1:-1]:
         if u == forbidden:
             continue
-        for t in net.neighbors(u):
+        for t in sorted(net.adj[u]):
             e = canon_edge(u, t)
             if e in path_edges or t in on_path or e in cuts:
                 continue

@@ -8,10 +8,11 @@ implemented once, on the private mutable ``_WorkGraph``, which keeps the
 same counter: the public ``subdivide``, ``suppress`` and ``eliminate_edge``
 make one edit on a working graph of their input and freeze it, and longer
 chains of edits share one working graph and freeze once, where the result
-leaves its caller; tree containment cuts at bridges with ``split_off``.  A
-working graph keeps its cut-edge set current through the edits that can do
-so cheaply, eliminations included by way of cycle-space labels, and hands
-it to the network it freezes.
+leaves its caller; tree containment cuts at bridges with ``split_off``.
+The edits take undirected networks only: a rooted network is built whole
+from its arcs.  A working graph keeps its cut-edge set current through the
+edits that can do so cheaply, eliminations included by way of cycle-space
+labels, and hands it to the network it freezes.
 """
 
 from __future__ import annotations
@@ -429,15 +430,6 @@ class RootedNet:
                     pending.pop()
         raise AssertionError("cycle detection disagreed with topological sort")
 
-    def replace(self, *, vertices=None, arcs=None, root=None, leaf_labels=None, next_id=None) -> "RootedNet":
-        return RootedNet(
-            self.vertices if vertices is None else vertices,
-            self.arcs if arcs is None else arcs,
-            self.root if root is None else root,
-            self.leaf_labels if leaf_labels is None else leaf_labels,
-            self.next_id if next_id is None else next_id,
-        )
-
     def __repr__(self) -> str:
         return (f"RootedNet(|V|={len(self.vertices)}, |A|={sum(map(len, self.succ.values()))}, "
                 f"r={self.reticulation_number()}, X={sorted(self.leaf_labels.values())})")
@@ -544,37 +536,15 @@ def _rooted_violations(net: RootedNet, order) -> list[str]:
 
 # -- subdivision, suppression, elimination --------------------------------------
 
-def subdivide(net, edge):
-    """Replace an edge (or arc) by two through a fresh vertex.
-
-    Returns ``(net2, new_vertex)``.  For rooted networks ``edge`` is the arc
-    (u, w) and the result carries arcs (u, v), (v, w).
-    """
-    if isinstance(net, RootedNet):
-        u, w = edge
-        if (u, w) not in net.arcs:
-            raise UnknownEdge(f"no arc ({u},{w})")
-        v = net.next_id
-        arcs = (net.arcs - {(u, w)}) | {(u, v), (v, w)}
-        return net.replace(vertices=net.vertices | {v}, arcs=arcs, next_id=v + 1), v
+def subdivide(net: UndirectedNet, edge) -> tuple[UndirectedNet, VertexId]:
+    """Replace an edge by two through a fresh vertex; returns ``(net2, new_vertex)``."""
     g = _WorkGraph.of(net)
     v = g.subdivide(edge)
     return g.freeze(), v
 
 
-def suppress(net, vertex):
-    """Delete a degree-2 (or in-1/out-1) vertex and join its neighbors."""
-    if isinstance(net, RootedNet):
-        ps, cs = net.pred[vertex], net.succ[vertex]
-        if len(ps) != 1 or len(cs) != 1:
-            raise NotDegreeTwo(f"vertex {vertex} has degrees (in={len(ps)}, out={len(cs)})")
-        (p,), (c,) = ps, cs
-        if (p, c) in net.arcs:
-            raise WouldCreateParallelEdge(f"arc ({p},{c}) already exists")
-        if p == c:
-            raise WouldCreateParallelEdge(f"suppressing {vertex} would create a self-arc at {p}")
-        arcs = {a for a in net.arcs if vertex not in a} | {(p, c)}
-        return net.replace(vertices=net.vertices - {vertex}, arcs=arcs)
+def suppress(net: UndirectedNet, vertex) -> UndirectedNet:
+    """Delete a degree-2 vertex and join its neighbors."""
     g = _WorkGraph.of(net)
     g.suppress(vertex)
     return g.freeze()

@@ -6,7 +6,7 @@ import pytest
 
 from cutnets import UndirectedNet, CnfInstance, containment, make_q_cuttable, random_tree
 from cutnets.formats import parse_newick_tree
-from cutnets.nets import _WorkGraph, canon_edge, eliminate_edge, subdivide
+from cutnets.nets import _component_of, _WorkGraph, canon_edge, eliminate_edge, subdivide
 
 
 @pytest.fixture
@@ -105,6 +105,48 @@ def build_simple_3cuttable(seed: int) -> UndirectedNet:
         net, m2 = subdivide(net, e2)
         net = net.replace(edges=net.edges | {canon_edge(m1, m2)})
     return make_q_cuttable(net, 3)
+
+
+def blob_nni_tree(net: UndirectedNet, tree: UndirectedNet, seed: int):
+    """``tree``, a tree ``net`` displays, after one NNI on the top tree of
+    the network's largest blob, or None when that top tree has no internal
+    edge.
+
+    Each cut-edge leaving the blob hangs a part of the network, and each
+    part's labels form a clade of ``tree``.  With every part contracted to
+    one leaf, what is left of ``tree`` is the blob's top tree: its edges
+    are the tree edges with labels of two or more parts on each side.  The
+    NNI at one of them, (a, b), swaps a subtree at a with one at b.  Each
+    part stays a clade, so every split of a cut-edge of the network is
+    still a split of the result, and the verdict is decided inside the
+    blob.  It is not known by construction: some results are displayed.
+    """
+    blob = max(net.blobs(), key=lambda b: len(b.vertices)).vertices
+    adj, t_adj = net.adjacency(), tree.adjacency()
+    part_of = {}
+    for v in blob:
+        for w in adj[v]:
+            if w not in blob:
+                for u in _component_of(adj, w, forbidden_edge=canon_edge(v, w)):
+                    if u in net.leaf_labels:
+                        part_of[net.leaf_labels[u]] = w
+
+    def parts(side):
+        return len({part_of[tree.leaf_labels[u]] for u in side if u in tree.leaf_labels})
+
+    top = []
+    for a, b in sorted(tree.edges):
+        side = _component_of(t_adj, a, forbidden_edge=(a, b))
+        if parts(side) > 1 and parts(tree.vertices - side) > 1:
+            top.append((a, b))
+    if not top:
+        return None
+    rng = random.Random(seed)
+    a, b = rng.choice(top)
+    a1 = rng.choice([n for n in t_adj[a] if n != b])
+    b1 = rng.choice([n for n in t_adj[b] if n != a])
+    return tree.replace(edges=tree.edges - {canon_edge(a, a1), canon_edge(b, b1)}
+                        | {canon_edge(a, b1), canon_edge(b, a1)})
 
 
 def spy_on_pieces(monkeypatch):

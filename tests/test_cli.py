@@ -341,7 +341,8 @@ class TestSatCommands:
         if relabel:
             rooted = parse_enewick(rooted_path.read_text())
             labels = {v: relabel.get(lab, lab) for v, lab in rooted.leaf_labels.items()}
-            rooted_path.write_text(serialize_enewick(rooted.replace(leaf_labels=labels)))
+            rooted = nets.RootedNet(rooted.vertices, rooted.arcs, rooted.root, labels)
+            rooted_path.write_text(serialize_enewick(rooted))
         return str(rooted_path), str(gmap_path), cnf_path
 
     def test_extract_unreadable_gmap_id_exit_2(self, tmp_path):

@@ -4,6 +4,7 @@ import json
 import random
 import re
 import sys
+from collections import Counter
 from functools import cache
 from pathlib import Path
 
@@ -58,7 +59,7 @@ from cutnets.nets import (
 )
 from cutnets.reference import all_simple_paths
 
-from conftest import build_simple_3cuttable, count_calls, spy_on_pieces
+from conftest import blob_nni_tree, build_simple_3cuttable, count_calls, spy_on_pieces
 
 
 def ring_of_leaves(k):
@@ -677,10 +678,10 @@ class TestAlgorithm:
         real_rule2 = containment._rule2
         compared = reduced = 0
 
-        def checked_rule2(net, inst):
+        def checked_rule2(inst):
             nonlocal compared, reduced
-            outcome = real_rule2(net, inst)
-            assert outcome == reference_rule2(net, inst)
+            outcome = real_rule2(inst)
+            assert outcome == reference_rule2(inst.net.freeze(), inst)
             compared += 1
             reduced += outcome is not None
             return outcome
@@ -712,6 +713,26 @@ class TestAlgorithm:
         assert TraceEvent("RULE", case) in trace
         assert got is verdict
         assert (display_oracle(tree, net) is not None) is verdict
+
+    def test_blob_nni_trees_match_oracle(self):
+        # trees that keep the split of every cut-edge of the network, so the
+        # verdict is decided inside its largest blob: by the rules, or by a
+        # conflict that an elimination creates
+        decided = Counter()
+        for seed in range(1, 501):
+            net = random_q_cuttable(GenConfig(seed=seed, leaf_count=4 + seed % 5,
+                                              target_r=1 + seed % 3, target_q=3))
+            if not 5 <= len(net.leaf_labels) <= 12:
+                continue
+            tree = blob_nni_tree(net, sample_displayed_tree(net, seed), seed)
+            if tree is None:
+                continue
+            verdict, trace = three_cuttable_tc(tree, net)
+            assert verdict == (display_oracle(tree, net) is not None), seed
+            last = trace[-2]   # the event before YES or NO
+            decided[f"RULE {last.detail}" if last.kind == "RULE" else last.kind] += 1
+        assert decided["RULE 3 I"] and decided["RULE 3 II"] and decided["RULE 4 III"]
+        assert sum(decided.values()) > 250
 
     def test_branch_nesting_does_not_recurse(self):
         # this instance nests branches 48 deep; deciding it must not need
@@ -801,15 +822,17 @@ SCALE_CASES = [(256, False), (1024, False), (1024, True)]
 class TestScale:
     # SHA-256 of the TCTRACE/1 text, recorded when each ELIM still rebuilt
     # the network's mask table and searched all mask pairs for a clash
-    # (N=2048: when each ELIM still made a mask pass over the whole piece)
+    # (N=2048: when each ELIM still made a mask pass over the whole piece;
+    # N=4096: when the rules still read a frozen copy of the piece)
     TRACE_SHA256 = {
         (256, False): "b7d67e7be1c79c8e477ebf880f8fce596cbe7d43ab95fdf9c55e52c04abea7a0",
         (1024, False): "6373a19f90e2117aadca7fe05fb8e82ae82841f92df4f732f46734f96ce51cbb",
         (1024, True): "404ba893e56582f54f02c7f4b59cf968b464aad6032f7ca626837cab77a9da94",
         (2048, False): "9b69f22d139db90b1c00e98fe3e4c7b7e65504df183e4c0ca5e1255d2b782458",
+        (4096, False): "ec45c7494890a888f8f9561f3e7ce3bf5827eda235e6b97311c7c4ea2dbd1fcf",
     }
 
-    @pytest.mark.parametrize("n, swapped", SCALE_CASES + [(2048, False)])
+    @pytest.mark.parametrize("n, swapped", SCALE_CASES + [(2048, False), (4096, False)])
     def test_trace_hash_is_pinned(self, n, swapped):
         verdict, trace = three_cuttable_tc(*scale_instance(n, swapped))
         assert verdict is not swapped
@@ -845,6 +868,29 @@ class TestScale:
         verdict, trace = three_cuttable_tc(tree, net)
         assert verdict and [ev.kind for ev in trace].count("ELIM") >= n // 8
         assert calls == {"cycle_space_labels": 1}
+
+
+class TestWorkingGraphs:
+    @pytest.mark.parametrize("instance, rule", [
+        ((256, False), "2"), ((1024, False), "2"), (19, "3 III"), (705, "4 IV")])
+    def test_the_loop_freezes_no_piece(self, monkeypatch, instance, rule):
+        # the rules and the pendant search read the working graphs, so past
+        # the input checks (tree validation and recognition, one sorted
+        # adjacency each) nothing builds a network or an adjacency
+        if isinstance(instance, tuple):
+            tree, net = scale_instance(*instance)
+        else:   # a desk instance of the rule-2 reference family
+            net = random_q_cuttable(GenConfig(seed=instance, leaf_count=4 + instance % 9,
+                                              target_r=1 + instance % 4, target_q=3))
+            tree = random_tree(sorted(net.labels()), 7 * instance + 1)
+        calls = count_calls(monkeypatch, (nets._WorkGraph, "freeze"), (UndirectedNet, "_trusted"),
+                            (UndirectedNet, "adjacency", lambda net: net._adj is None))
+        # fresh copies, so no adjacency of an earlier run is reused
+        _, trace = three_cuttable_tc(UndirectedNet(tree.vertices, tree.edges, tree.leaf_labels),
+                                     UndirectedNet(net.vertices, net.edges, net.leaf_labels))
+        assert TraceEvent("RULE", rule) in trace
+        assert calls["freeze"] == calls["_trusted"] == 0
+        assert calls["adjacency"] <= 2
 
 
 class TestOracle:

@@ -1,15 +1,16 @@
 """Commands at the north-star size, |X| ≈ 10⁴, run in-process.
 
 Each run asserts its exit code and its output: the line the command
-prints, or for ``sat orient`` and ``orient``, which print nothing on
-success, the one line of the eNewick file they write.  So far the file
-covers the SAT commands: ``sat reduce``, ``sat orient`` and ``sat
+prints, or for the commands that print nothing on success, the one line
+of the eNewick file they write or the size of the network they generate.
+The file covers the SAT commands: ``sat reduce``, ``sat orient`` and ``sat
 extract`` at n = 480 variables, whose reduction network has |X| = 9604
-leaves; and ``orient``, then ``check-tree-child`` on its output, on a
-seeded 2-cuttable network with |X| = 9056.  Still missing at this size:
-``gen net`` at q = 2 and 3, ``stats``, ``recognize`` (yes and no),
-``gen tree`` at 10⁴ leaves, and ``contain``, which joins once containment
-runs at |X| ≈ 9000 in seconds.
+leaves; ``gen net`` at q = 2 and 3 on the seeded recipe at N = 9000 (|X| =
+9056 and 9981); ``orient``, then ``check-tree-child`` on its output, on
+the q = 2 network; ``stats`` and ``recognize`` (yes at q = 3, no at q = 4)
+on the q = 3 network; and ``gen tree`` at 10⁴ leaves.  Still missing at
+this size: ``contain``, which joins once containment runs at |X| ≈ 9000
+in seconds.
 """
 
 import random
@@ -18,15 +19,15 @@ import pytest
 from click.testing import CliRunner
 
 from cutnets.cli import cli
-from cutnets.formats import parse_enewick, serialize_dimacs_cnf, serialize_upn
-from cutnets.generate import GenConfig, random_2balanced_cnf, random_q_cuttable
+from cutnets.formats import parse_enewick, parse_newick_tree, parse_upn, serialize_dimacs_cnf
+from cutnets.generate import random_2balanced_cnf
 
 N_VARS = 480   # 3841 gadgets with two leaves each, 3m clause leaves, lr and lrp
 LEAVES = 9604
 SEED = 1
-# the seeded q = 2 recipe; its augmentation hangs 56 more leaves
-NET_CONFIG = GenConfig(seed=SEED, leaf_count=9000, target_r=9000 // 8, target_q=2)
-NET_LEAVES = 9056
+# the seeded recipe at N = 9000; the augmentation hangs more leaves
+NET_N = 9000
+NET_LEAVES = {2: 9056, 3: 9981}
 
 
 def plant_assignment(cnf, rng: random.Random, max_flips: int = 20_000):
@@ -92,12 +93,30 @@ def test_sat_extract(formula, oriented):
 
 
 @pytest.fixture(scope="module")
-def rooted_file(tmp_path_factory):
-    """``orient``'s result on the seeded 2-cuttable network and the eNewick
-    file it wrote."""
-    work = tmp_path_factory.mktemp("orient")
-    upn, enewick = work / "net.upn", work / "net.enw"
-    upn.write_text(serialize_upn(random_q_cuttable(NET_CONFIG)))
+def generated(tmp_path_factory):
+    """``gen net``'s result and the UPN file it wrote, for each q."""
+    work = tmp_path_factory.mktemp("nets")
+    out = {}
+    for q in NET_LEAVES:
+        upn = work / f"q{q}.upn"
+        out[q] = invoke("gen", "net", "--leaves", NET_N, "--r", NET_N // 8, "--q", q,
+                        "--seed", SEED, "-o", upn), upn
+    return out
+
+
+@pytest.mark.parametrize("q", sorted(NET_LEAVES))
+def test_gen_net(generated, q):
+    result, upn = generated[q]
+    assert result.exit_code == 0, result.output
+    assert result.output == ""
+    assert len(parse_upn(upn.read_text()).leaf_labels) == NET_LEAVES[q]
+
+
+@pytest.fixture(scope="module")
+def rooted_file(generated):
+    """``orient``'s result on the q = 2 network and the eNewick file it wrote."""
+    _, upn = generated[2]
+    enewick = upn.with_suffix(".enw")
     return invoke("orient", upn, "-o", enewick), enewick
 
 
@@ -106,7 +125,7 @@ def test_orient(rooted_file):
     assert result.exit_code == 0, result.output
     assert result.output == ""
     (line,) = enewick.read_text().splitlines()
-    assert len(parse_enewick(line).leaf_labels) == NET_LEAVES
+    assert len(parse_enewick(line).leaf_labels) == NET_LEAVES[2]
 
 
 def test_check_tree_child(rooted_file):
@@ -114,3 +133,40 @@ def test_check_tree_child(rooted_file):
     result = invoke("check-tree-child", enewick)
     assert result.exit_code == 0, result.output
     assert result.output == "tree-child: yes\n"
+
+
+def test_stats(generated):
+    _, upn = generated[3]
+    result = invoke("stats", upn)
+    assert result.exit_code == 0, result.output
+    lines = result.output.splitlines()
+    assert lines[:5] == [f"leaves: {NET_LEAVES[3]}", "vertices: 22210", "edges: 23334",
+                         f"reticulation number: {NET_N // 8}", f"level: {NET_N // 8}"]
+    assert lines[-1] == "max cuttability: 3"
+
+
+def test_recognize_yes(generated):
+    _, upn = generated[3]
+    result = invoke("recognize", "--q", 3, upn)
+    assert result.exit_code == 0, result.output
+    assert result.output == "q-cuttable: yes\n"
+
+
+def test_recognize_no_names_a_cycle(generated):
+    _, upn = generated[3]
+    result = invoke("recognize", "--q", 4, upn)
+    assert result.exit_code == 1, result.output
+    verdict, witness = result.output.splitlines()
+    assert verdict == "q-cuttable: no"
+    assert witness.startswith("witness cycle: ")
+    cycle = [int(v) for v in witness.removeprefix("witness cycle: ").split("-")]
+    net = parse_upn(upn.read_text())
+    assert len(set(cycle)) == len(cycle) > 2
+    assert all(net.has_edge(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+
+
+def test_gen_tree():
+    result = invoke("gen", "tree", "--leaves", 10_000)
+    assert result.exit_code == 0, result.output
+    (line,) = result.output.splitlines()
+    assert len(parse_newick_tree(line).leaf_labels) == 10_000
