@@ -161,10 +161,9 @@ def contain(tree_file, net_file, oracle, trace_file):
     if trace_file:
         _write(trace_file, containment.serialize_trace(trace))
     click.echo(f"displays: {'yes' if verdict else 'no'}")
-    if not verdict:
-        for event in trace:
-            if event.kind in ("SPLIT-CONFLICT", "RULE"):
-                click.echo(f"certificate: {event.kind} {event.detail}")
+    if not verdict:   # the event before NO decided it; earlier RULEs said yes to pieces
+        decisive = trace[-2]
+        click.echo(f"certificate: {decisive.kind} {decisive.detail}")
     sys.exit(0 if verdict else 1)
 
 

@@ -1,7 +1,9 @@
 """Unrooted tree containment for 3-cuttable networks.
 
-The decision procedure branches on non-trivial cut-edges until every piece
-is simple, then shrinks each piece with four reduction rules built on
+The decision procedure first checks that every split of a network
+cut-edge is a split of the tree, on the frozen inputs (most "no" answers
+end there), then branches on non-trivial cut-edges until every piece is
+simple, and shrinks each piece with four reduction rules built on
 entangled paths (paths whose interior touches no cut-edge off the path).
 The ground-truth oracle at desk scale, a backtracking embedding search, is
 in ``reference``.
@@ -134,24 +136,29 @@ class _Instance(NamedTuple):
     branchable: list[Edge]
 
 
-def _fresh_instance(tree: UndirectedNet, net: UndirectedNet) -> _Instance:
-    """The instance numbered on its own: bit i is the i-th smallest label.
-
-    ``tree_edges`` is empty when the label sets differ: then no tree split
-    equals a network split.
-    """
-    bits = label_bits(net.labels())
-    full = (1 << len(bits)) - 1
+def _fresh_instance(tree: UndirectedNet, net: UndirectedNet, bits, full, tree_edges) -> _Instance:
+    """The instance of ``tree`` and ``net`` under the numbering ``bits``
+    and ``full``, with the index ``tree_edges`` of its tree: the one place
+    where the inputs are thawed into working graphs."""
     t, n = _WorkGraph.of(tree), _WorkGraph.of(net)
-    tree_masks = _masks(t, bits, full) if tree.labels() == net.labels() else {}
-    tree_edges: dict[int, Edge] = {}
-    for e in sorted(tree_masks, reverse=True):   # the smallest edge writes last
-        tree_edges[tree_masks[e]] = e
     return _Instance(t, n, bits, full, tree_edges, _branchable(n))
 
 
-def _masks(graph: _WorkGraph, bits, full) -> dict[Edge, int]:
-    return _cut_edge_masks(graph.adj, graph.bridges(), graph.labels, bits, full)
+def _numbering(tree: UndirectedNet, net: UndirectedNet):
+    """``(bits, full, tree_edges)`` of an instance numbered on its own:
+    bit i is the i-th smallest label.  ``tree`` need not be binary here,
+    so of the tree edges that share a mask the smallest is kept.
+    ``tree_edges`` is empty when the label sets differ: then no tree split
+    equals a network split."""
+    bits = label_bits(net.labels())
+    full = (1 << len(bits)) - 1
+    tree_edges: dict[int, Edge] = {}
+    if tree.labels() == net.labels():
+        tree_masks = _cut_edge_masks(tree.adjacency(), tree.cut_edges(), tree.leaf_labels,
+                                     bits, full)
+        for e in sorted(tree_masks, reverse=True):   # the smallest edge writes last
+            tree_edges[tree_masks[e]] = e
+    return bits, full, tree_edges
 
 
 def _branchable(graph: _WorkGraph) -> list[Edge]:
@@ -172,33 +179,82 @@ def conflicting_split(tree: UndirectedNet, net: UndirectedNet) -> tuple[Split, S
     check_binary_tree(tree)
     if tree.labels() != net.labels():
         raise LabelSetMismatch(f"{sorted(tree.labels())} vs {sorted(net.labels())}")
-    return _first_conflict(_fresh_instance(tree, net))
+    return _input_conflict(tree, net)[0]
 
 
-def _first_conflict(inst: _Instance, masks=None) -> tuple[Split, Split] | None:
-    """``conflicting_split`` on an instance whose tree is binary, looking
-    through the network ``masks``, by default every one of the piece.
+def _input_conflict(tree: UndirectedNet, net: UndirectedNet):
+    """The split check of ``conflicting_split`` and ``_solve``, made on the
+    frozen inputs: ``(conflict, bits, full, tree_edges)``, where
+    ``conflict`` is what ``conflicting_split`` returns and the rest is
+    ``_numbering``'s.
 
-    The splits of a binary phylogenetic tree form a maximal compatible set
-    (Semple & Steel, *Phylogenetics*, OUP 2003), so a network split is
-    incompatible with some tree split exactly when it is not a tree split:
-    the network's masks are looked up in ``tree_edges``, and the smallest
-    foreign split is reported.  Only then are the tree's own masks
-    computed, to name its smallest partner.  ``Split`` values are built
-    only for the foreign masks and for the partners.
+    ``tree`` is a binary phylogenetic tree on the labels of ``net``.  Its
+    splits form a maximal compatible set (Semple & Steel, *Phylogenetics*,
+    OUP 2003), so a network split is incompatible with some tree split
+    exactly when it is not a tree split.  One mask pass over each input
+    makes the check.  The tree's cut-edges are its edges, so it needs no
+    bridge search, and no two of its edges share a mask, so its masks key
+    ``tree_edges`` as they come.  They also give the partner of the
+    smallest foreign network mask; ``_split_order_first`` picks both, and
+    only the pair reported becomes ``Split`` values.  The two mask dicts
+    are freed when this returns, before the caller thaws anything.
+    """
+    bits = label_bits(net.labels())
+    full = (1 << len(bits)) - 1
+    tree_edges = {m: e for e, m in _cut_edge_masks(tree.adjacency(), tree.cut_edges(),
+                                                   tree.leaf_labels, bits, full).items()}
+    foreign = [m for m in _cut_edge_masks(net.adjacency(), net.cut_edges(), net.leaf_labels,
+                                          bits, full).values()
+               if m not in tree_edges]
+    if not foreign:
+        return None, bits, full, tree_edges
+    um = _split_order_first(foreign)
+    # both masks hold bit 0, so the sides holding it always meet;
+    # incompatible when each of the other three intersections is nonempty
+    tm = _split_order_first([m for m in tree_edges if um & ~m and m & ~um and um | m != full])
+    return (split_of_mask(um, bits), split_of_mask(tm, bits)), bits, full, tree_edges
+
+
+def _split_order_first(masks) -> int:
+    """Of canonical masks under ``label_bits``, the one whose split comes
+    first in ``Split.sort_key`` order, with no ``Split`` built.
+
+    ``sort_key`` compares the sorted labels of the sides that hold the
+    smallest label, which are the set bits of the masks from the lowest
+    up.  Of two masks a and b that differ, let d be the lowest set bit of
+    a ^ b.  Below d they agree, and the one holding d has the smaller
+    label at d's place, so it comes first, unless the other has no bit
+    above d: then the other's labels are a prefix of its own.  A mask of
+    label groups (see ``_Instance``) does not list its labels bit by bit,
+    so this order holds for the input numbering only.
+    """
+    it = iter(masks)
+    first = next(it)
+    for m in it:
+        d = first ^ m
+        d &= -d
+        if (first > d) if m & d else (m < d):
+            first = m
+    return first
+
+
+def _first_conflict(inst: _Instance, masks) -> tuple[Split, Split] | None:
+    """``conflicting_split`` on a piece after an ELIM, looking through the
+    network ``masks`` the elimination created; the piece's tree masks are
+    computed only when one of them is foreign (see ``_input_conflict``).
+    Masks are unions of label groups here, which ``_split_order_first``
+    does not order, so ``Split`` values are built for the foreign masks
+    and for the partners to pick the smallest.
     """
     bits, full = inst.bits, inst.full
-    if masks is None:
-        masks = _masks(inst.net, bits, full).values()
     foreign = [m for m in masks if m not in inst.tree_edges]
     if not foreign:
         return None
     us, um = min(((split_of_mask(m, bits), m) for m in foreign),
                  key=lambda pair: pair[0].sort_key())
-    # both masks hold the lowest bit of full, so the sides holding it
-    # always meet; incompatible when each of the other three intersections
-    # is nonempty
-    ts = min((split_of_mask(tm, bits) for tm in _masks(inst.tree, bits, full).values()
+    tree = inst.tree
+    ts = min((split_of_mask(tm, bits)
+              for tm in _cut_edge_masks(tree.adj, tree.bridges(), tree.labels, bits, full).values()
               if um & ~tm and tm & ~um and um | tm != full),
              key=Split.sort_key)
     return us, ts
@@ -218,7 +274,7 @@ def branch_on_cut_edge(tree: UndirectedNet, net: UndirectedNet, edge):
     leaves = net.leaves()
     if e[0] in leaves or e[1] in leaves:
         raise TrivialCutEdge(f"{e} is a trivial cut-edge")
-    first, second = _branch(_fresh_instance(tree, net), e)
+    first, second = _branch(_fresh_instance(tree, net, *_numbering(tree, net)), e)
     return (first.tree.freeze(), first.net.freeze()), (second.tree.freeze(), second.net.freeze())
 
 
@@ -402,7 +458,7 @@ def apply_reduction(tree: UndirectedNet, net: UndirectedNet) -> RuleOutcome:
         raise NotSimple("network has a non-trivial cut-edge")
     if not is_q_cuttable(net, 3):
         raise NotThreeCuttable("network is not 3-cuttable")
-    return _reduce(_fresh_instance(tree, net))
+    return _reduce(_fresh_instance(tree, net, *_numbering(tree, net)))
 
 
 def _reduce(inst: _Instance) -> RuleOutcome:
@@ -572,7 +628,8 @@ def _solve(tree, net, trace):
     stay |X| bits wide for the whole run.  A half's cut-edges are its
     parent's on its side, with no new bridge search or renumbering, and
     ``_branch`` costs about the smaller side.  Split conflicts are looked
-    for on the input, with one mask pass over the network.  A half needs
+    for on the frozen inputs (``_input_conflict``), and the inputs are
+    thawed into working graphs only when there is none.  A half needs
     no check: its splits match its parent's on that side one to one, and
     a pair of them is compatible exactly when the parent's pair is.  An
     elimination keeps every other cut-edge and its split, so only the
@@ -582,8 +639,9 @@ def _solve(tree, net, trace):
     also make up the piece's ``branchable`` list: a rule fires only when
     that list is empty.
     """
-    inst = _fresh_instance(tree, net)
-    conflict = _first_conflict(inst)
+    conflict, bits, full, tree_edges = _input_conflict(tree, net)
+    if conflict is None:
+        inst = _fresh_instance(tree, net, bits, full, tree_edges)
     pending = []
     while True:
         if conflict is not None:

@@ -438,41 +438,57 @@ class RootedNet:
 # -- validation ----------------------------------------------------------------
 
 def validate_unrooted(net: UndirectedNet) -> ValidationReport:
-    """Report every violation of the unrooted-network invariants; never raises."""
-    bad = []
+    """Report every violation of the unrooted-network invariants; never raises.
+
+    The edges, vertices and labels are walked in set order, and again in
+    sorted order only when a violation turns up, as in ``validate_rooted``,
+    so a valid network is never sorted and a report lists its violations
+    by vertex id."""
     if not net.vertices:
         return ValidationReport(("network is empty",))
-    for u, v in sorted(net.edges):
-        if u == v:
-            bad.append(f"self-loop at vertex {u}")
+    bad = _unrooted_violations(net, iter)
+    if bad:
+        bad = _unrooted_violations(net, sorted)
+    return ValidationReport(tuple(bad))
+
+
+def _unrooted_violations(net: UndirectedNet, order) -> list[str]:
+    """The violations ``validate_unrooted`` reports on a network with a
+    vertex, each loop taking its items in ``order(items)``."""
+    bad = [f"self-loop at vertex {u}" for u, v in order(net.edges) if u == v]
     if not net.is_connected():
         bad.append("network is disconnected")
-    labeled = net.leaves()
-    for v in sorted(net.vertices):
-        d = net.degree(v)
-        if d not in (1, 3):
+    adj, labeled = net.adjacency(), net.leaf_labels
+    for v in order(net.vertices):
+        d = len(adj[v])
+        if d == 3:
+            if v in labeled:
+                bad.append(f"labeled vertex {v} has degree 3 (leaves must have degree 1)")
+        elif d == 1:
+            if v not in labeled:
+                bad.append(f"degree-1 vertex {v} is unlabeled")
+        else:
             bad.append(f"vertex {v} has degree {d} (expected 1 or 3)")
-        if d == 1 and v not in labeled:
-            bad.append(f"degree-1 vertex {v} is unlabeled")
-        if v in labeled and d != 1:
-            bad.append(f"labeled vertex {v} has degree {d} (leaves must have degree 1)")
+            if v in labeled:
+                bad.append(f"labeled vertex {v} has degree {d} (leaves must have degree 1)")
     seen: dict[str, VertexId] = {}
-    for v in sorted(net.leaf_labels):
-        lab = net.leaf_labels[v]
+    for v in order(labeled):
+        lab = labeled[v]
         if lab in seen:
             bad.append(f"duplicate label {lab!r} on vertices {seen[lab]} and {v}")
         else:
             seen[lab] = v
-    if not net.leaf_labels:
+    if not labeled:
         bad.append("network has no labeled leaves")
-    return ValidationReport(tuple(bad))
+    return bad
 
 
 def check_binary_tree(net: UndirectedNet) -> None:
     """Raise unless ``net`` is a binary phylogenetic tree: ``ValidationError``
     with every violation of the unrooted invariants, else ``NotBinary``
-    naming a vertex on a cycle.  A network that passes remembers it, as it
-    does its cut-edges, so the check runs once per network."""
+    naming a vertex on a cycle.  A network that passes remembers it, so the
+    check runs once per network, and its cut-edge cache is its edge set:
+    every edge of a tree is a cut-edge, so no bridge search runs on it."""
     if net._binary_tree:
         return
     report = validate_unrooted(net)
@@ -482,6 +498,7 @@ def check_binary_tree(net: UndirectedNet) -> None:
         u, _ = min(net.edges - net.cut_edges())
         raise NotBinary(f"input is not a tree: vertex {u} lies on a cycle")
     net._binary_tree = True
+    net._cuts = net.edges
 
 
 def validate_rooted(net: RootedNet) -> ValidationReport:
@@ -630,6 +647,7 @@ def _cut_edge_masks(adj, cuts, leaf_labels, bits: dict[str, int], full: int) -> 
     """
     parent: dict[VertexId, VertexId | None] = {}
     masks = {}
+    low = full & -full   # ``canonical_mask``, inline: one call per cut-edge adds up
     for root in adj:
         if root in parent:
             continue
@@ -639,12 +657,13 @@ def _cut_edge_masks(adj, cuts, leaf_labels, bits: dict[str, int], full: int) -> 
             below[parent[v]] |= below[v]
         component = below[root]
         for v in order[1:]:
-            e = canon_edge(parent[v], v)
+            p = parent[v]
+            e = (v, p) if v < p else (p, v)
             if e not in cuts:
                 continue
-            side = below[v] if e[0] == v else component ^ below[v]   # e[0]'s side
+            side = below[v] if v < p else component ^ below[v]   # e[0]'s side
             if side and side != full:
-                masks[e] = canonical_mask(side, full)
+                masks[e] = side if side & low else full ^ side
     return masks
 
 

@@ -32,7 +32,7 @@ from cutnets.formats import (
     serialize_newick_tree,
     serialize_upn,
 )
-from cutnets.generate import random_tree
+from cutnets.generate import GenConfig, random_q_cuttable, random_tree
 from cutnets.orient import is_tree_child
 
 from conftest import count_calls, triangle_net
@@ -197,6 +197,20 @@ class TestContain:
         assert result.exit_code == 1
         assert "SPLIT-CONFLICT" in result.output
         assert trace.read_text().startswith("TCTRACE/1\n")
+
+    def test_no_prints_only_the_deciding_certificate(self, tmp_path):
+        # the run says yes to two pieces (RULE 1 each) before RULE 3 I
+        # decides no; only that last rule certifies the answer
+        net = random_q_cuttable(GenConfig(seed=327, leaf_count=7, target_r=4, target_q=3))
+        tree = random_tree(sorted(net.labels()), 2290)
+        tpath = write(tmp_path / "t.nwk", serialize_newick_tree(tree) + "\n")
+        npath = write(tmp_path / "u.upn", serialize_upn(net))
+        trace = tmp_path / "trace.txt"
+        result = CliRunner().invoke(cli, ["contain", tpath, npath, "--trace", str(trace)])
+        assert result.exit_code == 1
+        assert trace.read_text().splitlines()[1:] == [
+            "BRANCH 3-5", "RULE 1", "BRANCH 11-15", "RULE 1", "RULE 3 I", "NO"]
+        assert result.stdout == "displays: no\ncertificate: RULE 3 I\n"
 
     def test_displayed_pair(self, tmp_path, displayed_pair):
         tree, net = displayed_pair

@@ -54,6 +54,7 @@ from cutnets.nets import (
     eliminate_edge,
     label_bits,
     split_of_cut_edge,
+    split_of_mask,
     splits_of,
     subdivide,
 )
@@ -135,6 +136,26 @@ def reference_conflicting_split(tree, net):
             if not us.is_compatible_with(ts):
                 return us, ts
     return None
+
+
+def conflict_by_splits(tree, net):
+    """conflicting_split as it picked its pair before the mask-order rule:
+    the masks of one pass over each input, a ``Split`` for every foreign
+    network mask and every clashing tree mask, and the smallest of each
+    in ``Split.sort_key`` order."""
+    bits = label_bits(net.labels())
+    full = (1 << len(bits)) - 1
+    tree_masks = set(_cut_edge_masks(tree.adjacency(), tree.cut_edges(), tree.leaf_labels,
+                                     bits, full).values())
+    net_masks = _cut_edge_masks(net.adjacency(), net.cut_edges(), net.leaf_labels, bits, full)
+    foreign = [m for m in net_masks.values() if m not in tree_masks]
+    if not foreign:
+        return None
+    us, um = min(((split_of_mask(m, bits), m) for m in foreign),
+                 key=lambda pair: pair[0].sort_key())
+    ts = min((split_of_mask(tm, bits) for tm in tree_masks
+              if um & ~tm and tm & ~um and um | tm != full), key=Split.sort_key)
+    return us, ts
 
 
 def reference_branch(tree, net, edge):
@@ -336,6 +357,69 @@ class TestConflictingSplit:
                 conflicts += got is not None
                 compared += 1
         assert conflicts > compared // 4
+
+
+class TestInputCheck:
+    def test_split_order_rule_matches_sort_key(self):
+        # the labels are numbers whose string order (10 < 9) is not their
+        # numeric order, and bit i is the i-th label as a string; of each
+        # random set of canonical masks the rule must pick the mask of the
+        # smallest split
+        rng = random.Random(5)
+        checked = 0
+        while checked < 20_000:
+            n = rng.randint(2, 64)
+            numbers = rng.sample(range(1, 10_000), n)
+            if sorted(numbers) == sorted(numbers, key=str):
+                continue
+            bits = label_bits(str(x) for x in numbers)
+            full = (1 << n) - 1
+            masks = set()
+            for _ in range(rng.randint(1, 3)):
+                m = canonical_mask(rng.randrange(1, full), full)
+                # and a near mask: the two differ in one bit, high or low,
+                # so one may be the other's prefix
+                masks.update((m, m | 1 << rng.randrange(n)))
+            masks = [m for m in masks if m != full]
+            if len(masks) < 2:
+                continue
+            want = min(masks, key=lambda m: split_of_mask(m, bits).sort_key())
+            assert containment._split_order_first(masks) == want, (n, masks)
+            checked += 1
+
+    def test_no_decided_at_the_input_thaws_nothing(self, monkeypatch, conflicting_pair):
+        # the split check runs on the frozen inputs, and only the reported
+        # pair becomes Split values
+        instances = [conflicting_pair, scale_instance(1024, True)]
+        for tree, net in instances:
+            calls = count_calls(monkeypatch, (nets._WorkGraph, "of"),
+                                (containment, "split_of_mask"))
+            verdict, trace = three_cuttable_tc(tree, net)
+            assert verdict is False and trace[0].kind == "SPLIT-CONFLICT"
+            assert calls == {"split_of_mask": 2}
+            monkeypatch.undo()
+
+    def test_matches_the_split_pick_on_the_desk_corpus(self):
+        # the corpus of ``test_matches_reference_on_desk_networks`` and the
+        # recorded traces' instances
+        compared = conflicts = 0
+        for seed in range(400):
+            net = random_q_cuttable(GenConfig(seed=7000 + seed, leaf_count=4 + seed % 29,
+                                              target_r=1 + seed % 5, target_q=3))
+            labels = sorted(net.labels())
+            swapped = swap_labels(sample_displayed_tree(net, seed),
+                                  *random.Random(seed).sample(labels, 2))
+            for tree in (random_tree(labels, seed), swapped):
+                got = conflicting_split(tree, net)
+                assert got == conflict_by_splits(tree, net), seed
+                compared += 1
+                conflicts += got is not None
+        golden = json.loads((Path(__file__).parent / "data" / "tctrace_golden.json").read_text())
+        for entry in golden:
+            tree, net = parse_newick_tree(entry["tree"]), parse_upn(entry["net"])
+            assert conflicting_split(tree, net) == conflict_by_splits(tree, net), entry["name"]
+            compared += 1
+        assert compared > 800 and conflicts > compared // 4
 
 
 def star_tree(labels):
@@ -842,11 +926,13 @@ class TestScale:
 
     @pytest.mark.parametrize("n, swapped", SCALE_CASES)
     def test_whole_graph_work_does_not_grow_with_branching(self, monkeypatch, n, swapped):
-        # one mask pass for the tree and one for the network up front, and
-        # one for the tree to name a conflict's partner; at most one bridge
-        # search per input graph.  An ELIM reports its new cut-edges, and
-        # only their masks are checked, so it makes neither.  A BRANCH
-        # inherits both, so neither count depends on the number of them.
+        # one mask pass for the tree and one for the network up front,
+        # which also name an input conflict's partner, and one for the tree
+        # to name the partner of a conflict an ELIM creates; one bridge
+        # search at most, for the network, since a tree's cut-edges are its
+        # edges.  An ELIM reports its new cut-edges, and only their masks
+        # are checked, so it makes neither.  A BRANCH inherits both, so
+        # neither count depends on the number of them.
         tree, net = scale_instance(n, swapped)
         calls = count_calls(monkeypatch, (containment, "_cut_edge_masks"),
                             (nets, "bridges"))
@@ -854,8 +940,10 @@ class TestScale:
         _, trace = three_cuttable_tc(UndirectedNet(tree.vertices, tree.edges, tree.leaf_labels),
                                      UndirectedNet(net.vertices, net.edges, net.leaf_labels))
         kinds = [ev.kind for ev in trace]
-        assert calls["_cut_edge_masks"] == 2 + kinds.count("SPLIT-CONFLICT")
-        assert calls["bridges"] <= 2
+        at_input = kinds[0] == "SPLIT-CONFLICT"
+        assert swapped == at_input
+        assert calls["_cut_edge_masks"] == 2 + (0 if at_input else kinds.count("SPLIT-CONFLICT"))
+        assert calls["bridges"] <= 1
         assert swapped or (kinds.count("BRANCH") > n // 8 and kinds.count("ELIM") >= n // 8)
 
     @pytest.mark.parametrize("n", [256, 1024])

@@ -164,13 +164,16 @@ def test_checker_finds_attribute_callers():
 
 
 def test_trusted_networks_come_only_from_freezes():
-    # a network built from unchecked parts is built in two places: a
+    # a network built from unchecked parts is built in four places: a
     # working graph and the SAT gadget builder, each at the one point
-    # where its value leaves
+    # where its value leaves, and the two unrooted readers, which check
+    # every declaration and make every edge canonical as they read, and
+    # validate what they build
     found = set()
     for path in MODULES:
         found |= callers_of(path.read_text(encoding="utf-8"), "_trusted", path.stem)
-    assert found == {"nets._WorkGraph.freeze", "sat._Builder.freeze"}
+    assert found == {"nets._WorkGraph.freeze", "sat._Builder.freeze",
+                     "formats.parse_upn", "formats.parse_newick_tree"}
 
 
 def test_bridge_search_has_two_callers():
@@ -185,15 +188,17 @@ def test_bridge_search_has_two_callers():
 
 
 def test_containment_rescans_no_piece_after_an_elimination():
-    # the whole-piece conflict check runs on the input only, and the full
-    # list of branchable cut-edges is built only for a fresh instance and
-    # a moved half: after an ELIM both come from the cut-edges that
-    # ``_WorkGraph.eliminate`` reports
-    found = {name: set() for name in ("_first_conflict", "_branchable")}
+    # the whole-piece conflict check runs on the input only, the same one
+    # for both callers, and the full list of branchable cut-edges is built
+    # only for a fresh instance and a moved half: after an ELIM both come
+    # from the cut-edges that ``_WorkGraph.eliminate`` reports
+    names = ("_input_conflict", "_first_conflict", "_branchable")
+    found = {name: set() for name in names}
     for path in MODULES:
         for name, callers in found.items():
             callers |= callers_of(path.read_text(encoding="utf-8"), name, path.stem, bare=True)
-    assert found == {"_first_conflict": {"containment.conflicting_split", "containment._solve"},
+    assert found == {"_input_conflict": {"containment.conflicting_split", "containment._solve"},
+                     "_first_conflict": {"containment._solve"},
                      "_branchable": {"containment._fresh_instance", "containment._branch"}}
 
 
